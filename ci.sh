@@ -74,6 +74,13 @@ cargo run --release --quiet -p levi-bench -- run fig05 --quick \
   --json "$tmp/resume-b.json" --resume "$tmp/run.journal" > /dev/null 2> "$tmp/resume.log"
 grep -q "(resumed)" "$tmp/resume.log"
 diff "$tmp/resume-a.json" "$tmp/resume-b.json"
+# The journal is bound to its fault plan: resuming it under one must fail
+# (exit 1) instead of merging faulted cycle counts into a fault-free report.
+status=0
+cargo run --release --quiet -p levi-bench -- run fig05 --quick \
+  --resume "$tmp/run.journal" --fault-plan 3 > /dev/null 2> "$tmp/mismatch.log" || status=$?
+[ "$status" -eq 1 ]
+grep -q "fault=3:" "$tmp/mismatch.log"
 echo "== snapshot verify smoke =="
 # Periodic checkpointing + post-run replay verification must be purely
 # observational: fig05 prints byte-identical stdout with both armed, and
@@ -82,61 +89,15 @@ cargo run --release --quiet -p levi-bench -- run fig05 --quick \
   --snapshot-verify --checkpoint-every 50000 \
   > "$tmp/fig05-verified.txt" 2> /dev/null
 diff "$tmp/fig05-plain.txt" "$tmp/fig05-verified.txt"
-echo "== serve smoke =="
-# The service layer must be invisible at the byte level: a run through
-# `--server` must print exactly what the in-process run prints, and a
-# repeated request must be served from the content-addressed cache
-# without re-executing (the client reports the hit on stderr).
-cargo run --release --quiet -p levi-bench -- serve \
-  --addr 127.0.0.1:0 --cache "$tmp/serve.cache" > "$tmp/serve.log" 2>&1 &
-serve_pid=$!
-trap 'kill "$serve_pid" 2> /dev/null || true; rm -rf "$tmp"' EXIT
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/^levi-serve listening on //p' "$tmp/serve.log")
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ]
-cargo run --release --quiet -p levi-bench -- run fig05 --quick \
-  --server "$addr" > "$tmp/fig05-remote1.txt" 2> /dev/null
-cargo run --release --quiet -p levi-bench -- run fig05 --quick \
-  --server "$addr" > "$tmp/fig05-remote2.txt" 2> "$tmp/remote2.log"
-cargo run --release --quiet -p levi-bench -- run ablation_translation --quick \
-  --server "$addr" > "$tmp/xlat-remote.txt" 2> /dev/null
-cargo run --release --quiet -p levi-bench -- run ablation_tenancy --quick \
-  --server "$addr" > "$tmp/tenancy-remote.txt" 2> /dev/null
-kill "$serve_pid"
-grep -q "cache hit" "$tmp/remote2.log"
-diff "$tmp/fig05-plain.txt" "$tmp/fig05-remote1.txt"
-diff "$tmp/fig05-remote1.txt" "$tmp/fig05-remote2.txt"
-diff "$tmp/ablation_translation-a.txt" "$tmp/xlat-remote.txt"
-diff "$tmp/ablation_tenancy-a.txt" "$tmp/tenancy-remote.txt"
-echo "== perf gate =="
-# Host-performance smoke: measure, accept a machine-local baseline, then
-# re-measure and compare against it. Gating is machine-local (wall-clock
-# baselines do not transfer between hosts) with a generous threshold —
-# this catches order-of-magnitude regressions and proves the run →
-# accept → compare pipeline end to end. A dated BENCH_<date>.json
-# trajectory file must come out of the run as well.
-mkdir -p "$tmp/perf"
-cargo run --release --quiet -p levi-bench -- perf run --quick \
-  --json "$tmp/perf/report-a.json" > /dev/null
-cargo run --release --quiet -p levi-bench -- perf accept \
-  "$tmp/perf/report-a.json" --baseline "$tmp/perf/local-baseline.json"
-cargo run --release --quiet -p levi-bench -- perf run --quick \
-  --json "$tmp/perf/report-b.json" --trajectory "$tmp/perf" > /dev/null
-cargo run --release --quiet -p levi-bench -- perf compare \
-  "$tmp/perf/report-b.json" --baseline "$tmp/perf/local-baseline.json" --threshold 75
-ls "$tmp"/perf/BENCH_*.json > /dev/null
 echo "== alloc smoke =="
 # The data-oriented substrate's core claim: once warm, the per-instruction
 # hot path performs zero heap allocations. A counting global allocator
 # (release build, so the measured path is the shipped one) enforces it.
 cargo test --release -q -p levi-sim --test alloc_smoke
-echo "== trajectory validation =="
-# Both the fresh CI trajectory and the committed perf history must parse
-# as perf reports and be chronological in filename order.
-cargo run --release --quiet -p levi-bench -- perf trajectory "$tmp/perf"
-cargo run --release --quiet -p levi-bench -- perf trajectory perf
+echo "== benchmark smoke =="
+# The simulator-speed benchmark at test scale: builds its untraced and
+# traced binaries, runs one round of every workload, and fails on any
+# failed check or drifted pin (goldens, Stats digests, exact counts, the
+# figures-quick stdout digest).
+bash benchmark/run.sh --smoke > /dev/null
 echo "== ok =="

@@ -1,7 +1,7 @@
-//! `levi-bench` — the unified experiment runner.
+//! `levi-bench` — the figure runner.
 //!
 //! One binary regenerates any figure or table of the paper's evaluation
-//! from the figure registry, replacing per-figure driver binaries:
+//! from the figure registry:
 //!
 //! ```text
 //! levi-bench list
@@ -9,11 +9,7 @@
 //!                             [--telemetry PATH] [--resume PATH]
 //!                             [--checkpoint-every N] [--snapshot-verify]
 //!                             [--fault-plan SEED[:HORIZON]] [--filter VARIANT]
-//!                             [--server ADDR] [--job-timeout-ms N]
-//! levi-bench serve [--addr ADDR] [--cache PATH] [--workers N]
-//!                  [--queue-depth N]
 //! levi-bench check-report <PATH>
-//! levi-bench perf <run|compare|accept> [options]
 //! ```
 //!
 //! `run all --json PATH` truncates `PATH`, appends one JSON line per
@@ -25,10 +21,11 @@
 //! `PATH` and, when the journal already holds records (from a run that was
 //! killed or crashed part-way), loads them instead of re-running: the
 //! merged report is identical to an uninterrupted run, because every run
-//! is a pure function of its configuration. `--checkpoint-every N` arms
-//! the in-simulation snapshot hook, and `--snapshot-verify` restores each
-//! run's last checkpoint afterwards and replays it to the end, failing on
-//! divergence.
+//! is a pure function of its configuration. The journal records the scale
+//! and fault plan it was written under, and resuming it with others fails.
+//! `--checkpoint-every N` arms the in-simulation snapshot hook, and
+//! `--snapshot-verify` restores each run's last checkpoint afterwards and
+//! replays it to the end, failing on divergence.
 //!
 //! `run ... --telemetry PATH` additionally records invoke-lifecycle spans
 //! and trace events in every run and appends one self-describing
@@ -36,15 +33,9 @@
 //! `levi_sim::Telemetry::to_jsonl`); the printed tables are byte-identical
 //! with or without the flag. `check-report` recognizes such dumps by their
 //! `{"telemetry":...}` header lines and validates them structurally.
-//!
-//! `serve` starts the long-running experiment service (`levi_bench::serve`):
-//! a std-only TCP server that executes figures through the same engine,
-//! dedupes identical requests against a content-addressed result cache,
-//! and streams output lines over the wire. `run ... --server ADDR` becomes
-//! a thin client of such a server, replaying the streamed transcript
-//! byte-identically to an in-process run.
 
 use levi_bench::figures::ALL;
+use levi_bench::journal::{Journal, RunParams};
 use levi_bench::json::{parse, Json};
 use levi_bench::runner::{find_figure, manifest_json, run_figure, RunCtx};
 use levi_workloads::harness::FaultSpec;
@@ -56,13 +47,10 @@ fn usage() -> ! {
     eprintln!("commands:");
     eprintln!("  list                         list figures and the workloads they exercise");
     eprintln!("  run <figure|all> [options]   regenerate one figure, or all in order");
-    eprintln!("  serve [options]              run the experiment service (TCP, cached)");
-    eprintln!("  check-report <path>          validate a --json report file");
-    eprintln!("  perf <run|compare|accept>    host-performance measurement and");
-    eprintln!("                               regression gating ('perf' for details)");
+    eprintln!("  check-report <path>          validate a --json report or --telemetry dump");
     eprintln!();
     eprintln!("run options:");
-    eprintln!("  --quick              reduced scales (sets LEVI_BENCH_QUICK)");
+    eprintln!("  --quick              reduced scales");
     eprintln!("  --serial             run sweeps serially (sets LEVI_SWEEP_SERIAL)");
     eprintln!("  --json PATH          append per-figure JSON lines to PATH");
     eprintln!("                       ('all' truncates PATH and adds a manifest)");
@@ -70,7 +58,8 @@ fn usage() -> ! {
     eprintln!("                       the full telemetry registry to PATH (JSONL);");
     eprintln!("                       printed output is identical with or without");
     eprintln!("  --resume PATH        journal completed variants to PATH and skip");
-    eprintln!("                       the ones already on record (crash recovery)");
+    eprintln!("                       the ones already on record (crash recovery;");
+    eprintln!("                       --quick and --fault-plan must match the journal)");
     eprintln!("  --checkpoint-every N snapshot the machine every N cycles");
     eprintln!("  --snapshot-verify    restore each run's last checkpoint and replay");
     eprintln!("                       it to the end; fail on divergence");
@@ -78,15 +67,6 @@ fn usage() -> ! {
     eprintln!("                       inject a seeded fault plan into every run");
     eprintln!("  --filter VARIANT     only run variants whose label contains VARIANT");
     eprintln!("                       (baselines always run; knob sweeps ignore this)");
-    eprintln!("  --server ADDR        submit the run to a levi-bench serve instance");
-    eprintln!("                       and replay its output (byte-identical)");
-    eprintln!("  --job-timeout-ms N   with --server: fail if still queued after N ms");
-    eprintln!();
-    eprintln!("serve options:");
-    eprintln!("  --addr ADDR          listen address (default 127.0.0.1:0)");
-    eprintln!("  --cache PATH         result cache file (default levi-serve.cache)");
-    eprintln!("  --workers N          executor threads (default 2)");
-    eprintln!("  --queue-depth N      bounded queue depth before 'busy' (default 8)");
     std::process::exit(2);
 }
 
@@ -100,9 +80,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("run") => cmd_run(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("check-report") => cmd_check(&args[1..]),
-        Some("perf") => levi_bench::perf_cli::cmd_perf(&args[1..]),
         _ => usage(),
     }
 }
@@ -145,13 +123,11 @@ fn parse_fault_plan(spec: &str) -> FaultSpec {
 
 fn cmd_run(args: &[String]) {
     let mut target = None;
-    let mut ctx = RunCtx::from_env();
+    let mut ctx = RunCtx::default();
     let mut serial = false;
     let mut json: Option<String> = None;
     let mut telemetry: Option<String> = None;
     let mut resume: Option<String> = None;
-    let mut server: Option<String> = None;
-    let mut job_timeout_ms: Option<u64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -174,13 +150,6 @@ fn cmd_run(args: &[String]) {
             "--snapshot-verify" => ctx.env.snapshot_verify = true,
             "--fault-plan" => ctx.env.fault = Some(parse_fault_plan(&value("--fault-plan"))),
             "--filter" => ctx.filter = Some(value("--filter")),
-            "--server" => server = Some(value("--server")),
-            "--job-timeout-ms" => {
-                let v = value("--job-timeout-ms");
-                job_timeout_ms = Some(v.parse().unwrap_or_else(|_| {
-                    fail(&format!("--job-timeout-ms: bad millisecond count {v:?}"))
-                }));
-            }
             other if other.starts_with('-') => fail(&format!("unknown option {other}")),
             other => {
                 if target.replace(other.to_string()).is_some() {
@@ -193,33 +162,8 @@ fn cmd_run(args: &[String]) {
         fail("run needs a figure id (see 'levi-bench list') or 'all'");
     };
 
-    if let Some(addr) = server {
-        // Thin-client mode: the run happens on the server, which owns
-        // its own journal-free engine; client-local file side channels
-        // don't apply.
-        for (flag, set) in [
-            ("--json", json.is_some()),
-            ("--telemetry", telemetry.is_some()),
-            ("--resume", resume.is_some()),
-            ("--serial", serial),
-            ("--checkpoint-every", ctx.env.checkpoint_every > 0),
-            ("--snapshot-verify", ctx.env.snapshot_verify),
-        ] {
-            if set {
-                fail(&format!("{flag} cannot be combined with --server"));
-            }
-        }
-        return run_remote_target(&addr, &target, &ctx, job_timeout_ms);
-    }
-    if job_timeout_ms.is_some() {
-        fail("--job-timeout-ms only applies with --server");
-    }
-
-    // The workload layer reads these switches wherever a figure runs, so
-    // the flags just set the environment the bench wrappers already honor.
-    if ctx.quick {
-        std::env::set_var("LEVI_BENCH_QUICK", "1");
-    }
+    // The sweep and report layers read these switches from the
+    // environment wherever a figure runs.
     if serial {
         std::env::set_var("LEVI_SWEEP_SERIAL", "1");
     }
@@ -237,13 +181,21 @@ fn cmd_run(args: &[String]) {
         ctx.env.telemetry = true;
     }
     if let Some(path) = &resume {
-        // Validate (and create, if absent) the journal up front so a bad
-        // path or scale mismatch fails before any simulation starts. The
-        // runner re-opens it lazily through LEVI_BENCH_JOURNAL.
-        if let Err(e) = levi_bench::journal::Journal::open(path, ctx.quick) {
-            fail(&format!("--resume {path}: {e}"));
+        // Open (or create) the journal before any simulation starts, so a
+        // bad path or a parameter mismatch fails fast.
+        let params = RunParams {
+            quick: ctx.quick,
+            fault: ctx.env.fault,
+        };
+        let journal =
+            Journal::open(path, params).unwrap_or_else(|e| fail(&format!("--resume {path}: {e}")));
+        if !journal.is_empty() {
+            eprintln!(
+                "levi-bench: resuming from {path}: {} completed variant(s) on record",
+                journal.len()
+            );
         }
-        std::env::set_var("LEVI_BENCH_JOURNAL", path);
+        levi_bench::journal::activate(journal);
     }
 
     if target == "all" {
@@ -257,80 +209,6 @@ fn cmd_run(args: &[String]) {
         };
         run_figure(fig, &ctx);
     }
-}
-
-/// Submits `target` (one figure or `all`) to a levi-serve instance and
-/// replays the streamed output locally.
-fn run_remote_target(addr: &str, target: &str, ctx: &RunCtx, timeout_ms: Option<u64>) {
-    let job_for = |figure: &str| {
-        let mut job = levi_bench::serve::Job::new(figure);
-        job.quick = ctx.quick;
-        job.filter = ctx.filter.clone();
-        job.fault = ctx.env.fault;
-        job.timeout_ms = timeout_ms;
-        job
-    };
-    let run_one = |figure: &str| match levi_bench::serve::run_remote(addr, &job_for(figure)) {
-        Ok(outcome) => {
-            if outcome.cached {
-                eprintln!(
-                    "levi-serve: cache hit (key {}, {} lines replayed)",
-                    outcome.key, outcome.lines
-                );
-            }
-        }
-        Err(e) => fail(&format!("--server {addr}: {e}")),
-    };
-    if target == "all" {
-        for fig in ALL {
-            run_one(fig.id);
-        }
-    } else {
-        let Some(fig) = find_figure(target) else {
-            fail(&format!("unknown figure {target:?}; see 'levi-bench list'"));
-        };
-        run_one(fig.id);
-    }
-}
-
-/// Starts the experiment service and blocks until killed.
-fn cmd_serve(args: &[String]) {
-    let mut cfg = levi_bench::serve::ServeConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-                .clone()
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr"),
-            "--cache" => cfg.cache_path = value("--cache"),
-            "--workers" => {
-                let v = value("--workers");
-                cfg.workers = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--workers: bad count {v:?}")));
-            }
-            "--queue-depth" => {
-                let v = value("--queue-depth");
-                cfg.queue_depth = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--queue-depth: bad depth {v:?}")));
-            }
-            other => fail(&format!("unknown serve option {other}")),
-        }
-    }
-    let handle = levi_bench::serve::Server::start(
-        &cfg,
-        std::sync::Arc::new(levi_bench::serve::FigureExecutor),
-    )
-    .unwrap_or_else(|e| fail(&format!("serve: {e}")));
-    // Scripts parse this line for the bound port; flush it eagerly.
-    println!("levi-serve listening on {}", handle.addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    handle.wait();
 }
 
 fn cmd_check(args: &[String]) {

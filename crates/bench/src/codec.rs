@@ -1,25 +1,21 @@
-//! Shared on-disk framing for the harness's durable line-oriented files.
+//! On-disk framing for the crash journal behind `levi-bench run --resume`
+//! ([`crate::journal`]).
 //!
-//! Two subsystems persist records across process lifetimes: the crash
-//! journal behind `levi-bench run --resume` ([`crate::journal`]) and the
-//! content-addressed result cache behind `levi-bench serve`
-//! ([`crate::serve::cache`]). Both need the same physical properties —
-//! a self-describing header line, binary payloads that survive a
-//! text-file round trip, appends that are synced before they count as
-//! durable, and tolerance for the torn final line a kill mid-append
-//! leaves behind — so the mechanics live here exactly once:
+//! The journal persists records across process lifetimes, which needs a
+//! self-describing header line, binary payloads that survive a text-file
+//! round trip, appends that are synced before they count as durable, and
+//! tolerance for the torn final line a kill mid-append leaves behind:
 //!
 //! * [`hex_encode`] / [`hex_decode`] — the payload armor. Record blobs
 //!   are `levi_isa::codec` bytes hex-armored onto one line, so framing
 //!   stays line-oriented no matter what the payload contains.
 //! * [`LineStore`] — open-or-create with a header line, enumerate
-//!   records with their positions (so callers can apply the torn-tail
+//!   records with their positions (so the caller can apply the torn-tail
 //!   policy), and synced appends.
 //!
-//! The *semantic* layer stays with the callers: the journal treats a
-//! malformed final record as a crash artifact and malformed interior
-//! records as typed errors, while the cache treats any malformed record
-//! as a miss. `LineStore` only reports what is on disk and where.
+//! The *semantic* layer stays with the journal, which treats a malformed
+//! final record as a crash artifact and malformed interior records as
+//! typed errors. `LineStore` only reports what is on disk and where.
 
 use std::io::Write as _;
 
@@ -102,11 +98,6 @@ impl LineStore {
         }
     }
 
-    /// The file path this store appends to.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
     /// Appends one record line and syncs it to disk, so a kill arriving
     /// right after the append cannot lose it.
     ///
@@ -122,13 +113,8 @@ impl LineStore {
             .map_err(|e| StoreError(format!("{}: {e}", self.path)))
     }
 
-    /// Truncates the file back to a fresh header. Callers that treat
-    /// their store as a disposable cache use this to recover from an
-    /// unreadable file.
-    ///
-    /// # Errors
-    /// Propagates I/O failures as [`StoreError`].
-    pub fn reset(&self, fresh_header: &str) -> Result<(), StoreError> {
+    /// Truncates the file back to a fresh header.
+    fn reset(&self, fresh_header: &str) -> Result<(), StoreError> {
         std::fs::write(&self.path, format!("{fresh_header}\n"))
             .map_err(|e| StoreError(format!("{}: {e}", self.path)))
     }

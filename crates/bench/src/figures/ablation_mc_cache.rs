@@ -48,7 +48,7 @@ fn run(ctx: &RunCtx) {
         });
     let mut rows = Vec::new();
     for (name, r) in &results {
-        crate::progressln!("  ran {name}");
+        eprintln!("  ran {name}");
         rows.push(vec![
             name.to_string(),
             r.metrics.cycles.to_string(),
@@ -61,7 +61,7 @@ fn run(ctx: &RunCtx) {
         &["config", "cycles", "DRAM accesses", "FIFO hits"],
         &rows,
     );
-    crate::outln!();
-    crate::outln!("DRAM accesses avoided = FIFO hits; disabling the cache converts");
-    crate::outln!("them back into DRAM traffic on the compacted node array.");
+    println!();
+    println!("DRAM accesses avoided = FIFO hits; disabling the cache converts");
+    println!("them back into DRAM traffic on the compacted node array.");
 }

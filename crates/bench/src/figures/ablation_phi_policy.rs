@@ -64,7 +64,7 @@ fn run(ctx: &RunCtx) {
         "100%".into(),
     ]];
     for (name, o) in &results[1..] {
-        crate::progressln!("  ran {name}");
+        eprintln!("  ran {name}");
         rows.push(vec![
             name.to_string(),
             format!(

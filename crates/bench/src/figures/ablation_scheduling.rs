@@ -47,7 +47,7 @@ fn run(ctx: &RunCtx) {
         });
     let mut rows = Vec::new();
     for (name, o) in &results {
-        crate::progressln!("  ran {name}");
+        eprintln!("  ran {name}");
         rows.push(vec![
             name.to_string(),
             o.metrics.cycles.to_string(),

@@ -1,4 +1,4 @@
-//! Ablation — multi-tenant NDC sharing (DESIGN.md §11).
+//! Ablation — multi-tenant NDC sharing (DESIGN.md §10).
 //!
 //! A deployed NDC fabric is shared: several independent jobs co-run on
 //! one machine and contend for the LLC and the invoke engines. levi-xlat
@@ -54,7 +54,7 @@ fn run(ctx: &RunCtx) {
         });
     let mut rows = Vec::new();
     for (name, r) in &results {
-        crate::progressln!("  ran {name}");
+        eprintln!("  ran {name}");
         let s = &r.metrics.stats;
         let spread = match (
             s.tenant_finish.iter().max(),
@@ -82,7 +82,7 @@ fn run(ctx: &RunCtx) {
         ],
         &rows,
     );
-    crate::outln!();
-    crate::outln!("Finish spread = latest minus earliest per-tenant core finish cycle;");
-    crate::outln!("partitioning trades peak throughput for inter-tenant isolation.");
+    println!();
+    println!("Finish spread = latest minus earliest per-tenant core finish cycle;");
+    println!("partitioning trades peak throughput for inter-tenant isolation.");
 }

@@ -1,4 +1,4 @@
-//! Ablation — address translation (DESIGN.md §11).
+//! Ablation — address translation (DESIGN.md §10).
 //!
 //! NDC evaluations (this paper included) typically assume translation is
 //! free. levi-xlat puts a per-tile TLB and a timed radix page walk in
@@ -52,7 +52,7 @@ fn run(ctx: &RunCtx) {
         });
     let mut rows = Vec::new();
     for (name, r) in &results {
-        crate::progressln!("  ran {name}");
+        eprintln!("  ran {name}");
         let s = &r.metrics.stats;
         let lookups = s.tlb_hits + s.tlb_misses;
         let hit_pct = if lookups == 0 {
@@ -81,7 +81,7 @@ fn run(ctx: &RunCtx) {
         ],
         &rows,
     );
-    crate::outln!();
-    crate::outln!("Walks are charged through the real NoC + DRAM paths; larger pages");
-    crate::outln!("stretch TLB reach and converge on the free-translation baseline.");
+    println!();
+    println!("Walks are charged through the real NoC + DRAM paths; larger pages");
+    println!("stretch TLB reach and converge on the free-translation baseline.");
 }

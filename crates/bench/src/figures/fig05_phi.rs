@@ -54,26 +54,24 @@ fn run(ctx: &RunCtx) {
     ) else {
         return;
     };
-    crate::outln!();
-    crate::outln!("mechanisms:");
+    println!();
+    println!("mechanisms:");
     let (base_s, tako_s, lev_s) = (&base.metrics.stats, &tako.metrics.stats, &lev.metrics.stats);
-    crate::outln!(
+    println!(
         "  fences:        baseline {:>9}   leviathan {:>9}  (offload eliminates fences)",
-        base_s.fences,
-        lev_s.fences
+        base_s.fences, lev_s.fences
     );
-    crate::outln!(
+    println!(
         "  line ping-pong: baseline {:>8}   leviathan {:>9}  (ownership transfers)",
-        base_s.ownership_transfers,
-        lev_s.ownership_transfers
+        base_s.ownership_transfers, lev_s.ownership_transfers
     );
     let noc_cut = 1.0 - lev_s.noc_flit_hops as f64 / tako_s.noc_flit_hops as f64;
-    crate::outln!(
+    println!(
         "  NoC traffic vs tako: -{:.0}%  (paper: -40%)",
         noc_cut * 100.0
     );
     let ideal_gap = lev.metrics.cycles as f64 / ideal.metrics.cycles as f64 - 1.0;
-    crate::outln!(
+    println!(
         "  gap to idealized engine: {:.1}%  (paper: 1.3%)",
         ideal_gap * 100.0
     );

@@ -44,12 +44,12 @@ fn run(ctx: &RunCtx) {
     let (Some(lev), Some(ideal)) = (outcomes.get("Leviathan"), outcomes.get("Ideal")) else {
         return;
     };
-    crate::outln!();
-    crate::outln!(
+    println!();
+    println!(
         "gap to idealized engine: {:.1}%  (paper: 1.6%)",
         (lev.metrics.cycles as f64 / ideal.metrics.cycles as f64 - 1.0) * 100.0
     );
-    crate::outln!(
+    println!(
         "line fills (ctor groups): {}  — decompressed pixels reused from L1/L2",
         lev.metrics.stats.ctor_actions / 8
     );

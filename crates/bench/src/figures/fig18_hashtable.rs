@@ -71,7 +71,7 @@ fn run(ctx: &RunCtx) {
         let base = runs.next().unwrap().1;
         let lev = runs.next().unwrap().1;
         let ideal = runs.next().unwrap().1;
-        crate::progressln!("  ran size {size}B base/lev/ideal");
+        eprintln!("  ran size {size}B base/lev/ideal");
         let ablation = match size {
             24 | 128 => runs.next(),
             _ => None,
@@ -107,7 +107,7 @@ fn run(ctx: &RunCtx) {
         ],
         &rows,
     );
-    crate::outln!();
-    crate::outln!("Paper: up to 2.0x speedup, up to 77% energy savings; padding and");
-    crate::outln!("LLC object mapping are both required for cross-size robustness.");
+    println!();
+    println!("Paper: up to 2.0x speedup, up to 77% energy savings; padding and");
+    println!("LLC object mapping are both required for cross-size robustness.");
 }

@@ -53,7 +53,7 @@ fn run(ctx: &RunCtx) {
     let mut best = u64::MAX;
     let mut cycles_at = Vec::new();
     for (_, (cap, o)) in &results {
-        crate::progressln!("  ran capacity={cap}");
+        eprintln!("  ran capacity={cap}");
         best = best.min(o.metrics.cycles);
         cycles_at.push(o.metrics.cycles);
         rows.push(vec![

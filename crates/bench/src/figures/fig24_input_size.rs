@@ -61,7 +61,7 @@ fn run(ctx: &RunCtx) {
     for &mb in sizes_mb {
         let base = runs.next().unwrap().1;
         let lev = runs.next().unwrap().1;
-        crate::progressln!("  ran table={mb}MB");
+        eprintln!("  ran table={mb}MB");
         rows.push(vec![
             format!("{mb} MB"),
             format!(
@@ -77,8 +77,6 @@ fn run(ctx: &RunCtx) {
         &["table size", "Leviathan speedup", "base DRAM", "lev DRAM"],
         &rows,
     );
-    crate::outln!();
-    crate::outln!(
-        "(16-tile LLC = 8 MB; expect the advantage to fall once the table no longer fits)"
-    );
+    println!();
+    println!("(16-tile LLC = 8 MB; expect the advantage to fall once the table no longer fits)");
 }

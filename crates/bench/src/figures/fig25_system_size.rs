@@ -63,7 +63,7 @@ fn run(ctx: &RunCtx) {
     for &tiles in tiles_list {
         let base = runs.next().unwrap().1;
         let lev = runs.next().unwrap().1;
-        crate::progressln!("  ran tiles={tiles}");
+        eprintln!("  ran tiles={tiles}");
         rows.push(vec![
             tiles.to_string(),
             format!(

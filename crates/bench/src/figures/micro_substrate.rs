@@ -22,13 +22,13 @@ pub const FIG: Figure = Figure {
 };
 
 fn run(_ctx: &RunCtx) {
-    crate::outln!("{:<28} {:>15}", "benchmark", "median");
+    println!("{:<28} {:>15}", "benchmark", "median");
     let results = Sweep::new()
         .variants(KERNELS.iter().map(|&(name, timer)| (name, timer)))
         .run(|_, timer| timer());
     let mut rows = Vec::new();
     for (name, ns) in &results {
-        crate::outln!("{name:<28} {ns:>10.1} ns/iter");
+        println!("{name:<28} {ns:>10.1} ns/iter");
         rows.push(vec![name.to_string(), format!("{ns:.1}")]);
     }
     crate::emit_json_line(&table_json(

@@ -1,9 +1,9 @@
 //! One descriptor module per figure/table of the paper's evaluation.
 //!
 //! Every module exposes a single `FIG: Figure` descriptor; [`ALL`] lists
-//! them in the paper's presentation order. The `levi-bench` runner and
-//! the thin `cargo bench` wrappers both execute figures exclusively
-//! through this registry, so each figure has exactly one implementation.
+//! them in the paper's presentation order. The `levi-bench` runner
+//! executes figures exclusively through this registry, so each figure has
+//! exactly one implementation.
 
 use crate::runner::Figure;
 

@@ -47,6 +47,6 @@ fn run(_ctx: &RunCtx) {
 
     assert!((report.total_bytes / 1024.0 - 32.8).abs() < 0.1);
     assert!((report.overhead_fraction() - 0.064).abs() < 0.001);
-    crate::outln!();
-    crate::outln!("measured matches the paper's Table IV exactly (same formulas).");
+    println!();
+    println!("measured matches the paper's Table IV exactly (same formulas).");
 }

@@ -11,20 +11,21 @@
 //! # File format
 //!
 //! ```text
-//! levi-journal v1 quick=<0|1>
+//! levi-journal v2 quick=<0|1> fault=<seed>:<horizon>|none
 //! done <figure> <sweep> <hex-encoded outcome record>
 //! ```
 //!
 //! One record per line. `<sweep>` numbers the sweeps a figure runs (0 for
 //! the common single-sweep figures), so a figure that sweeps twice cannot
-//! alias records. A journal written at one scale refuses to resume at the
-//! other (`quick=` mismatch). A torn **final** line — the record that was
-//! being written when the process died — is skipped on load; corruption
-//! anywhere else is a typed error.
+//! alias records. The header binds the journal to the [`RunParams`] it
+//! was written under, and a run with other parameters refuses to resume
+//! from it. A torn **final** line — the record that was being written
+//! when the process died — is skipped on load; corruption anywhere else
+//! is a typed error.
 //!
-//! The runner talks to one process-wide journal activated from
-//! `LEVI_BENCH_JOURNAL` (set by `--resume`); with the variable unset every
-//! call is a no-op and sweeps run exactly as before.
+//! The runner talks to one process-wide journal, installed by
+//! [`activate`] (`levi-bench run --resume`); with none active every call
+//! is a no-op and sweeps run exactly as before.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -33,12 +34,59 @@ use levi_isa::codec::{Reader, Writer};
 
 use crate::codec::{hex_decode, hex_encode, LineStore};
 use levi_sim::{EnergyBreakdown, Stats};
-use levi_workloads::harness::RunOutcome;
+use levi_workloads::harness::{FaultSpec, RunOutcome};
 use levi_workloads::metrics::RunMetrics;
 
-/// The journal header line for the given scale mode.
-fn header(quick: bool) -> String {
-    format!("levi-journal v1 quick={}", u8::from(quick))
+/// The run parameters a journal's records depend on besides their
+/// `(figure, sweep, label)` key: the scale and the fault plan. Records
+/// from other parameters are not interchangeable, and nothing downstream
+/// would notice the mix: a faulted run still matches its golden checksum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunParams {
+    /// Reduced scale (`--quick`).
+    pub quick: bool,
+    /// The injected fault plan (`--fault-plan`), if any.
+    pub fault: Option<FaultSpec>,
+}
+
+impl std::fmt::Display for RunParams {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "quick={} fault=", u8::from(self.quick))?;
+        match self.fault {
+            Some(spec) => write!(f, "{}:{}", spec.seed, spec.horizon),
+            None => write!(f, "none"),
+        }
+    }
+}
+
+const HEADER_PREFIX: &str = "levi-journal v2 ";
+
+/// The journal header line for the given run parameters.
+fn header(params: &RunParams) -> String {
+    format!("{HEADER_PREFIX}{params}")
+}
+
+/// Parses a header line; `None` for any line [`header`] would not write,
+/// including the headers of older journal versions.
+fn parse_header(line: &str) -> Option<RunParams> {
+    let (quick, fault) = line.strip_prefix(HEADER_PREFIX)?.split_once(' ')?;
+    let quick = match quick {
+        "quick=0" => false,
+        "quick=1" => true,
+        _ => return None,
+    };
+    let fault = match fault.strip_prefix("fault=")? {
+        "none" => None,
+        spec => {
+            let (seed, horizon) = spec.split_once(':')?;
+            Some(FaultSpec {
+                seed: seed.parse().ok()?,
+                horizon: horizon.parse().ok()?,
+            })
+        }
+    };
+    let params = RunParams { quick, fault };
+    (header(&params) == line).then_some(params)
 }
 
 /// Why a journal could not be opened or parsed.
@@ -53,13 +101,13 @@ pub enum JournalError {
         /// What was wrong.
         what: String,
     },
-    /// The journal was written at the other scale (`--quick` vs full);
-    /// mixing scales would merge incomparable outcomes.
-    QuickMismatch {
-        /// Scale recorded in the journal header.
-        journal_quick: bool,
-        /// Scale of the resuming invocation.
-        run_quick: bool,
+    /// The journal was written under other run parameters (scale or
+    /// fault plan); resuming would merge incomparable outcomes.
+    Mismatch {
+        /// Parameters recorded in the journal header.
+        journal: RunParams,
+        /// Parameters of the resuming invocation.
+        run: RunParams,
     },
 }
 
@@ -70,15 +118,10 @@ impl std::fmt::Display for JournalError {
             JournalError::Malformed { line, what } => {
                 write!(f, "journal line {line} malformed: {what}")
             }
-            JournalError::QuickMismatch {
-                journal_quick,
-                run_quick,
-            } => write!(
+            JournalError::Mismatch { journal, run } => write!(
                 f,
-                "journal was written with quick={} but this run has quick={} \
-                 (delete the journal or match the --quick flag)",
-                u8::from(*journal_quick),
-                u8::from(*run_quick)
+                "journal was written with {journal} but this run has {run} \
+                 (delete the journal or match --quick and --fault-plan)"
             ),
         }
     }
@@ -95,37 +138,31 @@ pub struct Journal {
 
 impl Journal {
     /// Opens `path`, creating it with a fresh header if absent. An
-    /// existing journal must carry a matching `quick=` header; its `done`
-    /// records become the resume set. Framing (header line, hex-armored
+    /// existing journal must carry a header for the same `params`; its
+    /// `done` records become the resume set. Framing (header line, hex-armored
     /// records, synced appends) rides on [`crate::codec::LineStore`].
     ///
     /// # Errors
-    /// I/O failures, a corrupt header or interior record, and a scale
-    /// mismatch are each a typed [`JournalError`]. A torn final line is
+    /// I/O failures, a corrupt header or interior record, and a
+    /// parameter mismatch are each a typed [`JournalError`]. A torn final line is
     /// tolerated (that is the record in flight when a previous run died).
-    pub fn open(path: &str, quick: bool) -> Result<Journal, JournalError> {
+    pub fn open(path: &str, params: RunParams) -> Result<Journal, JournalError> {
         let mut entries = HashMap::new();
         let (store, loaded) =
-            LineStore::open(path, &header(quick)).map_err(|e| JournalError::Io(e.to_string()))?;
+            LineStore::open(path, &header(&params)).map_err(|e| JournalError::Io(e.to_string()))?;
         if let Some(loaded) = loaded {
             let first = loaded.header.ok_or_else(|| JournalError::Malformed {
                 line: 1,
                 what: "empty journal (no header)".into(),
             })?;
-            let journal_quick = match first {
-                h if h == header(false) => false,
-                h if h == header(true) => true,
-                other => {
-                    return Err(JournalError::Malformed {
-                        line: 1,
-                        what: format!("bad header {other:?}"),
-                    })
-                }
-            };
-            if journal_quick != quick {
-                return Err(JournalError::QuickMismatch {
-                    journal_quick,
-                    run_quick: quick,
+            let journal = parse_header(&first).ok_or_else(|| JournalError::Malformed {
+                line: 1,
+                what: format!("bad header {first:?}"),
+            })?;
+            if journal != params {
+                return Err(JournalError::Mismatch {
+                    journal,
+                    run: params,
                 });
             }
             for rec in loaded.records {
@@ -317,36 +354,27 @@ struct Active {
     next_sweep: u32,
 }
 
-static ACTIVE: OnceLock<Option<Mutex<Active>>> = OnceLock::new();
+static ACTIVE: OnceLock<Mutex<Active>> = OnceLock::new();
 
-fn active() -> Option<&'static Mutex<Active>> {
-    ACTIVE
-        .get_or_init(|| {
-            let path = std::env::var("LEVI_BENCH_JOURNAL").ok()?;
-            let journal = Journal::open(&path, crate::quick_mode()).unwrap_or_else(|e| {
-                eprintln!("levi-bench: --resume {path}: {e}");
-                std::process::exit(1);
-            });
-            if !journal.is_empty() {
-                eprintln!(
-                    "levi-bench: resuming from {path}: {} completed variant(s) on record",
-                    journal.len()
-                );
-            }
-            Some(Mutex::new(Active {
-                journal,
-                figure: String::new(),
-                next_sweep: 0,
-            }))
-        })
-        .as_ref()
+/// Makes `journal` the process-wide journal every later sweep resumes
+/// from and records into.
+///
+/// # Panics
+/// Panics if a journal is already active.
+pub fn activate(journal: Journal) {
+    let active = Mutex::new(Active {
+        journal,
+        figure: String::new(),
+        next_sweep: 0,
+    });
+    assert!(ACTIVE.set(active).is_ok(), "a journal is already active");
 }
 
 /// Claims the next sweep index for `figure` in the active journal.
-/// Returns `None` when no journal is active (`LEVI_BENCH_JOURNAL` unset),
-/// in which case sweeps run unjournaled.
+/// Returns `None` when no journal is active, in which case sweeps run
+/// unjournaled.
 pub fn begin_sweep(figure: &str) -> Option<u32> {
-    let mut a = active()?.lock().expect("journal poisoned");
+    let mut a = ACTIVE.get()?.lock().expect("journal poisoned");
     if a.figure != figure {
         a.figure = figure.to_string();
         a.next_sweep = 0;
@@ -359,7 +387,7 @@ pub fn begin_sweep(figure: &str) -> Option<u32> {
 /// The recorded outcome for `(figure, sweep, label)`, if a journal is
 /// active and holds one.
 pub fn lookup(figure: &str, sweep: u32, label: &str) -> Option<RunOutcome> {
-    let a = active()?.lock().expect("journal poisoned");
+    let a = ACTIVE.get()?.lock().expect("journal poisoned");
     a.journal.lookup(figure, sweep, label)
 }
 
@@ -369,7 +397,7 @@ pub fn lookup(figure: &str, sweep: u32, label: &str) -> Option<RunOutcome> {
 /// Panics if the append fails: silently losing completion records would
 /// make a later `--resume` re-run work it believed was saved.
 pub fn record(figure: &str, sweep: u32, label: &str, outcome: &RunOutcome) {
-    let Some(m) = active() else {
+    let Some(m) = ACTIVE.get() else {
         return;
     };
     let mut a = m.lock().expect("journal poisoned");
@@ -382,6 +410,11 @@ pub fn record(figure: &str, sweep: u32, label: &str, outcome: &RunOutcome) {
 mod tests {
     use super::*;
     use leviathan::{System, SystemConfig};
+
+    const FULL: RunParams = RunParams {
+        quick: false,
+        fault: None,
+    };
 
     fn sample_outcome(label: &str) -> RunOutcome {
         let sys = System::try_new(SystemConfig::small()).expect("small config is valid");
@@ -420,13 +453,13 @@ mod tests {
         let path = dir.join("j.journal");
         let path = path.to_str().unwrap();
 
-        let mut j = Journal::open(path, false).expect("fresh journal");
+        let mut j = Journal::open(path, FULL).expect("fresh journal");
         assert!(j.is_empty());
         let o = sample_outcome("Baseline");
         j.record("fig05_phi", 0, "Baseline", &o).expect("append");
         drop(j);
 
-        let j = Journal::open(path, false).expect("reopen");
+        let j = Journal::open(path, FULL).expect("reopen");
         assert_eq!(j.len(), 1);
         let back = j.lookup("fig05_phi", 0, "Baseline").expect("recorded");
         assert_eq!(back.metrics.cycles, 12_345);
@@ -435,15 +468,89 @@ mod tests {
         assert!(j.lookup("other", 0, "Baseline").is_none());
 
         // Scale mismatch is refused.
-        match Journal::open(path, true) {
-            Err(JournalError::QuickMismatch {
-                journal_quick,
-                run_quick,
-            }) => {
-                assert!(!journal_quick);
-                assert!(run_quick);
+        let quick = RunParams {
+            quick: true,
+            ..FULL
+        };
+        match Journal::open(path, quick) {
+            Err(JournalError::Mismatch { journal, run }) => {
+                assert_eq!(journal, FULL);
+                assert_eq!(run, quick);
             }
-            other => panic!("expected QuickMismatch, got {:?}", other.err()),
+            other => panic!("expected Mismatch, got {:?}", other.err()),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_is_bound_to_the_fault_plan() {
+        let dir = std::env::temp_dir().join("levi-journal-test-fault");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.journal");
+        let path = path.to_str().unwrap();
+
+        let faulted = RunParams {
+            quick: true,
+            fault: Some(FaultSpec::new(3)),
+        };
+        let mut j = Journal::open(path, faulted).expect("fresh journal");
+        j.record("fig05_phi", 0, "Baseline", &sample_outcome("Baseline"))
+            .expect("append");
+        drop(j);
+        assert_eq!(Journal::open(path, faulted).expect("same plan").len(), 1);
+
+        // A fault-free resume, or one under another plan, must not merge
+        // the faulted cycle counts.
+        for run in [
+            RunParams {
+                fault: None,
+                ..faulted
+            },
+            RunParams {
+                fault: Some(FaultSpec::new(4)),
+                ..faulted
+            },
+            RunParams {
+                fault: Some(FaultSpec {
+                    horizon: 1000,
+                    ..FaultSpec::new(3)
+                }),
+                ..faulted
+            },
+        ] {
+            match Journal::open(path, run) {
+                Err(e @ JournalError::Mismatch { .. }) => {
+                    assert_eq!(
+                        e,
+                        JournalError::Mismatch {
+                            journal: faulted,
+                            run
+                        }
+                    );
+                    assert!(e.to_string().contains("fault=3:200000"), "{e}");
+                }
+                other => panic!("expected Mismatch for {run}, got {:?}", other.err()),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v1_header_is_malformed() {
+        let dir = std::env::temp_dir().join("levi-journal-test-v1");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.journal");
+        let path = path.to_str().unwrap();
+        std::fs::write(path, "levi-journal v1 quick=1\n").unwrap();
+        let quick = RunParams {
+            quick: true,
+            ..FULL
+        };
+        match Journal::open(path, quick) {
+            Err(JournalError::Malformed { line: 1, .. }) => {}
+            other => panic!("expected Malformed, got {:?}", other.err()),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -456,7 +563,7 @@ mod tests {
         let path = dir.join("j.journal");
         let path = path.to_str().unwrap();
 
-        let mut j = Journal::open(path, false).expect("fresh journal");
+        let mut j = Journal::open(path, FULL).expect("fresh journal");
         j.record("fig", 0, "A", &sample_outcome("A")).unwrap();
         j.record("fig", 0, "B", &sample_outcome("B")).unwrap();
         drop(j);
@@ -465,7 +572,7 @@ mod tests {
         let text = std::fs::read_to_string(path).unwrap();
         let torn = &text[..text.len() - 20];
         std::fs::write(path, torn).unwrap();
-        let j = Journal::open(path, false).expect("torn tail tolerated");
+        let j = Journal::open(path, FULL).expect("torn tail tolerated");
         assert_eq!(j.len(), 1, "only the intact record survives");
         assert!(j.lookup("fig", 0, "A").is_some());
         drop(j);
@@ -476,7 +583,7 @@ mod tests {
             .lines()
             .map(String::from)
             .collect();
-        let mut j = Journal::open(path, false).unwrap();
+        let mut j = Journal::open(path, FULL).unwrap();
         j.record("fig", 0, "C", &sample_outcome("C")).unwrap();
         drop(j);
         let tail = std::fs::read_to_string(path)
@@ -488,7 +595,7 @@ mod tests {
         lines[1] = lines[1][..lines[1].len() - 9].to_string();
         lines.push(tail);
         std::fs::write(path, format!("{}\n", lines.join("\n"))).unwrap();
-        match Journal::open(path, false) {
+        match Journal::open(path, FULL) {
             Err(JournalError::Malformed { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected Malformed, got {:?}", other.err()),
         }
@@ -496,8 +603,27 @@ mod tests {
     }
 
     #[test]
-    fn header_names_the_scale() {
-        assert_eq!(header(false), "levi-journal v1 quick=0");
-        assert_eq!(header(true), "levi-journal v1 quick=1");
+    fn header_names_the_scale_and_fault_plan() {
+        let faulted = RunParams {
+            quick: true,
+            fault: Some(FaultSpec {
+                seed: 3,
+                horizon: 5000,
+            }),
+        };
+        assert_eq!(header(&FULL), "levi-journal v2 quick=0 fault=none");
+        assert_eq!(header(&faulted), "levi-journal v2 quick=1 fault=3:5000");
+        for params in [FULL, faulted] {
+            assert_eq!(parse_header(&header(&params)), Some(params));
+        }
+        for bad in [
+            "levi-journal v2 quick=1",
+            "levi-journal v2 quick=2 fault=none",
+            "levi-journal v2 quick=1 fault=3",
+            "levi-journal v2 quick=1 fault=03:5000",
+            "levi-journal v2 quick=1 fault=none ",
+        ] {
+            assert_eq!(parse_header(bad), None, "{bad}");
+        }
     }
 }

@@ -8,20 +8,15 @@
 //! Not a general-purpose parser: numbers are read as `f64`.
 //!
 //! The writing side lives here too: [`JsonWriter`] is the incremental
-//! emitter every hand-formatted JSON producer in the harness
-//! ([`crate::figure_json`], [`crate::table_json`],
-//! [`crate::runner::manifest_json`], the `levi-serve` wire protocol)
-//! now rides on — escaping-correct by construction, deterministic key
-//! order (keys are emitted in call order), and explicit fixed-precision
-//! number formatting so migrated emitters stay byte-identical. Parsed
-//! [`Json`] values round-trip back to text with [`Json::to_json`].
+//! emitter every JSON producer in the harness ([`crate::figure_json`],
+//! [`crate::table_json`], [`crate::runner::manifest_json`]) rides on —
+//! escaping-correct by construction, deterministic key order (keys are
+//! emitted in call order), and explicit fixed-precision number formatting.
 //!
-//! Because the perf gate (`levi-bench perf compare`) feeds this parser
-//! files a human may have hand-edited, it is strict where laxity would
-//! corrupt a comparison: duplicate object keys are an error (lookup is
-//! first-match, so a duplicate would silently shadow), and nesting depth
-//! is capped so a pathological input fails with an error instead of
-//! overflowing the parser's recursion.
+//! The parser is strict where laxity would hide a bad report: duplicate
+//! object keys are an error (lookup is first-match, so a duplicate would
+//! silently shadow), and nesting depth is capped so a pathological input
+//! fails with an error instead of overflowing the parser's recursion.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,63 +65,6 @@ impl Json {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Serializes this value back to JSON text. Object members keep
-    /// document order, so `parse(s).to_json()` is deterministic.
-    /// Non-finite numbers (which JSON cannot represent) become `null`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_to(&mut out);
-        out
-    }
-
-    fn write_to(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) if n.is_finite() => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => {
-                out.push('"');
-                write_escaped(out, s);
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_to(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    write_escaped(out, k);
-                    out.push_str("\":");
-                    v.write_to(out);
-                }
-                out.push('}');
-            }
         }
     }
 }
@@ -273,29 +211,10 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a float in shortest `Display` form (`null` if non-finite).
-    pub fn num(&mut self, v: f64) -> &mut Self {
-        use std::fmt::Write as _;
-        self.before_value();
-        if v.is_finite() {
-            let _ = write!(self.out, "{v}");
-        } else {
-            self.out.push_str("null");
-        }
-        self
-    }
-
     /// Writes a boolean value.
     pub fn bool(&mut self, v: bool) -> &mut Self {
         self.before_value();
         self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Writes `null`.
-    pub fn null(&mut self) -> &mut Self {
-        self.before_value();
-        self.out.push_str("null");
         self
     }
 
@@ -632,24 +551,25 @@ mod tests {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.key("name").str("a\"b\\c\nd\u{1}");
-        w.key("flags").begin_arr().bool(true).null().end_arr();
+        w.key("flags").begin_arr().bool(true).bool(false).end_arr();
         w.key("n").u64(42);
         w.key("f").fixed(2.5, 6);
-        w.key("g").num(0.25);
-        w.key("bad").num(f64::NAN);
         w.end_obj();
         let text = w.finish();
         assert_eq!(
             text,
-            "{\"name\":\"a\\\"b\\\\c\\nd\\u0001\",\"flags\":[true,null],\
-             \"n\":42,\"f\":2.500000,\"g\":0.25,\"bad\":null}"
+            "{\"name\":\"a\\\"b\\\\c\\nd\\u0001\",\"flags\":[true,false],\
+             \"n\":42,\"f\":2.500000}"
         );
         let doc = parse(&text).expect("writer output parses");
         assert_eq!(
             doc.get("name").and_then(Json::as_str),
             Some("a\"b\\c\nd\u{1}")
         );
-        assert_eq!(doc.get("bad"), Some(&Json::Null));
+        assert_eq!(
+            doc.get("flags"),
+            Some(&Json::Arr(vec![Json::Bool(true), Json::Bool(false)]))
+        );
     }
 
     #[test]
@@ -661,23 +581,6 @@ mod tests {
         w.u64(9);
         w.end_arr();
         assert_eq!(w.finish(), "[{\"a\":1},{\"b\":2,\"c\":3},9]");
-    }
-
-    #[test]
-    fn parsed_values_round_trip_through_to_json() {
-        for doc in [
-            "{\"figure\":\"f\",\"rows\":[{\"label\":\"x\\\"y\",\"n\":3}]}",
-            "[true,false,null,1.5]",
-            "\"plain\"",
-            "{}",
-            "[]",
-        ] {
-            let v = parse(doc).unwrap();
-            assert_eq!(parse(&v.to_json()).unwrap(), v, "{doc}");
-        }
-        // Integral floats print without a fractional part.
-        assert_eq!(Json::Num(1091156.0).to_json(), "1091156");
-        assert_eq!(Json::Num(f64::INFINITY).to_json(), "null");
     }
 
     #[test]

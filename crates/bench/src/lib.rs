@@ -1,11 +1,12 @@
-//! Shared reporting utilities for the benchmark harness.
+//! The figure runner behind `levi-bench`, and its shared reporting
+//! utilities.
 //!
-//! Every bench target regenerates one table or figure of the paper's
-//! evaluation and prints the measured values next to the paper's reported
-//! numbers. We reproduce *shape* — who wins, by roughly what factor,
-//! where crossovers fall — not absolute cycle counts (the substrate is a
-//! from-scratch simulator, not the authors' testbed). See EXPERIMENTS.md
-//! for the recorded comparison.
+//! Every figure in [`figures::ALL`] regenerates one table or figure of the
+//! paper's evaluation and prints the measured values next to the paper's
+//! reported numbers. We reproduce *shape* — who wins, by roughly what
+//! factor, where crossovers fall — not absolute cycle counts (the
+//! substrate is a from-scratch simulator, not the authors' testbed). See
+//! EXPERIMENTS.md for the recorded comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,16 +21,7 @@ pub mod figures;
 pub mod journal;
 pub mod json;
 pub mod micro_timers;
-pub mod out;
-pub mod perf_cli;
 pub mod runner;
-pub mod serve;
-
-/// True when `LEVI_BENCH_QUICK` is set: benches drop to reduced scales
-/// (useful for smoke-testing the harness).
-pub fn quick_mode() -> bool {
-    std::env::var("LEVI_BENCH_QUICK").is_ok()
-}
 
 /// True when `LEVI_SWEEP_SERIAL` is set: [`Sweep`] runs its variants on
 /// the calling thread instead of fanning out. The output is byte-identical
@@ -200,14 +192,13 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Prints a figure/table header (via the [`crate::out`] seam, like all
-/// figure output, so `levi-bench serve` captures it byte-identically).
+/// Prints a figure/table header.
 pub fn header(title: &str, description: &str) {
-    crate::outln!();
-    crate::outln!("==================================================================");
-    crate::outln!("{title}");
-    crate::outln!("{description}");
-    crate::outln!("==================================================================");
+    println!();
+    println!("==================================================================");
+    println!("{title}");
+    println!("{description}");
+    println!("==================================================================");
 }
 
 /// One measured variant row against the baseline, with the paper's numbers.
@@ -225,19 +216,14 @@ pub struct Row<'a> {
 /// Prints a speedup/energy comparison table. `rows\[0\]` is the baseline.
 pub fn speedup_table(rows: &[Row<'_>]) {
     let base = rows[0].metrics;
-    crate::outln!(
+    println!(
         "{:<22} {:>12} {:>9} {:>9} {:>10} {:>10}",
-        "variant",
-        "cycles",
-        "speedup",
-        "(paper)",
-        "energy",
-        "(paper)"
+        "variant", "cycles", "speedup", "(paper)", "energy", "(paper)"
     );
     for r in rows {
         let speedup = base.cycles as f64 / r.metrics.cycles as f64;
         let energy = r.metrics.energy.relative_to(&base.energy);
-        crate::outln!(
+        println!(
             "{:<22} {:>12} {:>8.2}x {:>9} {:>9.0}% {:>10}",
             r.label,
             r.metrics.cycles,
@@ -252,8 +238,8 @@ pub fn speedup_table(rows: &[Row<'_>]) {
 }
 
 /// Prints the speedup/energy table and, when `LEVI_BENCH_JSON=<path>` is
-/// set, appends one machine-readable JSON line for the figure so the perf
-/// trajectory across commits is diffable.
+/// set, appends one machine-readable JSON line for the figure so results
+/// across commits are diffable.
 ///
 /// The JSON schema (one object per line, one line per figure run):
 ///
@@ -403,7 +389,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) {
         for (i, c) in cells.iter().enumerate() {
             out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
         }
-        crate::outln!("{}", out.trim_end());
+        println!("{}", out.trim_end());
     };
     line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
     for row in rows {

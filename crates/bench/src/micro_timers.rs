@@ -2,14 +2,10 @@
 //! operations, NoC sends, LevIR interpretation, allocator planning, and a
 //! small end-to-end simulation.
 //!
-//! The timing core (warmup + median-of-batches, histograms in the
-//! simulator's own log2 buckets) lives in `levi-perf` so this figure and
-//! the `levi-bench perf` regression gate cannot drift apart; [`median_ns`]
-//! is re-exported from there. Numbers are indicative, not statistically
-//! rigorous — and unlike every simulated figure they are *not*
-//! deterministic: wall-clock nanoseconds vary run to run, and a parallel
-//! sweep adds scheduling noise. Run with `--serial` / `LEVI_SWEEP_SERIAL`
-//! for the quietest numbers.
+//! Numbers are indicative, not statistically rigorous — and unlike every
+//! simulated figure they are *not* deterministic: wall-clock nanoseconds
+//! vary run to run, and a parallel sweep adds scheduling noise. Run with
+//! `--serial` / `LEVI_SWEEP_SERIAL` for the quietest numbers.
 
 use levi_isa::{interp::Interpreter, Memory, PagedMem, ProgramBuilder, Reg};
 use levi_sim::cache::CacheBank;
@@ -18,8 +14,28 @@ use levi_sim::{Machine, MachineConfig, Stats};
 use leviathan::alloc::{Allocator, ArraySpec};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
-pub use levi_perf::median_ns;
+/// Times `f` over `iters` iterations per batch, after a warmup of up to
+/// 1000 calls, and returns the median per-iteration nanoseconds over
+/// seven batches.
+pub fn median_ns(iters: u64, mut f: impl FnMut()) -> f64 {
+    const BATCHES: usize = 7;
+    for _ in 0..iters.min(1000) {
+        f();
+    }
+    let mut samples: Vec<f64> = (0..BATCHES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[BATCHES / 2]
+}
 
 /// A self-contained timing kernel returning its median ns/iter.
 pub type TimerFn = fn() -> f64;
@@ -128,4 +144,18 @@ fn scan_256_lines() -> f64 {
         m.spawn_thread(0, prog.clone(), func, &[]).unwrap();
         black_box(m.run().unwrap().cycles);
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_ns_times_a_cheap_kernel() {
+        let mut x = 0u64;
+        let ns = median_ns(10_000, || {
+            x = x.wrapping_add(std::hint::black_box(3));
+        });
+        assert!((0.0..1e6).contains(&ns), "{ns}");
+    }
 }

@@ -5,9 +5,8 @@
 //! Each figure of the paper's evaluation is one [`Figure`] descriptor in
 //! [`crate::figures::ALL`]: a static id, a one-line summary, the registry
 //! workloads it exercises, and a `run` function that prints the figure.
-//! The `levi-bench` binary and the thin `cargo bench` wrappers both
-//! dispatch through [`bench_main`] / [`run_figure`], so there is exactly
-//! one implementation of every figure no matter how it is invoked.
+//! The `levi-bench` binary dispatches through [`run_figure`], so there is
+//! exactly one implementation of every figure.
 //!
 //! Shared plumbing lives here so descriptors stay declarative:
 //!
@@ -29,7 +28,7 @@ use crate::{report, Row, Sweep};
 /// Per-invocation context threaded into every figure's `run` function.
 #[derive(Clone, Debug, Default)]
 pub struct RunCtx {
-    /// Run at reduced scale (`--quick` / `LEVI_BENCH_QUICK`).
+    /// Run at reduced scale (`--quick`).
     pub quick: bool,
     /// Case-insensitive substring filter on variant labels; the baseline
     /// (first) variant always runs so speedups stay well-defined.
@@ -39,25 +38,6 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    /// A context from the process environment, as the `cargo bench`
-    /// wrappers use: `LEVI_BENCH_QUICK` selects quick scale,
-    /// `LEVI_CHECKPOINT_EVERY` / `LEVI_SNAPSHOT_VERIFY` arm the snapshot
-    /// hook, no filter, default environment otherwise.
-    pub fn from_env() -> Self {
-        let mut env = RunEnv::default();
-        if let Ok(v) = std::env::var("LEVI_CHECKPOINT_EVERY") {
-            env.checkpoint_every = v.parse().unwrap_or_else(|_| {
-                panic!("LEVI_CHECKPOINT_EVERY must be a cycle count, got {v:?}")
-            });
-        }
-        env.snapshot_verify = std::env::var("LEVI_SNAPSHOT_VERIFY").is_ok_and(|v| v != "0");
-        RunCtx {
-            quick: crate::quick_mode(),
-            env,
-            ..RunCtx::default()
-        }
-    }
-
     /// The scale kind this context selects.
     pub fn kind(&self) -> ScaleKind {
         if self.quick {
@@ -111,8 +91,7 @@ impl Outcomes {
 /// How the execution engine obtained (or failed to obtain) one
 /// variant's outcome. This is the engine→shell interface of the sweep
 /// path: [`execute_sweep`] produces these without printing a byte, and
-/// the presentation shell ([`journaled_sweep`]) renders them — so the
-/// CLI, journal resume, and `levi-bench serve` all drive one engine.
+/// the presentation shell ([`journaled_sweep`]) renders them.
 enum VariantRun {
     /// Loaded from the active journal instead of re-running.
     Resumed(RunOutcome),
@@ -199,10 +178,9 @@ where
 }
 
 /// The presentation shell over [`execute_sweep`]: prints per-variant
-/// progress (resumed vs fresh), unsupported notices, emits telemetry
-/// blocks, and defers a panic summary until every variant has reported —
-/// all through the [`crate::out`] seam, so the same bytes reach the
-/// process streams in-process and the wire under `levi-bench serve`.
+/// progress (resumed vs fresh) to stderr and unsupported notices to
+/// stdout, emits telemetry blocks, and defers a panic summary until
+/// every variant has reported.
 fn journaled_sweep<F, G>(labels: Vec<&'static str>, run: F, check: G) -> Outcomes
 where
     F: Fn(&'static str) -> RunStatus + Sync,
@@ -214,21 +192,20 @@ where
     for (label, result) in execute_sweep(&figure, &labels, run, check) {
         match result {
             VariantRun::Resumed(o) => {
-                crate::progressln!(
+                eprintln!(
                     "  journal {:<14} {:>12} cycles (resumed)",
-                    label,
-                    o.metrics.cycles
+                    label, o.metrics.cycles
                 );
                 emit_run_telemetry(&figure, label, &o.metrics.stats);
                 entries.push((label, o));
             }
             VariantRun::Fresh(o) => {
-                crate::progressln!("  ran {:<18} {:>12} cycles", label, o.metrics.cycles);
+                eprintln!("  ran {:<18} {:>12} cycles", label, o.metrics.cycles);
                 emit_run_telemetry(&figure, label, &o.metrics.stats);
                 entries.push((label, o));
             }
             VariantRun::Unsupported(reason) => {
-                crate::outln!("{label:<22} UNSUPPORTED — {reason}");
+                println!("{label:<22} UNSUPPORTED — {reason}");
             }
             VariantRun::Panicked(p) => failed.push(p),
         }
@@ -364,9 +341,6 @@ pub fn find_figure(id: &str) -> Option<&'static Figure> {
 
 thread_local! {
     /// The figure id the current thread is running (see [`run_figure`]).
-    /// Thread-local — not the process environment the pre-serve harness
-    /// used — because `levi-bench serve` executes different figures on
-    /// different worker threads concurrently.
     static CURRENT_FIGURE: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
 }
 
@@ -380,7 +354,7 @@ pub fn current_figure() -> String {
 /// the duration so telemetry blocks and journal records emitted by the
 /// runs it drives carry a `figure/variant` scope. A figure runs entirely
 /// on the calling thread (only its inner sweeps fan out), so the scope
-/// is thread-local and concurrent server jobs cannot race on it.
+/// is thread-local.
 pub fn run_figure(fig: &Figure, ctx: &RunCtx) {
     struct Scope(String);
     impl Drop for Scope {
@@ -391,17 +365,6 @@ pub fn run_figure(fig: &Figure, ctx: &RunCtx) {
     let prev = CURRENT_FIGURE.with(|f| std::mem::replace(&mut *f.borrow_mut(), fig.id.to_string()));
     let _scope = Scope(prev);
     (fig.run)(ctx);
-}
-
-/// Entry point for the thin `cargo bench` wrappers: runs the named
-/// figure with a [`RunCtx`] built from the environment, exactly as the
-/// pre-refactor standalone bench binaries did.
-///
-/// # Panics
-/// Panics if `id` names no registered figure.
-pub fn bench_main(id: &str) {
-    let fig = find_figure(id).unwrap_or_else(|| panic!("unknown figure {id:?}"));
-    run_figure(fig, &RunCtx::from_env());
 }
 
 /// Renders the roll-up manifest emitted after `levi-bench run all`: which

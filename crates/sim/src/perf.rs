@@ -24,8 +24,8 @@
 //!
 //! Wall-clock nanoseconds are *never* part of deterministic output: the
 //! profile is not printed by `Stats`'s `Display` and feeds nothing in the
-//! simulation. Consumers (the `levi-perf` harness) read
-//! [`crate::Stats::host_phases`] explicitly.
+//! simulation. Consumers (telemetry dumps, the benchmark's traced pass)
+//! read [`crate::Stats::host_phases`] explicitly.
 //!
 //! **Fast paths skip their scope.** Because a scope costs two clock reads
 //! (~40–50 ns), the hottest early returns — core L1 hits, engine L1d

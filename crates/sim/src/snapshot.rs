@@ -173,8 +173,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over `bytes` — the digest primitive behind [`config_digest`],
-/// exposed so other layers (the `levi-serve` content-addressed result
-/// cache) key on the same machinery instead of growing a second hash.
+/// exposed so other layers (the benchmark's stdout digest, for one) hash
+/// with the same machinery instead of growing a second hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

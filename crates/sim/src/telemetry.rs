@@ -11,7 +11,7 @@
 //!   `levi-bench run --telemetry <path>` appends one block per run and
 //!   `levi-bench check-report` validates the result.
 //! * [`Telemetry::to_prometheus`] — Prometheus text exposition format
-//!   (`levi_*` families), ready for a scrape endpoint (`levi-serve`).
+//!   (`levi_*` families), ready for a scrape endpoint.
 //! * The Chrome/Perfetto trace export stays on
 //!   [`Tracer::to_chrome_json`](crate::trace::Tracer::to_chrome_json),
 //!   which flow-links span stage events; the registry deliberately does

@@ -174,7 +174,7 @@ impl TenantMap {
 
 /// One per-tile, set-associative TLB with exact-LRU replacement.
 ///
-/// Flat-slab layout (DESIGN.md §10): `vpns`/`stamps` are `sets × ways`
+/// Flat-slab layout (DESIGN.md §9): `vpns`/`stamps` are `sets × ways`
 /// parallel arrays; a stamp of 0 marks an invalid way, so lookup is a
 /// contiguous scan of at most `ways` words.
 #[derive(Clone, Debug)]

@@ -335,7 +335,7 @@ fn malformed_bytes_are_rejected_with_typed_errors() {
     }
 }
 
-/// Translation + tenancy enabled (DESIGN.md §11): TLBs fill and tenant
+/// Translation + tenancy enabled (DESIGN.md §10): TLBs fill and tenant
 /// line tags spread mid-run, so snapshots carry real xlat state.
 fn xlat_cfg(policy: TenantPolicy) -> MachineConfig {
     let mut cfg = small_cfg();

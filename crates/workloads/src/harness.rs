@@ -33,7 +33,7 @@ pub enum ScaleKind {
     Paper,
     /// The tiny unit-test scale.
     Test,
-    /// Reduced scale for smoke runs (`LEVI_BENCH_QUICK`); today every
+    /// Reduced scale for smoke runs (`levi-bench run --quick`); today every
     /// workload maps this to its test scale.
     Quick,
 }
@@ -44,7 +44,7 @@ pub enum ScaleKind {
 /// counts), which vary across figures and scale sweeps, so the harness
 /// carries the *recipe* and generates a concrete [`FaultPlan`] per run
 /// from the target configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Seed for the plan's deterministic fault windows.
     pub seed: u64,

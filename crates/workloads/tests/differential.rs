@@ -111,7 +111,7 @@ fn checkpoint_hook_is_observational_for_every_workload() {
 /// a run through an env that carries the (disabled) xlat/tenant knobs is
 /// byte-identical — cycles, checksum, stats digest — to the plain run,
 /// and none of the new counters ever fire. This is the zero-cost
-/// disabled-path guarantee (DESIGN.md §11) pinned registry-wide.
+/// disabled-path guarantee (DESIGN.md §10) pinned registry-wide.
 fn check_xlat_disabled(name: &str) {
     let w = find_workload(name).unwrap_or_else(|| panic!("workload {name} not registered"));
     let prepared = w.prepare(ScaleKind::Test);
