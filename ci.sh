@@ -33,8 +33,14 @@ echo "== bench runner =="
 # Every figure must run end-to-end at quick scale and the JSON report
 # must be complete (one line per figure + a manifest covering them all).
 rm -f "$tmp/bench-report.json"
-cargo run --release --quiet -p levi-bench -- run all --quick --json "$tmp/bench-report.json" > /dev/null
+cargo run --release --quiet -p levi-bench -- run all --quick --json "$tmp/bench-report.json" \
+  > "$tmp/run-all-quick.txt"
 cargo run --release --quiet -p levi-bench -- check-report "$tmp/bench-report.json"
+echo "== figure golden =="
+# Figure stdout must not drift across commits: the run above, minus the
+# wall-clock `ns/iter` rows, must equal the committed golden. A change
+# that moves a figure on purpose regenerates the golden in the same commit.
+grep -v 'ns/iter$' "$tmp/run-all-quick.txt" | diff tests/golden/run_all_quick.txt -
 echo "== xlat ablation smoke =="
 # The levi-xlat figures must be deterministic: two quick runs of each
 # print byte-identical output. Both figures are registered in ALL, so the

@@ -30,6 +30,8 @@ pub(crate) struct StepEnv<'a> {
     pub(crate) tile: u32,
     pub(crate) engine: Option<crate::engine::EngineId>,
     pub(crate) prog: &'a Arc<Program>,
+    /// The cycle of the run-queue entry the actor was dispatched from.
+    pub(crate) dispatched_at: u64,
 }
 
 /// What the scheduler should do with the actor after one instruction.
@@ -63,6 +65,7 @@ pub(crate) fn step_one(
         tile,
         engine,
         prog,
+        dispatched_at,
     } = env;
 
     let count_instr = |hw: &mut Hw| {
@@ -271,6 +274,7 @@ pub(crate) fn step_one(
                 tile,
                 engine,
                 now: slot,
+                dispatched_at,
                 invoke_acks: &mut a.invoke_acks,
                 invoke_count: &mut a.invoke_count,
                 invoke_retries: &mut a.invoke_retries,
@@ -279,15 +283,23 @@ pub(crate) fn step_one(
                 wakes,
                 block: None,
                 sleep_until: None,
+                backoff_until: None,
                 op_done: slot + 1,
                 wait_fill: slot,
             };
             let info = exec::step(prog, &mut a.ctx, mem, &mut host).expect("ndc step failed");
             let block = host.block;
             let sleep = host.sleep_until;
+            let backoff = host.backoff_until;
             let op_done = host.op_done;
             let wait_fill = host.wait_fill;
             if !info.retired() {
+                if let Some(at) = backoff {
+                    // The retry issues no earlier than the end of the
+                    // backoff: move the clock there, so its slot does too.
+                    a.clock = a.clock.max(at);
+                    return O::SleepUntil(a.clock);
+                }
                 if let Some(at) = sleep {
                     return O::SleepUntil(at.max(a.clock + 1));
                 }

@@ -91,6 +91,27 @@ impl FuCursor {
             }
         }
     }
+
+    /// How many late grants (requests at or before the cursor) are still
+    /// granted a cycle earlier than `t`: `t·W − (cycle·W + used)`, floored
+    /// at zero.
+    pub(crate) fn late_grants_before(&self, t: u64) -> u64 {
+        let limit = self.limit as u64;
+        (t * limit).saturating_sub(self.cycle * limit + self.used as u64)
+    }
+
+    /// Applies `n` late grants at once: the state `n` calls to
+    /// [`FuCursor::reserve`] with a request time at or before the cursor
+    /// leave behind.
+    pub(crate) fn skip_late_grants(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let limit = self.limit as u64;
+        let pos = self.used as u64 + n - 1;
+        self.cycle += pos / limit;
+        self.used = (pos % limit) as u32 + 1;
+    }
 }
 
 /// Sliding-window per-cycle FU reservation.
@@ -381,6 +402,36 @@ mod tests {
         // A request "in the past" is granted at/after the cursor.
         let t = fu.reserve(50);
         assert!(t >= 100);
+    }
+
+    #[test]
+    fn late_grant_closed_forms_match_reserve() {
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x1e57);
+        for _ in 0..2_000 {
+            let limit = rng.gen_range(1u32..9);
+            let mut fu = FuCursor::new(limit);
+            // Reach a sampled (cycle, used) state, then a sampled target.
+            for _ in 0..rng.gen_range(0u32..40) {
+                fu.reserve(rng.gen_range(0u64..64));
+            }
+            let t = rng.gen_range(0u64..96);
+            let n = rng.gen_range(0u64..200);
+
+            let mut refused = 0;
+            let mut stepped = fu;
+            while stepped.reserve(0) < t {
+                refused += 1;
+            }
+            assert_eq!(fu.late_grants_before(t), refused, "{fu:?} before {t}");
+
+            let mut stepped = fu;
+            for _ in 0..n {
+                stepped.reserve(0);
+            }
+            let mut skipped = fu;
+            skipped.skip_late_grants(n);
+            assert_eq!(skipped, stepped, "{fu:?} after {n} grants");
+        }
     }
 
     #[test]

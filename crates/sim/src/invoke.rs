@@ -176,7 +176,9 @@ impl TimedHost<'_> {
             let limit = self.hw.faults.invoke_buffer_limit(cfg_limit, self.now);
             if self.invoke_acks.len() >= limit as usize {
                 let earliest = *self.invoke_acks.front().expect("nonempty");
-                if limit < cfg_limit {
+                // A re-execution before the cycle it slept to belongs to
+                // a stall already charged on its first refusal.
+                if limit < cfg_limit && self.now >= self.dispatched_at {
                     // This stall only exists because a squeeze shrank the
                     // buffer below its configured capacity.
                     let wait = earliest.saturating_sub(self.now);
@@ -246,7 +248,7 @@ impl TimedHost<'_> {
                         &[("retry", retries as u64), ("delay", delay)],
                     );
                 }
-                self.sleep_until = Some(now + delay);
+                self.backoff_until = Some(now + delay);
                 return Poll::Pending;
             }
             *self.invoke_retries = 0;

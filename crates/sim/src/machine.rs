@@ -66,6 +66,9 @@ pub struct Machine {
     /// across `run_actor` iterations (always empty between instructions).
     pub(crate) scratch_spawns: Vec<crate::ndc_host::SpawnReq>,
     pub(crate) scratch_wakes: Vec<(WaitCond, u64)>,
+    /// Scratch buffer for the `(seq, actor)` entries the scheduler's
+    /// sleeper fast-forward gathers at one cycle (empty between uses).
+    pub(crate) scratch_sleepers: Vec<(u64, ActorId)>,
     /// The next cycle at which the periodic checkpoint hook fires
     /// (`u64::MAX` when [`MachineConfig::checkpoint_every`] is 0, so the
     /// disabled hook is a single always-false compare).
@@ -103,6 +106,7 @@ impl Machine {
             free_slots: Vec::new(),
             scratch_spawns: Vec::new(),
             scratch_wakes: Vec::new(),
+            scratch_sleepers: Vec::new(),
             next_ckpt,
             last_checkpoint: None,
         })

@@ -74,6 +74,10 @@ pub(crate) struct TimedHost<'a> {
     /// The issuing engine when this context is an engine task.
     pub(crate) engine: Option<EngineId>,
     pub(crate) now: u64,
+    /// The cycle of the run-queue entry the context was dispatched from.
+    /// An attempt whose slot (`now`) is earlier re-executes an invoke that
+    /// was refused before a backpressure sleep.
+    pub(crate) dispatched_at: u64,
     pub(crate) invoke_acks: &'a mut VecDeque<u64>,
     pub(crate) invoke_count: &'a mut u32,
     pub(crate) invoke_retries: &'a mut u32,
@@ -85,7 +89,11 @@ pub(crate) struct TimedHost<'a> {
     pub(crate) spawns: &'a mut Vec<SpawnReq>,
     pub(crate) wakes: &'a mut Vec<(WaitCond, u64)>,
     pub(crate) block: Option<WaitCond>,
+    /// Invoke-buffer backpressure: re-execute the instruction at this
+    /// cycle (its issue slot keeps advancing one late grant per retry).
     pub(crate) sleep_until: Option<u64>,
+    /// Fault backoff: retry the instruction no earlier than this cycle.
+    pub(crate) backoff_until: Option<u64>,
     pub(crate) op_done: u64,
     pub(crate) wait_fill: u64,
 }

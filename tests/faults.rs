@@ -7,6 +7,7 @@ use std::sync::Arc;
 use levi_isa::{ActionId, Location, MemWidth, ProgramBuilder, Reg, RmwOp};
 use levi_sim::{CycleWindow, EngineId, EngineLevel, FaultPlan, LinkFaultKind, RunError, Stats};
 use levi_workloads::phi::{golden_checksum, phi_graph, run_phi_on, PhiScale, PhiVariant};
+use levi_workloads::SmallRng;
 use leviathan::{System, SystemConfig};
 
 /// The quickstart RMO workload: `threads` cores each push `per_thread`
@@ -222,4 +223,114 @@ fn fig22_phi_leviathan_survives_tiny_invoke_buffer() {
     let r = run_phi_on(PhiVariant::Leviathan, &scale, &graph);
     assert_eq!(r.rank_checksum, golden_checksum(&graph));
     assert_eq!(r.leftover_deltas, 0);
+}
+
+#[test]
+fn backoff_retry_waits_out_its_delay() {
+    // Every engine refuses for [0, 400), and the first backoff is 512
+    // cycles, so every first retry lands after the outage: no invoke may
+    // exhaust its budget and fall back to the core.
+    let mut plan = FaultPlan::new(1).retry_budget(3).backoff(512, 1024);
+    for tile in 0..4 {
+        for level in [EngineLevel::L2, EngineLevel::Llc] {
+            plan = plan.add_engine_fault(EngineId { tile, level }, CycleWindow::new(0, 400));
+        }
+    }
+    let sys = run_counters(SystemConfig::small().with_fault_plan(plan), 50);
+    let s = sys.stats();
+    assert_eq!(s.fault_fallbacks, 0, "a retry issued inside the outage");
+    assert_eq!(s.invokes, 4 * 50);
+    assert!(s.fault_nack_retries > 0, "the outage refused some invokes");
+    assert!(
+        s.cycles >= 512,
+        "the backoff delay is simulated: {} cycles",
+        s.cycles
+    );
+}
+
+#[test]
+fn invoke_squeeze_stall_is_charged_once() {
+    // A 1-entry squeeze for the whole run: each stall is a core waiting
+    // for its one outstanding ACK, so the charged cycles cannot exceed the
+    // run's length on every core.
+    let plan = FaultPlan::new(1).add_invoke_squeeze(CycleWindow::new(0, u64::MAX), 1);
+    let sys = run_counters(SystemConfig::small().with_fault_plan(plan), 200);
+    let s = sys.stats();
+    assert!(s.fault_degraded_cycles > 0, "the squeeze stalled the cores");
+    assert!(
+        s.fault_degraded_cycles <= s.cycles * sys.tiles() as u64,
+        "{} degraded cycles in a {}-cycle run on {} tiles",
+        s.fault_degraded_cycles,
+        s.cycles,
+        sys.tiles()
+    );
+}
+
+#[test]
+fn backpressure_runs_match_pinned_digests() {
+    // Fault-free runs whose cores sleep on a full invoke buffer: alone, in
+    // groups of sleepers sharing a wake cycle, and next to other actors due
+    // at that cycle. The scheduler replays their retries in closed form;
+    // these `(cycles, Stats::digest)` pins were recorded with one dispatch
+    // per retry and must not move.
+    let scale = PhiScale::test();
+    let graph = phi_graph(&scale);
+    for (entries, want) in [
+        (1, (403_978, 0x1af9_64c0_1cb9_8576)),
+        (2, (364_678, 0xf670_666a_ae9c_313d)),
+        (4, (329_176, 0x6ef2_d1ef_a6cc_31ef)),
+        (16, (302_857, 0xcf2b_026b_da65_e3a9)),
+    ] {
+        let mut scale = scale.clone();
+        scale.invoke_buffer = entries;
+        let r = run_phi_on(PhiVariant::Leviathan, &scale, &graph);
+        let got = (r.metrics.cycles, r.metrics.stats.digest());
+        assert_eq!(got, want, "PHI Leviathan, {entries}-entry invoke buffer");
+    }
+    for (tiles, want) in [
+        (4, (5_638, 0x100d_58f5_0068_3c81)),
+        (16, (5_759, 0xdf70_79fd_30a5_58e6)),
+    ] {
+        let sys = run_counters(SystemConfig::with_tiles(tiles), 200);
+        let got = (sys.stats().cycles, sys.stats().digest());
+        assert_eq!(got, want, "counters on {tiles} tiles");
+    }
+}
+
+/// A plan whose one window opens at the end of time: it never fires, but a
+/// non-empty plan keeps the scheduler on its one-dispatch-per-retry path,
+/// the reference for the closed-form replay of backpressure retries.
+fn inert_plan() -> FaultPlan {
+    let engine = EngineId {
+        tile: 0,
+        level: EngineLevel::L2,
+    };
+    FaultPlan::new(0).add_engine_fault(engine, CycleWindow::new(u64::MAX - 1, u64::MAX))
+}
+
+/// `(cycles, Stats::digest)` without the plan's own window count.
+fn outcome(s: &Stats) -> (u64, u64) {
+    let mut s = s.clone();
+    s.faults_injected = 0;
+    (s.cycles, s.digest())
+}
+
+#[test]
+fn retry_replay_matches_per_retry_dispatch_at_sampled_configs() {
+    let mut rng = SmallRng::seed_from_u64(14);
+    for _ in 0..12 {
+        let tiles = [2, 4, 8, 16][rng.gen_range(0usize..4)];
+        let mut cfg = SystemConfig::with_tiles(tiles);
+        cfg.machine.core.invoke_buffer = rng.gen_range(1u32..9);
+        cfg.machine.core.issue_width = rng.gen_range(1u32..5);
+        let per_thread = rng.gen_range(20u64..150);
+        let replayed = run_counters(cfg.clone(), per_thread);
+        let stepped = run_counters(cfg.clone().with_fault_plan(inert_plan()), per_thread);
+        assert_eq!(
+            outcome(replayed.stats()),
+            outcome(stepped.stats()),
+            "{tiles} tiles, {per_thread}/thread, {:?}",
+            cfg.machine.core
+        );
+    }
 }
