@@ -55,15 +55,20 @@ for fig in ablation_translation ablation_tenancy; do
   diff "$tmp/$fig-a.txt" "$tmp/$fig-b.txt"
 done
 echo "== telemetry smoke =="
-# --telemetry must be purely observational: one figure runs with and
-# without the flag and must print byte-identical stdout, and the dump it
-# produces must pass structural validation.
-cargo run --release --quiet -p levi-bench -- run fig05 --quick \
-  > "$tmp/fig05-plain.txt" 2> /dev/null
-cargo run --release --quiet -p levi-bench -- run fig05 --quick \
-  --telemetry "$tmp/telemetry.jsonl" > "$tmp/fig05-telemetry.txt" 2> /dev/null
-diff "$tmp/fig05-plain.txt" "$tmp/fig05-telemetry.txt"
+# --telemetry must be purely observational and cover every simulated run:
+# `run all --quick` with the flag must print the committed golden (minus
+# the wall-clock `ns/iter` rows), its dump must pass structural
+# validation, and every figure that names a workload in `levi-bench list`
+# must have dumped at least one `<figure>/<label>` block.
+cargo run --release --quiet -p levi-bench -- run all --quick \
+  --telemetry "$tmp/telemetry.jsonl" > "$tmp/run-all-telemetry.txt" 2> /dev/null
+grep -v 'ns/iter$' "$tmp/run-all-telemetry.txt" | diff tests/golden/run_all_quick.txt -
 cargo run --release --quiet -p levi-bench -- check-report "$tmp/telemetry.jsonl"
+cargo run --release --quiet -p levi-bench -- list > "$tmp/figures.txt"
+for fig in $(awk 'NR > 1 && $2 != "-" { print $1 }' "$tmp/figures.txt"); do
+  grep -q "\"scope\":\"$fig/" "$tmp/telemetry.jsonl" \
+    || { echo "FAIL: $fig dumped no telemetry block"; exit 1; }
+done
 echo "== crash recovery smoke =="
 # A journaled run that dies mid-sweep must resume to a byte-identical
 # report: run a figure to completion under --resume, truncate its journal
@@ -91,6 +96,8 @@ echo "== snapshot verify smoke =="
 # Periodic checkpointing + post-run replay verification must be purely
 # observational: fig05 prints byte-identical stdout with both armed, and
 # the verification replays must all pass.
+cargo run --release --quiet -p levi-bench -- run fig05 --quick \
+  > "$tmp/fig05-plain.txt" 2> /dev/null
 cargo run --release --quiet -p levi-bench -- run fig05 --quick \
   --snapshot-verify --checkpoint-every 50000 \
   > "$tmp/fig05-verified.txt" 2> /dev/null

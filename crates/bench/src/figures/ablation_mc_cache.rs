@@ -6,10 +6,11 @@
 //! to ≈3x"). Measured on the 24 B-node hash table, whose nodes are padded
 //! 32 B in cache and packed 24 B in DRAM.
 
-use levi_workloads::hashtable::{run_hashtable_with, HtScale, HtVariant};
+use levi_workloads::hashtable::{golden_checksum, run_hashtable_with, HtScale, HtVariant};
+use levi_workloads::{RunOutcome, RunStatus};
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -32,30 +33,33 @@ fn run(ctx: &RunCtx) {
     // Grow the table past the LLC so lookups actually reach DRAM.
     scale = scale.with_table_bytes(if ctx.quick { 2 << 20 } else { 32 << 20 });
 
-    let jobs: &[(&str, u32)] = &[("with FIFO cache (32)", 32), ("without FIFO cache", 0)];
-    let env = &ctx.env;
-    let scale_ref = &scale;
+    let jobs = [("with FIFO cache (32)", 32), ("without FIFO cache", 0)];
     // The FIFO size needs a config override, threaded through the machine
     // config via the workload's `customize` hook — composed with the run
     // environment so fault plans apply here too.
-    let results = Sweep::new()
-        .variants(jobs.iter().map(|&(name, lines)| (name, lines)))
-        .run(|_, &fifo_lines| {
-            run_hashtable_with(HtVariant::Leviathan, scale_ref, |cfg| {
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |&fifo_lines, env| {
+            let r = run_hashtable_with(HtVariant::Leviathan, &scale, |cfg| {
                 cfg.machine.mem.fifo_cache_lines = fifo_lines;
                 env.customize(cfg);
-            })
-        });
-    let mut rows = Vec::new();
-    for (name, r) in &results {
-        eprintln!("  ran {name}");
-        rows.push(vec![
-            name.to_string(),
-            r.metrics.cycles.to_string(),
-            r.metrics.stats.dram_accesses.to_string(),
-            r.metrics.stats.mc_cache_hits.to_string(),
-        ]);
-    }
+            });
+            RunStatus::Done(Box::new(RunOutcome::new(r.metrics, r.checksum)))
+        },
+        |_| golden_checksum(&scale),
+    );
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(name, o)| {
+            vec![
+                name.to_string(),
+                o.metrics.cycles.to_string(),
+                o.metrics.stats.dram_accesses.to_string(),
+                o.metrics.stats.mc_cache_hits.to_string(),
+            ]
+        })
+        .collect();
     table_report(
         "ablation_mc_cache",
         &["config", "cycles", "DRAM accesses", "FIFO hits"],

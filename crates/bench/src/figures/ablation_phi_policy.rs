@@ -9,8 +9,8 @@
 use levi_workloads::phi::{PhiPolicy, PhiVariant, PhiWorkload};
 use levi_workloads::Workload;
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -28,56 +28,43 @@ fn run(ctx: &RunCtx) {
         "paper Sec. IV-A: PHI chooses the policy minimizing memory bandwidth",
     );
     let graph = w.build_input(&scale);
-    let jobs: Vec<(&str, _)> = [
+    let jobs = [
         (
             "baseline (no PHI)",
-            (PhiVariant::Baseline, PhiPolicy::InPlace),
+            PhiVariant::Baseline,
+            PhiPolicy::InPlace,
         ),
         (
             "in-place (mem-side)",
-            (PhiVariant::Leviathan, PhiPolicy::InPlace),
+            PhiVariant::Leviathan,
+            PhiPolicy::InPlace,
         ),
-        ("log + binning", (PhiVariant::Leviathan, PhiPolicy::Log)),
+        ("log + binning", PhiVariant::Leviathan, PhiPolicy::Log),
     ]
-    .into_iter()
-    .collect();
-    let env = &ctx.env;
-    let graph_ref = &graph;
-    let scale_ref = &scale;
-    let results = Sweep::new().variants(jobs).run(|name, &(variant, policy)| {
-        let mut s = scale_ref.clone();
+    .map(|(name, variant, policy)| {
+        let mut s = scale.clone();
         s.policy = policy;
-        let o = w.run(variant, &s, graph_ref, env).expect_done(name);
-        // The policy may only change timing, never results.
-        assert_eq!(
-            o.checksum,
-            w.golden(variant, &s, graph_ref),
-            "{name} diverged from the golden model"
-        );
-        o
+        (name, (variant, s))
     });
-    let base = &results[0].1;
-    let mut rows = vec![vec![
-        "baseline (no PHI)".into(),
-        "1.00x".into(),
-        base.metrics.stats.dram_accesses.to_string(),
-        "100%".into(),
-    ]];
-    for (name, o) in &results[1..] {
-        eprintln!("  ran {name}");
-        rows.push(vec![
-            name.to_string(),
-            format!(
-                "{:.2}x",
-                base.metrics.cycles as f64 / o.metrics.cycles as f64
-            ),
-            o.metrics.stats.dram_accesses.to_string(),
-            format!(
-                "{:.0}%",
-                o.metrics.energy.relative_to(&base.metrics.energy) * 100.0
-            ),
-        ]);
-    }
+    // The policy may only change timing, never results.
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |(v, s), env| w.run(*v, s, &graph, env),
+        |(v, s)| w.golden(*v, s, &graph),
+    );
+    let base = &runs["baseline (no PHI)"].metrics;
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(name, o)| {
+            vec![
+                name.to_string(),
+                format!("{:.2}x", base.cycles as f64 / o.metrics.cycles as f64),
+                o.metrics.stats.dram_accesses.to_string(),
+                format!("{:.0}%", o.metrics.energy.relative_to(&base.energy) * 100.0),
+            ]
+        })
+        .collect();
     table_report(
         "ablation_phi_policy",
         &["policy", "speedup", "DRAM accesses", "energy"],

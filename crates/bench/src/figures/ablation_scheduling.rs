@@ -9,8 +9,8 @@
 use levi_workloads::hashtable::{HashtableWorkload, HtVariant};
 use levi_workloads::Workload;
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -27,34 +27,28 @@ fn run(ctx: &RunCtx) {
     );
     let w = &HashtableWorkload;
     let scale = w.scale(ctx.kind());
-    let jobs: &[(&str, HtVariant)] = &[
+    let jobs = [
         ("baseline (core walk)", HtVariant::Baseline),
         ("REMOTE placement", HtVariant::Leviathan),
         ("DYNAMIC placement", HtVariant::LeviathanDynamic),
     ];
-    let env = &ctx.env;
-    let scale_ref = &scale;
-    let results = Sweep::new()
-        .variants(jobs.iter().map(|&(name, v)| (name, v)))
-        .run(|name, &v| {
-            let o = w.run(v, scale_ref, &(), env).expect_done(name);
-            assert_eq!(
-                o.checksum,
-                w.golden(v, scale_ref, &()),
-                "{name} diverged from the golden model"
-            );
-            o
-        });
-    let mut rows = Vec::new();
-    for (name, o) in &results {
-        eprintln!("  ran {name}");
-        rows.push(vec![
-            name.to_string(),
-            o.metrics.cycles.to_string(),
-            o.metrics.stats.invoke_migrations.to_string(),
-            o.metrics.stats.noc_flit_hops.to_string(),
-        ]);
-    }
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |&v, env| w.run(v, &scale, &(), env),
+        |&v| w.golden(v, &scale, &()),
+    );
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(name, o)| {
+            vec![
+                name.to_string(),
+                o.metrics.cycles.to_string(),
+                o.metrics.stats.invoke_migrations.to_string(),
+                o.metrics.stats.noc_flit_hops.to_string(),
+            ]
+        })
+        .collect();
     table_report(
         "ablation_scheduling",
         &["placement", "cycles", "migrations", "NoC flit-hops"],

@@ -9,10 +9,11 @@
 //! drag the others.
 
 use levi_sim::{TenantConfig, TenantPolicy};
-use levi_workloads::hashtable::{run_hashtable_with, HtScale, HtVariant};
+use levi_workloads::hashtable::{golden_checksum, run_hashtable_with, HtScale, HtVariant};
+use levi_workloads::{RunOutcome, RunStatus};
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -36,41 +37,44 @@ fn run(ctx: &RunCtx) {
     // contend for sets and the partition changes victim choices.
     scale = scale.with_table_bytes(if ctx.quick { 16 << 20 } else { 32 << 20 });
 
-    let jobs: &[(&str, Option<TenantPolicy>)] = &[
+    let jobs = [
         ("single tenant", None),
         ("4x unpartitioned", Some(TenantPolicy::Unpartitioned)),
         ("4x LLC way-partition", Some(TenantPolicy::LlcWayPartition)),
         ("4x engine-slot quota", Some(TenantPolicy::EngineSlotQuota)),
     ];
-    let env = &ctx.env;
-    let scale_ref = &scale;
-    let results = Sweep::new()
-        .variants(jobs.iter().map(|&(name, policy)| (name, policy)))
-        .run(|_, &policy| {
-            run_hashtable_with(HtVariant::Leviathan, scale_ref, |cfg| {
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |&policy, env| {
+            let r = run_hashtable_with(HtVariant::Leviathan, &scale, |cfg| {
                 cfg.machine.tenants = policy.map(|p| TenantConfig::new(4, p));
                 env.customize(cfg);
-            })
-        });
-    let mut rows = Vec::new();
-    for (name, r) in &results {
-        eprintln!("  ran {name}");
-        let s = &r.metrics.stats;
-        let spread = match (
-            s.tenant_finish.iter().max(),
-            s.tenant_finish.iter().filter(|&&f| f > 0).min(),
-        ) {
-            (Some(&max), Some(&min)) if max > 0 => (max - min).to_string(),
-            _ => "-".to_string(),
-        };
-        rows.push(vec![
-            name.to_string(),
-            r.metrics.cycles.to_string(),
-            s.llc.misses.to_string(),
-            s.tenant_quota_nacks.to_string(),
-            spread,
-        ]);
-    }
+            });
+            RunStatus::Done(Box::new(RunOutcome::new(r.metrics, r.checksum)))
+        },
+        |_| golden_checksum(&scale),
+    );
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(name, o)| {
+            let s = &o.metrics.stats;
+            let spread = match (
+                s.tenant_finish.iter().max(),
+                s.tenant_finish.iter().filter(|&&f| f > 0).min(),
+            ) {
+                (Some(&max), Some(&min)) if max > 0 => (max - min).to_string(),
+                _ => "-".to_string(),
+            };
+            vec![
+                name.to_string(),
+                o.metrics.cycles.to_string(),
+                s.llc.misses.to_string(),
+                s.tenant_quota_nacks.to_string(),
+                spread,
+            ]
+        })
+        .collect();
     table_report(
         "ablation_tenancy",
         &[

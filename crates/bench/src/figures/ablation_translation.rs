@@ -8,10 +8,11 @@
 //! whose random probes are the worst case for TLB reach.
 
 use levi_sim::XlatConfig;
-use levi_workloads::hashtable::{run_hashtable_with, HtScale, HtVariant};
+use levi_workloads::hashtable::{golden_checksum, run_hashtable_with, HtScale, HtVariant};
+use levi_workloads::{RunOutcome, RunStatus};
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -34,41 +35,44 @@ fn run(ctx: &RunCtx) {
     // Grow the table past TLB reach so walks actually happen at 4 KiB.
     scale = scale.with_table_bytes(if ctx.quick { 2 << 20 } else { 32 << 20 });
 
-    let jobs: &[(&str, Option<u32>)] = &[
+    let jobs = [
         ("free translation", None),
         ("4 KiB pages", Some(12)),
         ("64 KiB pages", Some(16)),
         ("2 MiB pages", Some(21)),
     ];
-    let env = &ctx.env;
-    let scale_ref = &scale;
-    let results = Sweep::new()
-        .variants(jobs.iter().map(|&(name, bits)| (name, bits)))
-        .run(|_, &page_bits| {
-            run_hashtable_with(HtVariant::Leviathan, scale_ref, |cfg| {
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |&page_bits, env| {
+            let r = run_hashtable_with(HtVariant::Leviathan, &scale, |cfg| {
                 cfg.machine.xlat = page_bits.map(XlatConfig::with_page_bits);
                 env.customize(cfg);
-            })
-        });
-    let mut rows = Vec::new();
-    for (name, r) in &results {
-        eprintln!("  ran {name}");
-        let s = &r.metrics.stats;
-        let lookups = s.tlb_hits + s.tlb_misses;
-        let hit_pct = if lookups == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}", s.tlb_hits as f64 / lookups as f64 * 100.0)
-        };
-        rows.push(vec![
-            name.to_string(),
-            r.metrics.cycles.to_string(),
-            s.tlb_hits.to_string(),
-            s.tlb_misses.to_string(),
-            hit_pct,
-            s.tlb_walk_cycles.to_string(),
-        ]);
-    }
+            });
+            RunStatus::Done(Box::new(RunOutcome::new(r.metrics, r.checksum)))
+        },
+        |_| golden_checksum(&scale),
+    );
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(name, o)| {
+            let s = &o.metrics.stats;
+            let lookups = s.tlb_hits + s.tlb_misses;
+            let hit_pct = if lookups == 0 {
+                "-".to_string()
+            } else {
+                format!("{:.1}", s.tlb_hits as f64 / lookups as f64 * 100.0)
+            };
+            vec![
+                name.to_string(),
+                o.metrics.cycles.to_string(),
+                s.tlb_hits.to_string(),
+                s.tlb_misses.to_string(),
+                hit_pct,
+                s.tlb_walk_cycles.to_string(),
+            ]
+        })
+        .collect();
     table_report(
         "ablation_translation",
         &[

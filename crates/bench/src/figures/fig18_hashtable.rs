@@ -6,8 +6,8 @@
 use levi_workloads::hashtable::{HashtableWorkload, HtScale, HtVariant};
 use levi_workloads::{RunMetrics, Workload};
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -22,76 +22,57 @@ fn run(ctx: &RunCtx) {
         "Fig. 18 — hash-table lookups (32 nodes/bucket, uniform keys)",
         "per node size: Baseline vs Leviathan vs layout ablations",
     );
-    let paper: &[(u64, f64, f64, &str)] = &[
-        (24, 2.0, 1.5, "w/o padding: 1.5x (paper)"),
-        (64, 1.9, f64::NAN, ""),
-        (128, 1.8, 0.91, "w/o LLC mapping: 0.91x (paper)"),
-    ];
+    // (node bytes, paper Leviathan speedup, paper ablation speedup).
+    let paper: &[(u64, f64, f64)] = &[(24, 2.0, 1.5), (64, 1.9, f64::NAN), (128, 1.8, 0.91)];
 
     // Every (node size, variant) pair is an independent simulation, so
-    // the whole figure fans out as one flat sweep; results come back in
-    // declaration order, which the per-size loop below relies on.
+    // the whole figure fans out as one flat sweep.
     let w = &HashtableWorkload;
-    let scale_for = |size: u64| {
-        if ctx.quick {
+    let mut jobs: Vec<(String, (HtScale, HtVariant))> = Vec::new();
+    for &(size, _, _) in paper {
+        let s = if ctx.quick {
             HtScale::test(size)
         } else {
             HtScale::paper(size)
+        };
+        for (name, v) in [
+            ("base", HtVariant::Baseline),
+            ("lev", HtVariant::Leviathan),
+            ("ideal", HtVariant::Ideal),
+        ] {
+            jobs.push((format!("{size}B {name}"), (s.clone(), v)));
         }
-    };
-    let mut jobs: Vec<(&str, (HtScale, HtVariant))> = Vec::new();
-    for &(size, _, _, _) in paper {
-        let s = scale_for(size);
-        jobs.push(("base", (s.clone(), HtVariant::Baseline)));
-        jobs.push(("lev", (s.clone(), HtVariant::Leviathan)));
-        jobs.push(("ideal", (s.clone(), HtVariant::Ideal)));
-        match size {
-            24 => jobs.push(("w/o padding", (s, HtVariant::NoPadding))),
-            128 => jobs.push(("w/o mapping", (s, HtVariant::NoMapping))),
-            _ => {}
+        if let Some((name, v)) = ablation(size) {
+            jobs.push((name.into(), (s, v)));
         }
     }
-    let env = &ctx.env;
-    let mut runs = Sweep::new()
-        .variants(jobs.iter().map(|(label, job)| (*label, job)))
-        .run(|label, job| {
-            let (scale, v) = (&job.0, job.1);
-            let o = w.run(v, scale, &(), env).expect_done(label);
-            assert_eq!(
-                o.checksum,
-                w.golden(v, scale, &()),
-                "{label} diverged from the golden model"
-            );
-            o
-        })
-        .into_iter();
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |(scale, v), env| w.run(*v, scale, &(), env),
+        |(scale, v)| w.golden(*v, scale, &()),
+    );
 
     let mut rows = Vec::new();
-    for &(size, paper_lev, paper_ablation, _) in paper {
-        let base = runs.next().unwrap().1;
-        let lev = runs.next().unwrap().1;
-        let ideal = runs.next().unwrap().1;
-        eprintln!("  ran size {size}B base/lev/ideal");
-        let ablation = match size {
-            24 | 128 => runs.next(),
-            _ => None,
-        };
-        let s = |m: &RunMetrics| base.metrics.cycles as f64 / m.cycles as f64;
-        let e = |m: &RunMetrics| m.energy.relative_to(&base.metrics.energy);
+    for &(size, paper_lev, paper_ablation) in paper {
+        let at = |name: &str| &runs[format!("{size}B {name}").as_str()].metrics;
+        let base = at("base");
+        let s = |m: &RunMetrics| base.cycles as f64 / m.cycles as f64;
+        let e = |m: &RunMetrics| m.energy.relative_to(&base.energy);
         rows.push(vec![
             format!("{size} B"),
-            format!("{:.2}x", s(&lev.metrics)),
+            format!("{:.2}x", s(at("lev"))),
             format!("{paper_lev:.2}x"),
-            format!("{:.0}%", e(&lev.metrics) * 100.0),
-            ablation
-                .as_ref()
-                .map_or("-".into(), |(n, r)| format!("{n}: {:.2}x", s(&r.metrics))),
+            format!("{:.0}%", e(at("lev")) * 100.0),
+            ablation(size).map_or("-".into(), |(n, _)| {
+                format!("{n}: {:.2}x", s(&runs[n].metrics))
+            }),
             if paper_ablation.is_nan() {
                 "-".into()
             } else {
                 format!("{paper_ablation:.2}x")
             },
-            format!("{:.2}x", s(&ideal.metrics)),
+            format!("{:.2}x", s(at("ideal"))),
         ]);
     }
     table_report(
@@ -110,4 +91,13 @@ fn run(ctx: &RunCtx) {
     println!();
     println!("Paper: up to 2.0x speedup, up to 77% energy savings; padding and");
     println!("LLC object mapping are both required for cross-size robustness.");
+}
+
+/// The layout ablation the figure shows for a node size, if any.
+fn ablation(size: u64) -> Option<(&'static str, HtVariant)> {
+    match size {
+        24 => Some(("w/o padding", HtVariant::NoPadding)),
+        128 => Some(("w/o mapping", HtVariant::NoMapping)),
+        _ => None,
+    }
 }

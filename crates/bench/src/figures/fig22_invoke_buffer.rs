@@ -6,8 +6,8 @@
 use levi_workloads::phi::{PhiVariant, PhiWorkload};
 use levi_workloads::Workload;
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -26,46 +26,36 @@ fn run(ctx: &RunCtx) {
     );
     // One graph shared across the sweep: only the buffer size changes.
     let graph = w.build_input(&scale);
-    let jobs: Vec<(String, _)> = [1u32, 2, 4, 8, 16]
+    let entries = [1u32, 2, 4, 8, 16];
+    let jobs = entries.iter().map(|&n| {
+        let mut s = scale.clone();
+        s.invoke_buffer = n;
+        (format!("buffer={n}"), s)
+    });
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |s, env| w.run(PhiVariant::Leviathan, s, &graph, env),
+        |s| w.golden(PhiVariant::Leviathan, s, &graph),
+    );
+    let best = runs
         .iter()
-        .map(|&entries| {
-            let mut s = scale.clone();
-            s.invoke_buffer = entries;
-            (format!("buffer={entries}"), (entries, s))
+        .map(|(_, o)| o.metrics.cycles)
+        .min()
+        .unwrap_or(0);
+    let rows: Vec<Vec<String>> = entries
+        .iter()
+        .map(|n| {
+            let m = &runs[format!("buffer={n}").as_str()].metrics;
+            vec![
+                n.to_string(),
+                m.cycles.to_string(),
+                m.stats.invoke_nacks.to_string(),
+                // Normalized to the plateau.
+                format!("{:.2}x", best as f64 / m.cycles as f64),
+            ]
         })
         .collect();
-    let env = &ctx.env;
-    let graph_ref = &graph;
-    let results = Sweep::new()
-        .variants(jobs.iter().map(|(label, job)| (label.as_str(), job)))
-        .run(|label, job| {
-            let o = w
-                .run(PhiVariant::Leviathan, &job.1, graph_ref, env)
-                .expect_done(label);
-            assert_eq!(
-                o.checksum,
-                w.golden(PhiVariant::Leviathan, &job.1, graph_ref),
-                "{label} diverged from the golden model"
-            );
-            (job.0, o)
-        });
-    let mut rows = Vec::new();
-    let mut best = u64::MAX;
-    let mut cycles_at = Vec::new();
-    for (_, (entries, o)) in &results {
-        eprintln!("  ran buffer={entries}");
-        best = best.min(o.metrics.cycles);
-        cycles_at.push(o.metrics.cycles);
-        rows.push(vec![
-            entries.to_string(),
-            o.metrics.cycles.to_string(),
-            o.metrics.stats.invoke_nacks.to_string(),
-        ]);
-    }
-    // Normalize to the plateau.
-    for (row, c) in rows.iter_mut().zip(&cycles_at) {
-        row.push(format!("{:.2}x", best as f64 / *c as f64));
-    }
     table_report(
         "fig22_invoke_buffer",
         &["entries", "cycles", "NACKs", "rel. perf"],

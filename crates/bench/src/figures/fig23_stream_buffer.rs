@@ -6,8 +6,8 @@
 use levi_workloads::hats::{HatsVariant, HatsWorkload};
 use levi_workloads::Workload;
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -26,45 +26,35 @@ fn run(ctx: &RunCtx) {
     );
     // One graph shared across the sweep: only the buffer capacity changes.
     let graph = w.build_input(&scale);
-    let jobs: Vec<(String, _)> = [8u64, 16, 32, 64, 128, 256]
+    let capacities = [8u64, 16, 32, 64, 128, 256];
+    let jobs = capacities.iter().map(|&cap| {
+        let mut s = scale.clone();
+        s.stream_capacity = cap;
+        (format!("capacity={cap}"), s)
+    });
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |s, env| w.run(HatsVariant::Leviathan, s, &graph, env),
+        |s| w.golden(HatsVariant::Leviathan, s, &graph),
+    );
+    let best = runs
         .iter()
-        .map(|&cap| {
-            let mut s = scale.clone();
-            s.stream_capacity = cap;
-            (format!("capacity={cap}"), (cap, s))
+        .map(|(_, o)| o.metrics.cycles)
+        .min()
+        .unwrap_or(0);
+    let rows: Vec<Vec<String>> = capacities
+        .iter()
+        .map(|cap| {
+            let m = &runs[format!("capacity={cap}").as_str()].metrics;
+            vec![
+                cap.to_string(),
+                m.cycles.to_string(),
+                m.stats.stream_stall_cycles.to_string(),
+                format!("{:.2}x", best as f64 / m.cycles as f64),
+            ]
         })
         .collect();
-    let env = &ctx.env;
-    let graph_ref = &graph;
-    let results = Sweep::new()
-        .variants(jobs.iter().map(|(label, job)| (label.as_str(), job)))
-        .run(|label, job| {
-            let o = w
-                .run(HatsVariant::Leviathan, &job.1, graph_ref, env)
-                .expect_done(label);
-            assert_eq!(
-                o.checksum,
-                w.golden(HatsVariant::Leviathan, &job.1, graph_ref),
-                "{label} diverged from the golden model"
-            );
-            (job.0, o)
-        });
-    let mut rows = Vec::new();
-    let mut best = u64::MAX;
-    let mut cycles_at = Vec::new();
-    for (_, (cap, o)) in &results {
-        eprintln!("  ran capacity={cap}");
-        best = best.min(o.metrics.cycles);
-        cycles_at.push(o.metrics.cycles);
-        rows.push(vec![
-            cap.to_string(),
-            o.metrics.cycles.to_string(),
-            o.metrics.stats.stream_stall_cycles.to_string(),
-        ]);
-    }
-    for (row, c) in rows.iter_mut().zip(&cycles_at) {
-        row.push(format!("{:.2}x", best as f64 / *c as f64));
-    }
     table_report(
         "fig23_stream_buffer",
         &["entries", "cycles", "consumer stalls", "rel. perf"],

@@ -7,8 +7,8 @@
 use levi_workloads::hashtable::{HashtableWorkload, HtScale, HtVariant};
 use levi_workloads::Workload;
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -35,43 +35,33 @@ fn run(ctx: &RunCtx) {
     } else {
         &[1, 2, 4, 8, 16, 32]
     };
-    // Golden checksums depend on the node count, so each size is checked
-    // against its own scale's model inside the sweep.
     let mut jobs: Vec<(String, (HtScale, HtVariant))> = Vec::new();
     for &mb in sizes_mb {
         let scale = base_scale.clone().with_table_bytes(mb * 1024 * 1024);
         jobs.push((format!("base {mb}MB"), (scale.clone(), HtVariant::Baseline)));
         jobs.push((format!("lev {mb}MB"), (scale, HtVariant::Leviathan)));
     }
-    let env = &ctx.env;
-    let mut runs = Sweep::new()
-        .variants(jobs.iter().map(|(label, job)| (label.as_str(), job)))
-        .run(|label, job| {
-            let (scale, v) = (&job.0, job.1);
-            let o = w.run(v, scale, &(), env).expect_done(label);
-            assert_eq!(
-                o.checksum,
-                w.golden(v, scale, &()),
-                "{label} diverged from the golden model"
-            );
-            o
+    // Golden checksums depend on the node count, so each job is checked
+    // against its own scale's model.
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |(scale, v), env| w.run(*v, scale, &(), env),
+        |(scale, v)| w.golden(*v, scale, &()),
+    );
+    let rows: Vec<Vec<String>> = sizes_mb
+        .iter()
+        .map(|mb| {
+            let base = &runs[format!("base {mb}MB").as_str()].metrics;
+            let lev = &runs[format!("lev {mb}MB").as_str()].metrics;
+            vec![
+                format!("{mb} MB"),
+                format!("{:.2}x", base.cycles as f64 / lev.cycles as f64),
+                base.stats.dram_accesses.to_string(),
+                lev.stats.dram_accesses.to_string(),
+            ]
         })
-        .into_iter();
-    let mut rows = Vec::new();
-    for &mb in sizes_mb {
-        let base = runs.next().unwrap().1;
-        let lev = runs.next().unwrap().1;
-        eprintln!("  ran table={mb}MB");
-        rows.push(vec![
-            format!("{mb} MB"),
-            format!(
-                "{:.2}x",
-                base.metrics.cycles as f64 / lev.metrics.cycles as f64
-            ),
-            base.metrics.stats.dram_accesses.to_string(),
-            lev.metrics.stats.dram_accesses.to_string(),
-        ]);
-    }
+        .collect();
     table_report(
         "fig24_input_size",
         &["table size", "Leviathan speedup", "base DRAM", "lev DRAM"],

@@ -7,8 +7,8 @@
 use levi_workloads::hashtable::{HashtableWorkload, HtScale, HtVariant};
 use levi_workloads::Workload;
 
-use crate::runner::{Figure, RunCtx};
-use crate::{header, table_report, Sweep};
+use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::{header, table_report};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -29,8 +29,6 @@ fn run(ctx: &RunCtx) {
     } else {
         &[4, 8, 16, 32, 64]
     };
-    // Golden checksums depend on the tile count (lookups are per-thread),
-    // so each shape is checked against its own scale's model.
     let mut jobs: Vec<(String, (HtScale, HtVariant))> = Vec::new();
     for &tiles in tiles_list {
         let mut scale = if ctx.quick {
@@ -45,35 +43,27 @@ fn run(ctx: &RunCtx) {
         ));
         jobs.push((format!("lev x{tiles}"), (scale, HtVariant::Leviathan)));
     }
-    let env = &ctx.env;
-    let mut runs = Sweep::new()
-        .variants(jobs.iter().map(|(label, job)| (label.as_str(), job)))
-        .run(|label, job| {
-            let (scale, v) = (&job.0, job.1);
-            let o = w.run(v, scale, &(), env).expect_done(label);
-            assert_eq!(
-                o.checksum,
-                w.golden(v, scale, &()),
-                "{label} diverged from the golden model"
-            );
-            o
+    // Golden checksums depend on the tile count (lookups are per-thread),
+    // so each job is checked against its own scale's model.
+    let runs = sweep_jobs(
+        &ctx.env,
+        jobs,
+        |(scale, v), env| w.run(*v, scale, &(), env),
+        |(scale, v)| w.golden(*v, scale, &()),
+    );
+    let rows: Vec<Vec<String>> = tiles_list
+        .iter()
+        .map(|tiles| {
+            let base = &runs[format!("base x{tiles}").as_str()].metrics;
+            let lev = &runs[format!("lev x{tiles}").as_str()].metrics;
+            vec![
+                tiles.to_string(),
+                format!("{:.2}x", base.cycles as f64 / lev.cycles as f64),
+                base.stats.noc_flit_hops.to_string(),
+                lev.stats.noc_flit_hops.to_string(),
+            ]
         })
-        .into_iter();
-    let mut rows = Vec::new();
-    for &tiles in tiles_list {
-        let base = runs.next().unwrap().1;
-        let lev = runs.next().unwrap().1;
-        eprintln!("  ran tiles={tiles}");
-        rows.push(vec![
-            tiles.to_string(),
-            format!(
-                "{:.2}x",
-                base.metrics.cycles as f64 / lev.metrics.cycles as f64
-            ),
-            base.metrics.stats.noc_flit_hops.to_string(),
-            lev.metrics.stats.noc_flit_hops.to_string(),
-        ]);
-    }
+        .collect();
     table_report(
         "fig25_system_size",
         &[

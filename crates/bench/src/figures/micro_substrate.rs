@@ -4,7 +4,9 @@
 //! cycles (see `micro_kernels` for those).
 //!
 //! The timing kernels live in [`crate::micro_timers`]; this descriptor
-//! fans them out through a [`crate::Sweep`] like every other figure.
+//! fans them out through a plain [`crate::Sweep`]. It runs no simulation,
+//! so it has no golden model, journal record or telemetry block, and does
+//! not take the runner's [`crate::runner::sweep_jobs`] path.
 //! Wall-clock numbers are indicative, not statistically rigorous, and a
 //! parallel sweep adds scheduling noise — run with `--serial` (or
 //! `LEVI_SWEEP_SERIAL`) for the quietest numbers.

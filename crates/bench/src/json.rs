@@ -10,13 +10,17 @@
 //! The writing side lives here too: [`JsonWriter`] is the incremental
 //! emitter every JSON producer in the harness ([`crate::figure_json`],
 //! [`crate::table_json`], [`crate::runner::manifest_json`]) rides on —
-//! escaping-correct by construction, deterministic key order (keys are
+//! escaping-correct by construction (strings go through
+//! [`levi_sim::telemetry::write_escaped`], the same escaper as the
+//! telemetry exporters), deterministic key order (keys are
 //! emitted in call order), and explicit fixed-precision number formatting.
 //!
 //! The parser is strict where laxity would hide a bad report: duplicate
 //! object keys are an error (lookup is first-match, so a duplicate would
 //! silently shadow), and nesting depth is capped so a pathological input
 //! fails with an error instead of overflowing the parser's recursion.
+
+use levi_sim::telemetry::write_escaped;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,26 +69,6 @@ impl Json {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
-        }
-    }
-}
-
-/// Appends `s` to `out` with every character JSON requires escaped:
-/// `\` and `"` always, the common control characters as their short
-/// escapes, and any other control character as `\u00XX`.
-pub fn write_escaped(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }

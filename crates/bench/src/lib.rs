@@ -104,13 +104,7 @@ impl<'a, C> Sweep<'a, C> {
                 Err(p) => failed.push(p),
             }
         }
-        if !failed.is_empty() {
-            let mut msg = format!("{} sweep variant(s) panicked:", failed.len());
-            for p in &failed {
-                msg.push_str(&format!("\n  {p}"));
-            }
-            panic!("{msg}");
-        }
+        raise_variant_panics(&failed);
         ok
     }
 
@@ -181,6 +175,18 @@ impl std::fmt::Display for VariantPanic {
 }
 
 impl std::error::Error for VariantPanic {}
+
+/// Panics with a summary naming every variant in `failed`, if any.
+fn raise_variant_panics(failed: &[VariantPanic]) {
+    if failed.is_empty() {
+        return;
+    }
+    let mut msg = format!("{} sweep variant(s) panicked:", failed.len());
+    for p in failed {
+        msg.push_str(&format!("\n  {p}"));
+    }
+    panic!("{msg}");
+}
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
@@ -516,7 +522,7 @@ mod tests {
     #[test]
     fn escape_handles_quotes() {
         let mut out = String::new();
-        json::write_escaped(&mut out, "a\"b\\c");
+        levi_sim::telemetry::write_escaped(&mut out, "a\"b\\c");
         assert_eq!(out, "a\\\"b\\\\c");
     }
 

@@ -1,6 +1,5 @@
 //! The unified figure runner: a registry of figure descriptors and the
-//! shared machinery that drives [`levi_workloads::Workload`]s through
-//! [`crate::Sweep`].
+//! one run path that drives their simulations through [`crate::Sweep`].
 //!
 //! Each figure of the paper's evaluation is one [`Figure`] descriptor in
 //! [`crate::figures::ALL`]: a static id, a one-line summary, the registry
@@ -13,9 +12,11 @@
 //! * [`RunCtx`] — scale selection (`--quick`), variant filtering
 //!   (`--filter`), and the [`RunEnv`] injected into every run
 //!   (`--fault-plan`).
-//! * [`sweep_variants`] / [`sweep_prepared`] — run a workload's variants
-//!   through a parallel [`crate::Sweep`], print per-run progress, and
-//!   check every supported variant against its golden model.
+//! * [`sweep_jobs`] — every simulated run of every figure goes through
+//!   it: labelled jobs run in parallel, each is golden-checked, journaled
+//!   (`--resume`), reported on stderr and dumped as one telemetry block
+//!   (`--telemetry`). [`sweep_variants`] / [`sweep_prepared`] adapt it
+//!   to "a workload's (filtered) variants at one scale".
 //! * [`report_figure`] — join measured outcomes with the paper's numbers
 //!   by label and emit the standard speedup/energy report.
 
@@ -57,166 +58,145 @@ impl RunCtx {
     }
 }
 
-/// Labelled outcomes of one variant sweep, in presentation order.
-/// Unsupported variants are absent (they printed their reason instead).
+/// Labelled outcomes of one sweep, in job order. Unsupported jobs are
+/// absent (they printed their reason instead).
 pub struct Outcomes {
-    entries: Vec<(&'static str, RunOutcome)>,
+    entries: Vec<(String, RunOutcome)>,
 }
 
 impl Outcomes {
-    /// The outcome for the variant labelled `label`, if it ran.
+    /// The outcome for the job labelled `label`, if it ran.
     pub fn get(&self, label: &str) -> Option<&RunOutcome> {
         self.entries
             .iter()
-            .find(|(l, _)| *l == label)
+            .find(|(l, _)| l == label)
             .map(|(_, o)| o)
     }
 
-    /// Iterates `(label, outcome)` pairs in presentation order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &RunOutcome)> {
-        self.entries.iter().map(|(l, o)| (*l, o))
-    }
-
-    /// How many variants actually ran.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no variant ran.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Iterates `(label, outcome)` pairs in job order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &RunOutcome)> {
+        self.entries.iter().map(|(l, o)| (l.as_str(), o))
     }
 }
 
-/// How the execution engine obtained (or failed to obtain) one
-/// variant's outcome. This is the engine→shell interface of the sweep
-/// path: [`execute_sweep`] produces these without printing a byte, and
-/// the presentation shell ([`journaled_sweep`]) renders them.
-enum VariantRun {
-    /// Loaded from the active journal instead of re-running.
-    Resumed(RunOutcome),
-    /// Freshly executed (and recorded in the journal, if one is active).
-    Fresh(RunOutcome),
-    /// The (variant, scale) combination is unsupported.
-    Unsupported(&'static str),
-    /// The variant's run panicked.
-    Panicked(crate::VariantPanic),
+impl std::ops::Index<&str> for Outcomes {
+    type Output = RunOutcome;
+
+    /// The outcome for `label`.
+    ///
+    /// # Panics
+    /// Panics if the job did not run (unsupported, or not in the sweep).
+    fn index(&self, label: &str) -> &RunOutcome {
+        self.get(label)
+            .unwrap_or_else(|| panic!("{label}: no outcome (the job did not run)"))
+    }
 }
 
-/// The execution engine of the sweep path: partitions `labels` into
-/// journal-resumed and pending, runs the pending set through
-/// [`Sweep::try_run`] (one panicking variant cannot abort its siblings),
-/// checks every outcome — resumed or fresh — against the golden model
-/// (which also catches a stale journal from an older build), and records
-/// every fresh completion in the journal *before* returning, so a
-/// crashed or partly-failed invocation can be resumed without repeating
-/// its finished work. Performs no output: presentation belongs to the
-/// shell.
-fn execute_sweep<F, G>(
-    figure: &str,
-    labels: &[&'static str],
+/// Runs labelled jobs as one sweep of the current figure: the one run
+/// path every simulated figure takes.
+///
+/// Each job is either loaded from the active journal (`--resume`) or run
+/// as `run(job, env)` through [`Sweep::try_run`], so one panicking job
+/// cannot abort its siblings. Every outcome is checked against
+/// `golden(job)`: a fresh one inside the sweep, a resumed one here (which
+/// also catches a stale journal from an older build). Fresh outcomes are
+/// recorded in the journal before any panic is re-raised, so a partly
+/// failed invocation resumes without repeating its finished work.
+/// Progress goes to stderr, `UNSUPPORTED` notices to stdout, and one
+/// telemetry block per run to the `LEVI_TELEMETRY` dump.
+///
+/// Applies no `--filter`: knob sweeps run every job.
+///
+/// # Panics
+/// Panics if two jobs share a label (journal records are keyed by
+/// `(figure, sweep, label)` and telemetry scopes by `figure/label`, so a
+/// duplicate is a harness bug), on a golden mismatch, and after every
+/// job has reported if any job panicked.
+pub fn sweep_jobs<L, J, F, G>(
+    env: &RunEnv,
+    jobs: impl IntoIterator<Item = (L, J)>,
     run: F,
-    check: G,
-) -> Vec<(&'static str, VariantRun)>
+    golden: G,
+) -> Outcomes
 where
-    F: Fn(&'static str) -> RunStatus + Sync,
-    G: Fn(&str) -> u64,
-{
-    let sweep_idx = crate::journal::begin_sweep(figure);
-
-    let mut resumed: std::collections::HashMap<&'static str, RunOutcome> =
-        std::collections::HashMap::new();
-    let mut pending: Vec<&'static str> = Vec::new();
-    for &label in labels {
-        match sweep_idx.and_then(|s| crate::journal::lookup(figure, s, label)) {
-            Some(o) => {
-                resumed.insert(label, o);
-            }
-            None => pending.push(label),
-        }
-    }
-
-    let mut runs: std::collections::HashMap<&'static str, Result<RunStatus, crate::VariantPanic>> =
-        Sweep::new()
-            .variants(pending.iter().map(|&l| (l, l)))
-            .try_run(|_, &label| run(label))
-            .into_iter()
-            .collect();
-
-    labels
-        .iter()
-        .map(|&label| {
-            if let Some(o) = resumed.remove(label) {
-                assert_eq!(
-                    o.checksum,
-                    check(label),
-                    "{label}: journaled outcome diverged from the golden model (stale journal?)"
-                );
-                return (label, VariantRun::Resumed(o));
-            }
-            let result = match runs.remove(label) {
-                Some(r) => r,
-                None => unreachable!("every label was partitioned into resumed or pending"),
-            };
-            match result {
-                Ok(RunStatus::Done(o)) => {
-                    assert_eq!(
-                        o.checksum,
-                        check(label),
-                        "{label} diverged from the golden model"
-                    );
-                    if let Some(s) = sweep_idx {
-                        crate::journal::record(figure, s, label, &o);
-                    }
-                    (label, VariantRun::Fresh(*o))
-                }
-                Ok(RunStatus::Unsupported(reason)) => (label, VariantRun::Unsupported(reason)),
-                Err(p) => (label, VariantRun::Panicked(p)),
-            }
-        })
-        .collect()
-}
-
-/// The presentation shell over [`execute_sweep`]: prints per-variant
-/// progress (resumed vs fresh) to stderr and unsupported notices to
-/// stdout, emits telemetry blocks, and defers a panic summary until
-/// every variant has reported.
-fn journaled_sweep<F, G>(labels: Vec<&'static str>, run: F, check: G) -> Outcomes
-where
-    F: Fn(&'static str) -> RunStatus + Sync,
-    G: Fn(&str) -> u64,
+    L: Into<String>,
+    J: Sync,
+    F: Fn(&J, &RunEnv) -> RunStatus + Sync,
+    G: Fn(&J) -> u64 + Sync,
 {
     let figure = current_figure();
+    let jobs: Vec<(String, J)> = jobs.into_iter().map(|(l, j)| (l.into(), j)).collect();
+    let mut seen = std::collections::HashSet::new();
+    for (label, _) in &jobs {
+        assert!(
+            seen.insert(label.as_str()),
+            "duplicate sweep label {label:?} in figure {figure:?}"
+        );
+    }
+
+    let sweep_idx = crate::journal::begin_sweep(&figure);
+    let resumed: Vec<Option<RunOutcome>> = jobs
+        .iter()
+        .map(|(label, _)| sweep_idx.and_then(|s| crate::journal::lookup(&figure, s, label)))
+        .collect();
+    let mut fresh = Sweep::new()
+        .variants(
+            jobs.iter()
+                .zip(&resumed)
+                .filter(|(_, r)| r.is_none())
+                .map(|((label, job), _)| (label.as_str(), job)),
+        )
+        .try_run(|label, job| {
+            let status = run(job, env);
+            if let RunStatus::Done(o) = &status {
+                assert_eq!(
+                    o.checksum,
+                    golden(job),
+                    "{label} diverged from the golden model"
+                );
+            }
+            status
+        })
+        .into_iter();
+
     let mut entries = Vec::new();
     let mut failed: Vec<crate::VariantPanic> = Vec::new();
-    for (label, result) in execute_sweep(&figure, &labels, run, check) {
-        match result {
-            VariantRun::Resumed(o) => {
+    for ((label, job), resumed) in jobs.iter().zip(resumed) {
+        let o = match resumed {
+            Some(o) => {
+                assert_eq!(
+                    o.checksum,
+                    golden(job),
+                    "{label}: journaled outcome diverged from the golden model (stale journal?)"
+                );
                 eprintln!(
                     "  journal {:<14} {:>12} cycles (resumed)",
                     label, o.metrics.cycles
                 );
-                emit_run_telemetry(&figure, label, &o.metrics.stats);
-                entries.push((label, o));
+                o
             }
-            VariantRun::Fresh(o) => {
-                eprintln!("  ran {:<18} {:>12} cycles", label, o.metrics.cycles);
-                emit_run_telemetry(&figure, label, &o.metrics.stats);
-                entries.push((label, o));
-            }
-            VariantRun::Unsupported(reason) => {
-                println!("{label:<22} UNSUPPORTED — {reason}");
-            }
-            VariantRun::Panicked(p) => failed.push(p),
-        }
+            None => match fresh.next().expect("one result per pending job").1 {
+                Ok(RunStatus::Done(o)) => {
+                    if let Some(s) = sweep_idx {
+                        crate::journal::record(&figure, s, label, &o);
+                    }
+                    eprintln!("  ran {:<18} {:>12} cycles", label, o.metrics.cycles);
+                    *o
+                }
+                Ok(RunStatus::Unsupported(reason)) => {
+                    println!("{label:<22} UNSUPPORTED — {reason}");
+                    continue;
+                }
+                Err(p) => {
+                    failed.push(p);
+                    continue;
+                }
+            },
+        };
+        emit_run_telemetry(&figure, label, &o.metrics.stats);
+        entries.push((label.clone(), o));
     }
-    if !failed.is_empty() {
-        let mut msg = format!("{} sweep variant(s) panicked:", failed.len());
-        for p in &failed {
-            msg.push_str(&format!("\n  {p}"));
-        }
-        panic!("{msg}");
-    }
+    crate::raise_variant_panics(&failed);
     Outcomes { entries }
 }
 
@@ -235,53 +215,39 @@ fn emit_run_telemetry(figure: &str, label: &str, stats: &levi_sim::Stats) {
     crate::emit_telemetry_block(&levi_sim::Telemetry::new(stats).to_jsonl(&scope));
 }
 
-/// Runs the (filtered) variants of a typed workload at `scale` through a
-/// parallel [`Sweep`], checking every supported variant against the
-/// golden model. Figures that sweep scale knobs call [`Workload::run`]
-/// directly instead; this helper covers the standard "all variants at one
-/// scale" shape.
+/// Runs the (filtered) variants of a typed workload at `scale` through
+/// [`sweep_jobs`]; the first variant always runs.
 pub fn sweep_variants<W: Workload>(w: &W, scale: &W::Scale, ctx: &RunCtx) -> Outcomes {
     let input = w.build_input(scale);
-    let variants: Vec<(&'static str, W::Variant)> = w
+    let variants = w
         .variants()
         .into_iter()
         .enumerate()
         .filter(|&(i, (label, _))| ctx.keeps(i, label))
-        .map(|(_, pair)| pair)
-        .collect();
-    let env = &ctx.env;
-    let input_ref = &input;
-    let labels: Vec<&'static str> = variants.iter().map(|&(l, _)| l).collect();
-    let variant_of = |label: &str| {
-        variants
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("label came from this list")
-            .1
-    };
-    journaled_sweep(
-        labels,
-        |label| w.run(variant_of(label), scale, input_ref, env),
-        |label| w.golden(variant_of(label), scale, &input),
+        .map(|(_, pair)| pair);
+    sweep_jobs(
+        &ctx.env,
+        variants,
+        |&v, env| w.run(v, scale, &input, env),
+        |&v| w.golden(v, scale, &input),
     )
 }
 
 /// Registry-path counterpart of [`sweep_variants`]: runs a
-/// [`PreparedRun`]'s variants by label. This is how figures drive
-/// workloads they only know by registry name.
+/// [`PreparedRun`]'s (filtered) variants by label. This is how figures
+/// drive workloads they only know by registry name.
 pub fn sweep_prepared(w: &dyn DynWorkload, prepared: &dyn PreparedRun, ctx: &RunCtx) -> Outcomes {
-    let labels: Vec<&'static str> = w
+    let labels = w
         .variant_labels()
         .into_iter()
         .enumerate()
         .filter(|&(i, label)| ctx.keeps(i, label))
-        .map(|(_, label)| label)
-        .collect();
-    let env = &ctx.env;
-    journaled_sweep(
+        .map(|(_, label)| (label, label));
+    sweep_jobs(
+        &ctx.env,
         labels,
-        |label| prepared.run(label, env),
-        |label| prepared.golden(label),
+        |&label, env| prepared.run(label, env),
+        |&label| prepared.golden(label),
     )
 }
 
@@ -451,6 +417,17 @@ mod tests {
             assert!(m.contains(&format!("\"{}\"", w.name())), "{m}");
         }
         assert_eq!(m.matches('{').count(), m.matches('}').count());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate sweep label \"a\"")]
+    fn a_repeated_sweep_label_panics() {
+        sweep_jobs(
+            &RunEnv::default(),
+            [("a", 1u32), ("b", 2), ("a", 3)],
+            |_, _| RunStatus::Unsupported("never runs"),
+            |_| 0,
+        );
     }
 
     #[test]

@@ -1,0 +1,93 @@
+//! End-to-end runs of the `levi-bench` binary on knob-sweep figures.
+//! Every simulated run of a figure takes the runner's one sweep path, so
+//! `--telemetry` dumps one block per run and a second `--resume` of the
+//! same journal replays every run instead of simulating it again.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use levi_bench::json::parse;
+
+/// Two figures that sweep scale and config knobs rather than a
+/// workload's variants; each runs four simulations at quick scale.
+const FIGURES: [&str; 2] = ["fig24_input_size", "ablation_translation"];
+const RUNS_PER_FIGURE: usize = 4;
+
+/// A fresh path under the test's scratch directory.
+fn scratch(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_file(&path);
+    path.to_str().expect("scratch path is UTF-8").to_string()
+}
+
+/// Runs `levi-bench` with `args`, requiring a zero exit.
+fn levi_bench(args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_levi-bench"))
+        .args(args)
+        .output()
+        .expect("spawn levi-bench");
+    assert!(
+        out.status.success(),
+        "levi-bench {} failed:\n{}",
+        args.join(" "),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+#[test]
+fn telemetry_dumps_one_uniquely_scoped_block_per_run() {
+    for fig in FIGURES {
+        let dump = scratch(&format!("{fig}.telemetry.jsonl"));
+        levi_bench(&["run", fig, "--quick", "--telemetry", &dump]);
+        let text = std::fs::read_to_string(&dump).unwrap_or_default();
+        let mut scopes: Vec<String> = text
+            .lines()
+            .filter_map(|line| {
+                let doc = parse(line).expect("telemetry lines are JSON");
+                let scope = doc.get("telemetry")?.get("scope")?.as_str()?;
+                Some(scope.to_string())
+            })
+            .collect();
+        assert_eq!(
+            scopes.len(),
+            RUNS_PER_FIGURE,
+            "{fig}: one telemetry block per run: {scopes:?}"
+        );
+        assert!(
+            scopes.iter().all(|s| s.starts_with(&format!("{fig}/"))),
+            "{fig}: every scope is figure/label: {scopes:?}"
+        );
+        scopes.sort();
+        scopes.dedup();
+        assert_eq!(scopes.len(), RUNS_PER_FIGURE, "{fig}: scopes are unique");
+    }
+}
+
+#[test]
+fn a_second_resume_replays_every_run_into_the_same_report() {
+    for fig in FIGURES {
+        let journal = scratch(&format!("{fig}.journal"));
+        let first = scratch(&format!("{fig}.first.json"));
+        let second = scratch(&format!("{fig}.second.json"));
+        levi_bench(&[
+            "run", fig, "--quick", "--resume", &journal, "--json", &first,
+        ]);
+        let out = levi_bench(&[
+            "run", fig, "--quick", "--resume", &journal, "--json", &second,
+        ]);
+        let log = String::from_utf8_lossy(&out.stderr);
+        let runs: Vec<&str> = log.lines().filter(|l| l.contains(" cycles")).collect();
+        assert_eq!(
+            runs.len(),
+            RUNS_PER_FIGURE,
+            "{fig}: one progress line per run:\n{log}"
+        );
+        assert!(
+            runs.iter().all(|l| l.ends_with("(resumed)")),
+            "{fig}: every run is resumed from the journal:\n{log}"
+        );
+        let read = |path: &str| std::fs::read_to_string(path).expect("report written");
+        assert_eq!(read(&first), read(&second), "{fig}: resumed report differs");
+    }
+}

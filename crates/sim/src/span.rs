@@ -144,6 +144,19 @@ pub struct StageCycles {
 }
 
 impl StageCycles {
+    /// The five stages as `(name, cycles)` pairs in lifecycle order: the
+    /// one list of stage names that Display, the critical path, and the
+    /// telemetry exporters use.
+    pub fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("offload", self.offload),
+            ("noc", self.noc),
+            ("queue", self.queue),
+            ("exec", self.exec),
+            ("response", self.response),
+        ]
+    }
+
     fn add(&mut self, other: &StageCycles) {
         self.offload += other.offload;
         self.noc += other.noc;
@@ -155,11 +168,13 @@ impl StageCycles {
 
 impl fmt::Display for StageCycles {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "offload {} | noc {} | queue {} | exec {} | response {}",
-            self.offload, self.noc, self.queue, self.exec, self.response
-        )
+        for (i, (name, cycles)) in self.named().into_iter().enumerate() {
+            if i > 0 {
+                f.write_str(" | ")?;
+            }
+            write!(f, "{name} {cycles}")?;
+        }
+        Ok(())
     }
 }
 
@@ -199,15 +214,11 @@ impl CriticalPath {
     /// The stage with the largest total, as `(name, cycles)` — the
     /// headline answer to "where does invoke latency go?".
     pub fn dominant_stage(&self) -> (&'static str, u64) {
-        let t = &self.totals;
-        let all = [
-            ("offload", t.offload),
-            ("noc", t.noc),
-            ("queue", t.queue),
-            ("exec", t.exec),
-            ("response", t.response),
-        ];
-        all.into_iter().max_by_key(|&(_, v)| v).expect("nonempty")
+        self.totals
+            .named()
+            .into_iter()
+            .max_by_key(|&(_, v)| v)
+            .expect("nonempty")
     }
 }
 
@@ -519,6 +530,10 @@ mod tests {
         let st = t.spans()[0].stages().unwrap();
         assert_eq!(st.response, 0);
         assert_eq!(st.exec, 12);
+        assert_eq!(
+            st.to_string(),
+            "offload 0 | noc 0 | queue 0 | exec 12 | response 0"
+        );
         assert_eq!(t.spans()[0].rtt(), Some(12));
     }
 }

@@ -36,9 +36,11 @@ pub struct Telemetry<'a> {
     stats: &'a Stats,
 }
 
-/// Escapes a string for embedding in a JSON string or Prometheus label.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` escaped for embedding in a JSON string or a
+/// Prometheus label value: `\` and `"` always, the common control
+/// characters as their short escapes, and any other control character as
+/// `\u00XX`. The bench harness's JSON writer escapes through it too.
+pub fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -52,7 +54,6 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 impl<'a> Telemetry<'a> {
@@ -185,11 +186,12 @@ impl<'a> Telemetry<'a> {
     pub fn to_jsonl(&self, scope: &str) -> String {
         let s = self.stats;
         let mut out = String::with_capacity(4096);
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "{{\"telemetry\":{{\"version\":{TELEMETRY_VERSION},\"scope\":\"{}\"}}}}",
-            escape(scope)
+            "{{\"telemetry\":{{\"version\":{TELEMETRY_VERSION},\"scope\":\""
         );
+        write_escaped(&mut out, scope);
+        out.push_str("\"}}\n");
         for (name, value) in self.counters() {
             let _ = writeln!(
                 out,
@@ -258,35 +260,25 @@ impl<'a> Telemetry<'a> {
                 s.spans.dropped(),
                 cp.rtt_total,
             );
-            let t = &cp.totals;
-            for (stage, cycles) in [
-                ("offload", t.offload),
-                ("noc", t.noc),
-                ("queue", t.queue),
-                ("exec", t.exec),
-                ("response", t.response),
-            ] {
+            for (stage, cycles) in cp.totals.named() {
                 let _ = writeln!(
                     out,
                     "{{\"span_stage\":{{\"stage\":\"{stage}\",\"cycles\":{cycles}}}}}"
                 );
             }
             for (rank, slow) in cp.slowest.iter().enumerate() {
-                let st = &slow.stages;
-                let _ = writeln!(
+                let _ = write!(
                     out,
-                    "{{\"slow_invoke\":{{\"rank\":{},\"span\":{},\"src_tile\":{},\"rtt\":{},\
-                     \"offload\":{},\"noc\":{},\"queue\":{},\"exec\":{},\"response\":{}}}}}",
+                    "{{\"slow_invoke\":{{\"rank\":{},\"span\":{},\"src_tile\":{},\"rtt\":{}",
                     rank + 1,
                     slow.id.0,
                     slow.src_tile,
                     slow.rtt,
-                    st.offload,
-                    st.noc,
-                    st.queue,
-                    st.exec,
-                    st.response,
                 );
+                for (stage, cycles) in slow.stages.named() {
+                    let _ = write!(out, ",\"{stage}\":{cycles}");
+                }
+                out.push_str("}}\n");
             }
         }
         out
@@ -297,16 +289,18 @@ impl<'a> Telemetry<'a> {
     /// on every series when non-empty.
     pub fn to_prometheus(&self, scope: &str) -> String {
         let s = self.stats;
+        let mut scope_esc = String::new();
+        write_escaped(&mut scope_esc, scope);
         let label = if scope.is_empty() {
             String::new()
         } else {
-            format!("{{scope=\"{}\"}}", escape(scope))
+            format!("{{scope=\"{scope_esc}\"}}")
         };
         let with = |extra: &str| {
             if scope.is_empty() {
                 format!("{{{extra}}}")
             } else {
-                format!("{{scope=\"{}\",{extra}}}", escape(scope))
+                format!("{{scope=\"{scope_esc}\",{extra}}}")
             }
         };
         let mut out = String::with_capacity(4096);
@@ -342,15 +336,8 @@ impl<'a> Telemetry<'a> {
         }
         if !s.spans.is_empty() {
             let cp = s.spans.critical_path(TOP_SLOW_INVOKES);
-            let t = &cp.totals;
             let _ = writeln!(out, "# TYPE levi_span_stage_cycles counter");
-            for (stage, cycles) in [
-                ("offload", t.offload),
-                ("noc", t.noc),
-                ("queue", t.queue),
-                ("exec", t.exec),
-                ("response", t.response),
-            ] {
+            for (stage, cycles) in cp.totals.named() {
                 let _ = writeln!(
                     out,
                     "levi_span_stage_cycles{} {cycles}",

@@ -185,26 +185,6 @@ pub enum RunStatus {
     Unsupported(&'static str),
 }
 
-impl RunStatus {
-    /// Unwraps the outcome, panicking with `context` if unsupported.
-    pub fn expect_done(self, context: &str) -> RunOutcome {
-        match self {
-            RunStatus::Done(o) => *o,
-            RunStatus::Unsupported(reason) => {
-                panic!("{context}: variant unsupported ({reason})")
-            }
-        }
-    }
-
-    /// The outcome, or `None` if the variant is unsupported.
-    pub fn outcome(self) -> Option<RunOutcome> {
-        match self {
-            RunStatus::Done(o) => Some(*o),
-            RunStatus::Unsupported(_) => None,
-        }
-    }
-}
-
 /// One evaluation workload: named variants over a deterministic input,
 /// with a host-side golden model.
 ///
