@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: exactly what .github/workflows/ci.yml runs.
+# The whole CI: .github/workflows/ci.yml runs this script and nothing else.
 # Everything is offline — the workspace has no crates.io dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -25,7 +25,9 @@ echo "== test ==";   cargo test --workspace -q
 echo "== fault smoke =="
 # Fault injection must be a pure function of the seed: two runs with the
 # same seed must print byte-identical output.
-tmp="$(mktemp -d)"; trap 'rm -rf "$tmp"' EXIT
+# Scratch files stay behind if a check fails, so CI can upload the
+# crash-recovery journal; they are removed only after every check passed.
+tmp="$(mktemp -d)"
 cargo run --release --quiet --example fault_demo -- 3 > "$tmp/a.txt"
 cargo run --release --quiet --example fault_demo -- 3 > "$tmp/b.txt"
 diff "$tmp/a.txt" "$tmp/b.txt"
@@ -113,4 +115,5 @@ echo "== benchmark smoke =="
 # failed check or drifted pin (goldens, Stats digests, exact counts, the
 # figures-quick stdout digest).
 bash benchmark/run.sh --smoke > /dev/null
+rm -rf "$tmp"
 echo "== ok =="

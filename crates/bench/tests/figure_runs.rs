@@ -13,6 +13,11 @@ use levi_bench::json::parse;
 const FIGURES: [&str; 2] = ["fig24_input_size", "ablation_translation"];
 const RUNS_PER_FIGURE: usize = 4;
 
+/// The `--telemetry` dumps of `run ablation_translation --quick` then
+/// `run ablation_tenancy --quick`: eight blocks whose values cover the
+/// TLB counters, the `xlat_walk` histogram and the per-tenant series.
+const TELEMETRY_GOLDEN: &str = include_str!("../../../tests/golden/telemetry_quick.jsonl");
+
 /// A fresh path under the test's scratch directory.
 fn scratch(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -90,4 +95,29 @@ fn a_second_resume_replays_every_run_into_the_same_report() {
         let read = |path: &str| std::fs::read_to_string(path).expect("report written");
         assert_eq!(read(&first), read(&second), "{fig}: resumed report differs");
     }
+}
+
+#[test]
+fn telemetry_values_match_the_golden_dump() {
+    let mut dump = String::new();
+    for fig in ["ablation_translation", "ablation_tenancy"] {
+        let path = scratch(&format!("{fig}.golden.jsonl"));
+        levi_bench(&["run", fig, "--quick", "--telemetry", &path]);
+        dump += &std::fs::read_to_string(&path).expect("telemetry written");
+    }
+    // Gauges carry wall-clock `host_ns_*` values (self-profile builds only).
+    let dump: Vec<&str> = dump
+        .lines()
+        .filter(|l| !l.contains("\"type\":\"gauge\""))
+        .collect();
+    let golden: Vec<&str> = TELEMETRY_GOLDEN.lines().collect();
+    for (i, (got, want)) in dump.iter().zip(&golden).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "telemetry line {} differs from the golden",
+            i + 1
+        );
+    }
+    assert_eq!(dump.len(), golden.len(), "telemetry dump length");
 }

@@ -7,6 +7,7 @@
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
+use crate::xlat::MAX_TENANTS;
 
 /// Cache line size in bytes. Fixed at 64 B across the hierarchy, as in the
 /// paper's evaluation.
@@ -507,8 +508,11 @@ impl MachineConfig {
             }
         }
         if let Some(t) = &self.tenants {
-            if t.count == 0 || t.count > 8 {
-                return bad(format!("tenant count {} must lie in 1..=8", t.count));
+            if !(1..=MAX_TENANTS).contains(&t.count) {
+                return bad(format!(
+                    "tenant count {} must lie in 1..={MAX_TENANTS}",
+                    t.count
+                ));
             }
             if !self.tiles.is_multiple_of(t.count) {
                 return bad(format!(

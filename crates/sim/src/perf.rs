@@ -38,61 +38,57 @@
 
 use std::fmt;
 
-/// Number of distinct [`Phase`]s.
-pub const NUM_PHASES: usize = 8;
+/// Declares [`Phase`], [`NUM_PHASES`], [`Phase::ALL`] and [`Phase::name`]
+/// from one list of `Variant => "name"` entries, in index order.
+macro_rules! phases {
+    ($( $(#[$doc:meta])* $variant:ident => $name:literal, )*) => {
+        /// Number of distinct [`Phase`]s.
+        pub const NUM_PHASES: usize = [$($name),*].len();
 
-/// A simulator subsystem that host wall-time is attributed to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
+        /// A simulator subsystem that host wall-time is attributed to.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Phase {
+            $( $(#[$doc])* $variant, )*
+        }
+
+        impl Phase {
+            /// Every phase, in declaration order (index order of the profile
+            /// arrays).
+            pub const ALL: [Phase; NUM_PHASES] = [$(Phase::$variant),*];
+
+            /// Stable lowercase name (report keys).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( Phase::$variant => $name, )*
+                }
+            }
+        }
+    };
+}
+
+phases! {
     /// Machine construction (`Machine::try_new`: cache/NoC/DRAM setup).
-    Build,
+    Build => "build",
     /// Run-queue dispatch: pop, watchdog, sampling, wake bookkeeping.
-    Sched,
+    Sched => "sched",
     /// Instruction execution (issue, scoreboard, functional step).
-    Exec,
+    Exec => "exec",
     /// Cache-hierarchy miss walks (L2/LLC probes, directory, fills).
     /// L1/L1d hits resolve before the scope opens and land in the caller.
-    Cache,
+    Cache => "cache",
     /// NoC routing and link reservation for cross-tile messages.
     /// Same-tile sends return before the scope opens.
-    Noc,
+    Noc => "noc",
     /// DRAM controller queueing and service. FIFO-cache hits return
     /// before the scope opens.
-    Dram,
+    Dram => "dram",
     /// Invoke scheduling (placement, NACK, backpressure).
-    Invoke,
+    Invoke => "invoke",
     /// Range flushes (Morph unregistration, cache drains).
-    Flush,
+    Flush => "flush",
 }
 
 impl Phase {
-    /// Every phase, in declaration order (index order of the profile
-    /// arrays).
-    pub const ALL: [Phase; NUM_PHASES] = [
-        Phase::Build,
-        Phase::Sched,
-        Phase::Exec,
-        Phase::Cache,
-        Phase::Noc,
-        Phase::Dram,
-        Phase::Invoke,
-        Phase::Flush,
-    ];
-
-    /// Stable lowercase name (report keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Build => "build",
-            Phase::Sched => "sched",
-            Phase::Exec => "exec",
-            Phase::Cache => "cache",
-            Phase::Noc => "noc",
-            Phase::Dram => "dram",
-            Phase::Invoke => "invoke",
-            Phase::Flush => "flush",
-        }
-    }
-
     /// Looks a phase up by its stable name.
     pub fn from_name(name: &str) -> Option<Phase> {
         Phase::ALL.iter().copied().find(|p| p.name() == name)

@@ -4,12 +4,28 @@
 //! needs: per-level cache hits/misses, NoC traffic, DRAM accesses (broken
 //! down by workload *phase* for Fig. 21), branch predictor outcomes,
 //! instruction counts, and NDC bookkeeping.
+//!
+//! Every counter, cache level and latency histogram is declared once, in
+//! the `stats_table!` invocation below. That line makes the `Stats` field,
+//! its snapshot encoding (and so [`Stats::digest`]), and its telemetry
+//! registry entry ([`crate::telemetry::Telemetry`]'s JSONL and Prometheus
+//! exports). To add a counter, add one line with a doc comment to the
+//! section whose order it should take. The `Display` report is written by
+//! hand and needs no row: its lines combine several counters and are
+//! gated on feature use.
+//!
+//! A new counter changes the snapshot bytes, and with them every pinned
+//! digest: the `(cycles, Stats::digest)` pins in `tests/faults.rs` and the
+//! benchmark's `model.stats_digest`. Re-pin them in the same change.
 
 use std::fmt;
+
+use levi_isa::codec::{CodecError, Reader, Writer};
 
 use crate::hist::Histogram;
 use crate::span::SpanTable;
 use crate::trace::Tracer;
+use crate::xlat::MAX_TENANTS;
 
 /// Slowest invokes listed by the `Display` critical-path report.
 pub const TOP_SLOW_INVOKES: usize = 5;
@@ -46,139 +62,301 @@ impl LevelStats {
     }
 }
 
-/// All counters accumulated during a run.
-#[derive(Clone, Debug, Default)]
-pub struct Stats {
-    /// Final simulated cycle (set when the run finishes).
-    pub cycles: u64,
-    /// Instructions retired by cores.
-    pub core_instrs: u64,
-    /// Instructions retired by engines (all contexts + inline actions).
-    pub engine_instrs: u64,
+/// `[concat!(prefix, i, suffix), ...]` over the listed indices `i`: one
+/// metric name per index, built at compile time.
+macro_rules! indexed {
+    ($prefix:literal, $suffix:literal; $($i:literal)*) => {
+        [$(concat!($prefix, $i, $suffix)),*]
+    };
+}
 
-    /// L1 data caches (cores).
-    pub l1: LevelStats,
-    /// Private L2 caches.
-    pub l2: LevelStats,
-    /// Shared LLC banks.
-    pub llc: LevelStats,
-    /// Engine L1d caches.
-    pub engine_l1: LevelStats,
+/// Telemetry names of the per-phase DRAM counters, `dram_phase<i>`.
+pub(crate) const DRAM_PHASE_NAMES: [&str; MAX_PHASES] = indexed!("dram_phase", ""; 0 1 2 3);
 
-    /// Directory lookups at the LLC.
-    pub dir_lookups: u64,
-    /// Invalidation messages sent to private caches.
-    pub invalidations: u64,
-    /// Cache-to-cache ownership transfers (the "ping-pong" the paper's
-    /// task offload eliminates).
-    pub ownership_transfers: u64,
+/// Expands the counter table below into the [`Stats`] struct, its
+/// snapshot codec, and the table-driven part of the telemetry registry.
+///
+/// Sections exist to fix two orders, both pinned byte for byte. The
+/// registry ([`Telemetry::counters`]) lists `run`, `levels` (each as
+/// `<level>_hits`, `_misses`, `_writebacks`), `events` and `xlat`, then
+/// the recorder-derived counters and `dram_phase<i>`, then `tenants` (as
+/// `tenant<i><suffix>`, one series after another); its histograms are
+/// `latencies` then `xlat_latencies`. The snapshot order is spelled out in
+/// `snap_write` below. Fields under `other` are coded by hand.
+///
+/// [`Telemetry::counters`]: crate::telemetry::Telemetry::counters
+macro_rules! stats_table {
+    (
+        $(#[$doc:meta])*
+        pub struct Stats {
+            run { $( $(#[$run_doc:meta])* $run:ident, )* }
+            levels { $( $(#[$lvl_doc:meta])* $lvl:ident, )* }
+            events { $( $(#[$ev_doc:meta])* $ev:ident, )* }
+            latencies { $( $(#[$lat_doc:meta])* $lat:ident, )* }
+            xlat { $( $(#[$xl_doc:meta])* $xl:ident, )* }
+            xlat_latencies { $( $(#[$xh_doc:meta])* $xh:ident, )* }
+            tenants { $( $(#[$tn_doc:meta])* $tn:ident => $tn_suffix:literal, )* }
+            other { $( $(#[$o_doc:meta])* $o_vis:vis $o:ident: $o_ty:ty, )* }
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Debug, Default)]
+        // Declaration order is memory layout: the hand-coded recorders stay
+        // next to the core counters, ahead of the translation and tenant
+        // sections.
+        pub struct Stats {
+            $( $(#[$run_doc])* pub $run: u64, )*
+            $( $(#[$lvl_doc])* pub $lvl: LevelStats, )*
+            $( $(#[$ev_doc])* pub $ev: u64, )*
+            $( $(#[$lat_doc])* pub $lat: Histogram, )*
+            $( $(#[$o_doc])* $o_vis $o: $o_ty, )*
+            $( $(#[$xl_doc])* pub $xl: u64, )*
+            $( $(#[$xh_doc])* pub $xh: Histogram, )*
+            $( $(#[$tn_doc])* pub $tn: Vec<u64>, )*
+        }
 
-    /// NoC messages sent.
-    pub noc_messages: u64,
-    /// NoC flit-hops (flits × hops), the traffic/energy metric.
-    pub noc_flit_hops: u64,
+        impl Stats {
+            /// Number of latency histograms.
+            pub(crate) const HISTOGRAMS: usize =
+                [$(stringify!($lat),)* $(stringify!($xh),)*].len();
 
-    /// DRAM line accesses (reads + writes), total.
-    pub dram_accesses: u64,
-    /// DRAM accesses attributed per phase (see [`Stats::set_phase`]).
-    pub dram_by_phase: [u64; MAX_PHASES],
-    /// Memory-controller FIFO-cache hits (avoided DRAM accesses).
-    pub mc_cache_hits: u64,
+            /// The scalar and level counters as `(name, value)`, in
+            /// registry order.
+            pub(crate) fn table_counters(&self) -> Vec<(&'static str, u64)> {
+                vec![
+                    $( (stringify!($run), self.$run), )*
+                    $(
+                        (concat!(stringify!($lvl), "_hits"), self.$lvl.hits),
+                        (concat!(stringify!($lvl), "_misses"), self.$lvl.misses),
+                        (concat!(stringify!($lvl), "_writebacks"), self.$lvl.writebacks),
+                    )*
+                    $( (stringify!($ev), self.$ev), )*
+                    $( (stringify!($xl), self.$xl), )*
+                ]
+            }
 
-    /// Conditional branches executed on cores.
-    pub branches: u64,
-    /// Mispredicted conditional branches on cores.
-    pub mispredicts: u64,
+            /// The per-tenant series as `(tenant<i><suffix>, value)`, one
+            /// series after another. Empty unless tenancy is configured.
+            ///
+            /// # Panics
+            /// Panics if a series is longer than [`MAX_TENANTS`], which
+            /// config validation and `snap_read` rule out.
+            pub(crate) fn tenant_counters(&self) -> Vec<(&'static str, u64)> {
+                let mut v = Vec::new();
+                $(
+                    // Typed by the cap, so the index list cannot drift from it.
+                    let names: [&str; MAX_TENANTS as usize] =
+                        indexed!("tenant", $tn_suffix; 0 1 2 3 4 5 6 7);
+                    v.extend(self.$tn.iter().enumerate().map(|(i, &c)| (names[i], c)));
+                )*
+                v
+            }
 
-    /// Memory fences executed (including fenced atomics' implied fences).
-    pub fences: u64,
-    /// Atomic RMWs executed by cores.
-    pub core_rmws: u64,
+            /// The latency histograms as `(name, histogram)`.
+            pub(crate) fn histograms(&self) -> [(&'static str, &Histogram); Self::HISTOGRAMS] {
+                [$( (stringify!($lat), &self.$lat), )* $( (stringify!($xh), &self.$xh), )*]
+            }
 
-    /// Tasks offloaded via `invoke`.
-    pub invokes: u64,
-    /// Invokes that were NACKed (engine context buffer full) and retried.
-    pub invoke_nacks: u64,
-    /// Invokes that executed on the local tile due to the 1/32 migrate-up
-    /// policy.
-    pub invoke_migrations: u64,
-    /// Data-triggered constructor actions executed.
-    pub ctor_actions: u64,
-    /// Data-triggered destructor actions executed.
-    pub dtor_actions: u64,
-    /// Stream entries pushed by producers.
-    pub stream_pushes: u64,
-    /// Stream entries popped by consumers.
-    pub stream_pops: u64,
-    /// Cycles consumer loads stalled waiting for stream data.
-    pub stream_stall_cycles: u64,
-    /// L2 prefetches issued.
-    pub prefetches: u64,
+            /// Serializes every deterministic counter, histogram, and recorder
+            /// (see [`crate::snapshot`]). `host_phases` is wall-clock data and is
+            /// deliberately excluded: it is nondeterministic, never part of
+            /// byte-identical outputs, and resets on restore.
+            pub(crate) fn snap_write(&self, w: &mut Writer) {
+                $( w.u64(self.$run); )*
+                $( w.u64(self.$ev); )*
+                $( w_level(w, &self.$lvl); )*
+                for p in &self.dram_by_phase {
+                    w.u64(*p);
+                }
+                w.u64(self.current_phase as u64);
+                $( self.$lat.snap_write(w); )*
+                self.trace.snap_write(w);
+                self.spans.snap_write(w);
+                self.timeline.snap_write(w);
+                $( w.u64(self.$xl); )*
+                $( self.$xh.snap_write(w); )*
+                $(
+                    w.u32(self.$tn.len() as u32);
+                    for &c in &self.$tn {
+                        w.u64(c);
+                    }
+                )*
+            }
 
-    /// Fault windows injected by the configured
-    /// [`FaultPlan`](crate::fault::FaultPlan) (0 when no plan is set).
-    pub faults_injected: u64,
-    /// Invoke retries caused by fault-refused engines (backoff path).
-    pub fault_nack_retries: u64,
-    /// Invokes that exhausted the retry budget and fell back to executing
-    /// on the issuing core.
-    pub fault_fallbacks: u64,
-    /// Extra cycles attributable to injected faults: backoff waits,
-    /// squeeze stalls, NoC slowdown/outage delay, DRAM throttle delay.
-    pub fault_degraded_cycles: u64,
+            /// Restores statistics written by [`Stats::snap_write`] into `self`,
+            /// leaving `host_phases` untouched.
+            pub(crate) fn snap_read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+                $( self.$run = r.u64()?; )*
+                $( self.$ev = r.u64()?; )*
+                $( self.$lvl = r_level(r)?; )*
+                for p in &mut self.dram_by_phase {
+                    *p = r.u64()?;
+                }
+                let phase = r.u64()? as usize;
+                if phase >= MAX_PHASES {
+                    return Err(CodecError::Invalid("phase index"));
+                }
+                self.current_phase = phase;
+                $( self.$lat = Histogram::snap_read(r)?; )*
+                self.trace = Tracer::snap_read(r)?;
+                self.spans = SpanTable::snap_read(r)?;
+                self.timeline = TimeSeries::snap_read(r)?;
+                $( self.$xl = r.u64()?; )*
+                $( self.$xh = Histogram::snap_read(r)?; )*
+                $(
+                    let n = r.count(8)?;
+                    if n > MAX_TENANTS as usize {
+                        return Err(CodecError::Invalid("tenant count"));
+                    }
+                    self.$tn.clear();
+                    self.$tn.reserve(n);
+                    for _ in 0..n {
+                        self.$tn.push(r.u64()?);
+                    }
+                )*
+                Ok(())
+            }
+        }
+    };
+}
 
-    /// Invoke round-trip latency (issue to acknowledgment) in cycles.
-    pub invoke_rtt: Histogram,
-    /// Load-to-use latency (issue of a core load to data return) in cycles.
-    pub load_to_use: Histogram,
-    /// DRAM controller queueing delay (arrival to service start) in cycles.
-    pub dram_queue: Histogram,
-    /// Duration of individual stream-pop stalls in cycles.
-    pub stream_stall: Histogram,
-    /// Backoff delay per fault-induced invoke retry, in cycles.
-    pub fault_backoff: Histogram,
-
-    /// Host wall-time attributed to simulator phases by the scoped
-    /// profiler (see [`crate::perf`]). Empty unless the crate is built
-    /// with the `self-profile` feature; [`crate::Machine::run`] drains the
-    /// thread-local accumulator here when it returns. Never printed by
-    /// `Display` — wall-clock nanoseconds are nondeterministic and must
-    /// stay out of byte-identical outputs.
-    pub host_phases: crate::perf::PhaseProfile,
-
-    /// Structured event recorder (off by default; see
-    /// [`crate::config::MachineConfig::trace`]).
-    pub trace: Tracer,
-    /// Causal invoke-lifecycle spans for the critical-path analyzer (off
-    /// by default; see
-    /// [`crate::config::MachineConfig::trace_spans`]).
-    pub spans: SpanTable,
-    /// Periodic time-series sampler (off by default; see
-    /// [`crate::config::MachineConfig::sample_interval`]).
-    pub timeline: TimeSeries,
-
-    /// TLB lookups that hit (0 unless translation is enabled; see
-    /// [`crate::xlat`]).
-    pub tlb_hits: u64,
-    /// TLB lookups that missed and paid a page walk.
-    pub tlb_misses: u64,
-    /// Total cycles charged to page walks (NoC + DRAM + fixed per-level
-    /// latency).
-    pub tlb_walk_cycles: u64,
-    /// Invokes NACKed by the tenant engine-slot quota (subset of
-    /// `invoke_nacks`).
-    pub tenant_quota_nacks: u64,
-    /// Per-walk latency distribution (empty unless translation is on).
-    pub xlat_walk: Histogram,
-    /// LLC misses attributed to each tenant (empty unless tenancy is on).
-    pub tenant_llc_misses: Vec<u64>,
-    /// Invokes issued by each tenant.
-    pub tenant_invokes: Vec<u64>,
-    /// Latest core-thread finish cycle observed per tenant (a slowdown
-    /// proxy: the spread shows inter-tenant interference).
-    pub tenant_finish: Vec<u64>,
-
-    current_phase: usize,
+stats_table! {
+    /// All counters accumulated during a run.
+    pub struct Stats {
+        run {
+            /// Final simulated cycle (set when the run finishes).
+            cycles,
+            /// Instructions retired by cores.
+            core_instrs,
+            /// Instructions retired by engines (all contexts + inline actions).
+            engine_instrs,
+        }
+        levels {
+            /// L1 data caches (cores).
+            l1,
+            /// Private L2 caches.
+            l2,
+            /// Shared LLC banks.
+            llc,
+            /// Engine L1d caches.
+            engine_l1,
+        }
+        events {
+            /// Directory lookups at the LLC.
+            dir_lookups,
+            /// Invalidation messages sent to private caches.
+            invalidations,
+            /// Cache-to-cache ownership transfers (the "ping-pong" the paper's
+            /// task offload eliminates).
+            ownership_transfers,
+            /// NoC messages sent.
+            noc_messages,
+            /// NoC flit-hops (flits × hops), the traffic/energy metric.
+            noc_flit_hops,
+            /// DRAM line accesses (reads + writes), total.
+            dram_accesses,
+            /// Memory-controller FIFO-cache hits (avoided DRAM accesses).
+            mc_cache_hits,
+            /// Conditional branches executed on cores.
+            branches,
+            /// Mispredicted conditional branches on cores.
+            mispredicts,
+            /// Memory fences executed (including fenced atomics' implied fences).
+            fences,
+            /// Atomic RMWs executed by cores.
+            core_rmws,
+            /// Tasks offloaded via `invoke`.
+            invokes,
+            /// Invokes that were NACKed (engine context buffer full) and retried.
+            invoke_nacks,
+            /// Invokes that executed on the local tile due to the 1/32 migrate-up
+            /// policy.
+            invoke_migrations,
+            /// Data-triggered constructor actions executed.
+            ctor_actions,
+            /// Data-triggered destructor actions executed.
+            dtor_actions,
+            /// Stream entries pushed by producers.
+            stream_pushes,
+            /// Stream entries popped by consumers.
+            stream_pops,
+            /// Cycles consumer loads stalled waiting for stream data.
+            stream_stall_cycles,
+            /// L2 prefetches issued.
+            prefetches,
+            /// Fault windows injected by the configured
+            /// [`FaultPlan`](crate::fault::FaultPlan) (0 when no plan is set).
+            faults_injected,
+            /// Invoke retries caused by fault-refused engines (backoff path).
+            fault_nack_retries,
+            /// Invokes that exhausted the retry budget and fell back to executing
+            /// on the issuing core.
+            fault_fallbacks,
+            /// Extra cycles attributable to injected faults: backoff waits,
+            /// squeeze stalls, NoC slowdown/outage delay, DRAM throttle delay.
+            fault_degraded_cycles,
+        }
+        latencies {
+            /// Invoke round-trip latency (issue to acknowledgment) in cycles.
+            invoke_rtt,
+            /// Load-to-use latency (issue of a core load to data return) in cycles.
+            load_to_use,
+            /// DRAM controller queueing delay (arrival to service start) in cycles.
+            dram_queue,
+            /// Duration of individual stream-pop stalls in cycles.
+            stream_stall,
+            /// Backoff delay per fault-induced invoke retry, in cycles.
+            fault_backoff,
+        }
+        xlat {
+            /// TLB lookups that hit (0 unless translation is enabled; see
+            /// [`crate::xlat`]).
+            tlb_hits,
+            /// TLB lookups that missed and paid a page walk.
+            tlb_misses,
+            /// Total cycles charged to page walks (NoC + DRAM + fixed per-level
+            /// latency).
+            tlb_walk_cycles,
+            /// Invokes NACKed by the tenant engine-slot quota (subset of
+            /// `invoke_nacks`).
+            tenant_quota_nacks,
+        }
+        xlat_latencies {
+            /// Per-walk latency distribution (empty unless translation is on).
+            xlat_walk,
+        }
+        tenants {
+            /// LLC misses attributed to each tenant (empty unless tenancy is on).
+            tenant_llc_misses => "_llc_misses",
+            /// Invokes issued by each tenant.
+            tenant_invokes => "_invokes",
+            /// Latest core-thread finish cycle observed per tenant (a slowdown
+            /// proxy: the spread shows inter-tenant interference).
+            tenant_finish => "_finish_cycles",
+        }
+        other {
+            /// DRAM accesses attributed per phase (see [`Stats::set_phase`]).
+            pub dram_by_phase: [u64; MAX_PHASES],
+            /// Host wall-time attributed to simulator phases by the scoped
+            /// profiler (see [`crate::perf`]). Empty unless the crate is built
+            /// with the `self-profile` feature; [`crate::Machine::run`] drains the
+            /// thread-local accumulator here when it returns. Never printed by
+            /// `Display` — wall-clock nanoseconds are nondeterministic and must
+            /// stay out of byte-identical outputs.
+            pub host_phases: crate::perf::PhaseProfile,
+            /// Structured event recorder (off by default; see
+            /// [`crate::config::MachineConfig::trace`]).
+            pub trace: Tracer,
+            /// Causal invoke-lifecycle spans for the critical-path analyzer (off
+            /// by default; see
+            /// [`crate::config::MachineConfig::trace_spans`]).
+            pub spans: SpanTable,
+            /// Periodic time-series sampler (off by default; see
+            /// [`crate::config::MachineConfig::sample_interval`]).
+            pub timeline: TimeSeries,
+            current_phase: usize,
+        }
+    }
 }
 
 impl Stats {
@@ -515,13 +693,13 @@ impl Stats {
     }
 }
 
-fn w_level(w: &mut levi_isa::codec::Writer, l: &LevelStats) {
+fn w_level(w: &mut Writer, l: &LevelStats) {
     w.u64(l.hits);
     w.u64(l.misses);
     w.u64(l.writebacks);
 }
 
-fn r_level(r: &mut levi_isa::codec::Reader) -> Result<LevelStats, levi_isa::codec::CodecError> {
+fn r_level(r: &mut Reader) -> Result<LevelStats, CodecError> {
     Ok(LevelStats {
         hits: r.u64()?,
         misses: r.u64()?,
@@ -531,7 +709,7 @@ fn r_level(r: &mut levi_isa::codec::Reader) -> Result<LevelStats, levi_isa::code
 
 impl TimeSeries {
     /// Serializes sampler state (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
+    pub(crate) fn snap_write(&self, w: &mut Writer) {
         w.u64(self.interval);
         w.u64(self.next);
         w.u64(self.base.cycle);
@@ -559,9 +737,7 @@ impl TimeSeries {
     }
 
     /// Restores a sampler written by [`TimeSeries::snap_write`].
-    pub(crate) fn snap_read(
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<Self, levi_isa::codec::CodecError> {
+    pub(crate) fn snap_read(r: &mut Reader) -> Result<Self, CodecError> {
         let interval = r.u64()?;
         let next = r.u64()?;
         let base = Baseline {
@@ -601,157 +777,11 @@ impl TimeSeries {
 }
 
 impl Stats {
-    /// Serializes every deterministic counter, histogram, and recorder
-    /// (see [`crate::snapshot`]). `host_phases` is wall-clock data and is
-    /// deliberately excluded: it is nondeterministic, never part of
-    /// byte-identical outputs, and resets on restore.
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        for c in [
-            self.cycles,
-            self.core_instrs,
-            self.engine_instrs,
-            self.dir_lookups,
-            self.invalidations,
-            self.ownership_transfers,
-            self.noc_messages,
-            self.noc_flit_hops,
-            self.dram_accesses,
-            self.mc_cache_hits,
-            self.branches,
-            self.mispredicts,
-            self.fences,
-            self.core_rmws,
-            self.invokes,
-            self.invoke_nacks,
-            self.invoke_migrations,
-            self.ctor_actions,
-            self.dtor_actions,
-            self.stream_pushes,
-            self.stream_pops,
-            self.stream_stall_cycles,
-            self.prefetches,
-            self.faults_injected,
-            self.fault_nack_retries,
-            self.fault_fallbacks,
-            self.fault_degraded_cycles,
-        ] {
-            w.u64(c);
-        }
-        w_level(w, &self.l1);
-        w_level(w, &self.l2);
-        w_level(w, &self.llc);
-        w_level(w, &self.engine_l1);
-        for p in &self.dram_by_phase {
-            w.u64(*p);
-        }
-        w.u64(self.current_phase as u64);
-        self.invoke_rtt.snap_write(w);
-        self.load_to_use.snap_write(w);
-        self.dram_queue.snap_write(w);
-        self.stream_stall.snap_write(w);
-        self.fault_backoff.snap_write(w);
-        self.trace.snap_write(w);
-        self.spans.snap_write(w);
-        self.timeline.snap_write(w);
-        for c in [
-            self.tlb_hits,
-            self.tlb_misses,
-            self.tlb_walk_cycles,
-            self.tenant_quota_nacks,
-        ] {
-            w.u64(c);
-        }
-        self.xlat_walk.snap_write(w);
-        for v in [
-            &self.tenant_llc_misses,
-            &self.tenant_invokes,
-            &self.tenant_finish,
-        ] {
-            w.u32(v.len() as u32);
-            for &c in v.iter() {
-                w.u64(c);
-            }
-        }
-    }
-
-    /// Restores statistics written by [`Stats::snap_write`] into `self`,
-    /// leaving `host_phases` untouched.
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        self.cycles = r.u64()?;
-        self.core_instrs = r.u64()?;
-        self.engine_instrs = r.u64()?;
-        self.dir_lookups = r.u64()?;
-        self.invalidations = r.u64()?;
-        self.ownership_transfers = r.u64()?;
-        self.noc_messages = r.u64()?;
-        self.noc_flit_hops = r.u64()?;
-        self.dram_accesses = r.u64()?;
-        self.mc_cache_hits = r.u64()?;
-        self.branches = r.u64()?;
-        self.mispredicts = r.u64()?;
-        self.fences = r.u64()?;
-        self.core_rmws = r.u64()?;
-        self.invokes = r.u64()?;
-        self.invoke_nacks = r.u64()?;
-        self.invoke_migrations = r.u64()?;
-        self.ctor_actions = r.u64()?;
-        self.dtor_actions = r.u64()?;
-        self.stream_pushes = r.u64()?;
-        self.stream_pops = r.u64()?;
-        self.stream_stall_cycles = r.u64()?;
-        self.prefetches = r.u64()?;
-        self.faults_injected = r.u64()?;
-        self.fault_nack_retries = r.u64()?;
-        self.fault_fallbacks = r.u64()?;
-        self.fault_degraded_cycles = r.u64()?;
-        self.l1 = r_level(r)?;
-        self.l2 = r_level(r)?;
-        self.llc = r_level(r)?;
-        self.engine_l1 = r_level(r)?;
-        for p in &mut self.dram_by_phase {
-            *p = r.u64()?;
-        }
-        let phase = r.u64()? as usize;
-        if phase >= MAX_PHASES {
-            return Err(levi_isa::codec::CodecError::Invalid("phase index"));
-        }
-        self.current_phase = phase;
-        self.invoke_rtt = Histogram::snap_read(r)?;
-        self.load_to_use = Histogram::snap_read(r)?;
-        self.dram_queue = Histogram::snap_read(r)?;
-        self.stream_stall = Histogram::snap_read(r)?;
-        self.fault_backoff = Histogram::snap_read(r)?;
-        self.trace = Tracer::snap_read(r)?;
-        self.spans = SpanTable::snap_read(r)?;
-        self.timeline = TimeSeries::snap_read(r)?;
-        self.tlb_hits = r.u64()?;
-        self.tlb_misses = r.u64()?;
-        self.tlb_walk_cycles = r.u64()?;
-        self.tenant_quota_nacks = r.u64()?;
-        self.xlat_walk = Histogram::snap_read(r)?;
-        for v in [
-            &mut self.tenant_llc_misses,
-            &mut self.tenant_invokes,
-            &mut self.tenant_finish,
-        ] {
-            let n = r.count(8)?;
-            v.clear();
-            v.reserve(n);
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
-        }
-        Ok(())
-    }
-
     /// Serializes the statistics (everything the machine snapshot
     /// covers) into a standalone byte vector, for embedding in run
     /// journals and other external records.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = levi_isa::codec::Writer::new();
+        let mut w = Writer::new();
         self.snap_write(&mut w);
         w.into_bytes()
     }
@@ -762,7 +792,7 @@ impl Stats {
     /// Malformed bytes are rejected with a typed
     /// [`SnapshotError`](crate::snapshot::SnapshotError).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        let mut r = levi_isa::codec::Reader::new(bytes);
+        let mut r = Reader::new(bytes);
         let mut s = Stats::new();
         s.snap_read(&mut r)?;
         if !r.is_exhausted() {
@@ -779,15 +809,7 @@ impl Stats {
     /// identical simulated behavior; checkpoint verification compares the
     /// digest of a restored replica against the primary run.
     pub fn digest(&self) -> u64 {
-        let mut w = levi_isa::codec::Writer::new();
-        self.snap_write(&mut w);
-        let bytes = w.into_bytes();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        crate::snapshot::fnv1a(&self.to_snapshot_bytes())
     }
 }
 
@@ -884,6 +906,16 @@ mod tests {
         assert!(!text.contains("fault backoff"), "{text}");
         s.fault_backoff.record(16);
         assert!(s.to_string().contains("fault backoff:     n=1"), "{s}");
+    }
+
+    #[test]
+    fn snapshot_rejects_more_tenants_than_the_cap() {
+        let mut s = Stats::new();
+        s.tenant_invokes = vec![1; MAX_TENANTS as usize];
+        let restored = Stats::from_snapshot_bytes(&s.to_snapshot_bytes()).unwrap();
+        assert_eq!(restored.tenant_invokes, s.tenant_invokes);
+        s.tenant_invokes.push(1);
+        assert!(Stats::from_snapshot_bytes(&s.to_snapshot_bytes()).is_err());
     }
 
     #[test]

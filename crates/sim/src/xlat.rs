@@ -101,11 +101,14 @@ impl TenantPolicy {
     }
 }
 
+/// Largest supported [`TenantConfig::count`].
+pub const MAX_TENANTS: u32 = 8;
+
 /// Multi-tenant sharing configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Number of tenants; must divide the tile count (each tenant owns a
-    /// contiguous block of `tiles / count` tiles). At most 8.
+    /// contiguous block of `tiles / count` tiles). At most [`MAX_TENANTS`].
     pub count: u32,
     /// Partitioning policy.
     pub policy: TenantPolicy,
