@@ -43,6 +43,12 @@ echo "== figure golden =="
 # wall-clock `ns/iter` rows, must equal the committed golden. A change
 # that moves a figure on purpose regenerates the golden in the same commit.
 grep -v 'ns/iter$' "$tmp/run-all-quick.txt" | diff tests/golden/run_all_quick.txt -
+echo "== serial golden =="
+# --serial reaches every sweep through the run context, not a side
+# channel: the serial run must print the same golden as the parallel one.
+cargo run --release --quiet -p levi-bench -- run all --quick --serial \
+  > "$tmp/run-all-serial.txt" 2> /dev/null
+grep -v 'ns/iter$' "$tmp/run-all-serial.txt" | diff tests/golden/run_all_quick.txt -
 echo "== xlat ablation smoke =="
 # The levi-xlat figures must be deterministic: two quick runs of each
 # print byte-identical output. Both figures are registered in ALL, so the

@@ -34,10 +34,13 @@
 //! with or without the flag. `check-report` recognizes such dumps by their
 //! `{"telemetry":...}` header lines and validates them structurally.
 
+use std::sync::{Arc, Mutex};
+
 use levi_bench::figures::ALL;
 use levi_bench::journal::{Journal, RunParams};
 use levi_bench::json::{parse, Json};
 use levi_bench::runner::{find_figure, manifest_json, run_figure, RunCtx};
+use levi_bench::Sink;
 use levi_workloads::harness::FaultSpec;
 use levi_workloads::REGISTRY;
 
@@ -51,7 +54,7 @@ fn usage() -> ! {
     eprintln!();
     eprintln!("run options:");
     eprintln!("  --quick              reduced scales");
-    eprintln!("  --serial             run sweeps serially (sets LEVI_SWEEP_SERIAL)");
+    eprintln!("  --serial             run each sweep's jobs one after another");
     eprintln!("  --json PATH          append per-figure JSON lines to PATH");
     eprintln!("                       ('all' truncates PATH and adds a manifest)");
     eprintln!("  --telemetry PATH     record spans + traces in every run and dump");
@@ -124,7 +127,6 @@ fn parse_fault_plan(spec: &str) -> FaultSpec {
 fn cmd_run(args: &[String]) {
     let mut target = None;
     let mut ctx = RunCtx::default();
-    let mut serial = false;
     let mut json: Option<String> = None;
     let mut telemetry: Option<String> = None;
     let mut resume: Option<String> = None;
@@ -137,7 +139,7 @@ fn cmd_run(args: &[String]) {
         };
         match arg.as_str() {
             "--quick" => ctx.quick = true,
-            "--serial" => serial = true,
+            "--serial" => ctx.serial = true,
             "--json" => json = Some(value("--json")),
             "--telemetry" => telemetry = Some(value("--telemetry")),
             "--resume" => resume = Some(value("--resume")),
@@ -162,27 +164,26 @@ fn cmd_run(args: &[String]) {
         fail("run needs a figure id (see 'levi-bench list') or 'all'");
     };
 
-    // The sweep and report layers read these switches from the
-    // environment wherever a figure runs.
-    if serial {
-        std::env::set_var("LEVI_SWEEP_SERIAL", "1");
-    }
-    if let Some(path) = &json {
-        if target == "all" {
-            // A fresh roll-up: figures append to a truncated file.
-            std::fs::write(path, "").unwrap_or_else(|e| fail(&format!("--json {path}: {e}")));
-        }
-        std::env::set_var("LEVI_BENCH_JSON", path);
-    }
-    if let Some(path) = &telemetry {
-        // Each invocation starts a fresh dump; runs append blocks.
-        std::fs::write(path, "").unwrap_or_else(|e| fail(&format!("--telemetry {path}: {e}")));
-        std::env::set_var("LEVI_TELEMETRY", path);
-        ctx.env.telemetry = true;
-    }
+    let figures: Vec<_> = if target == "all" {
+        ALL.iter().collect()
+    } else {
+        let Some(fig) = find_figure(&target) else {
+            fail(&format!("unknown figure {target:?}; see 'levi-bench list'"));
+        };
+        vec![fig]
+    };
+
+    // Open every output before any simulation starts, so a bad path or a
+    // journal mismatch fails fast.
+    let open = |flag: &str, path: &str, truncate: bool| {
+        Sink::open(path, truncate).unwrap_or_else(|e| fail(&format!("{flag} {path}: {e}")))
+    };
+    // `all` starts a fresh roll-up; a single figure appends to the report.
+    ctx.json = json.map(|path| open("--json", &path, target == "all"));
+    // Each invocation starts a fresh dump; runs append blocks.
+    ctx.telemetry = telemetry.map(|path| open("--telemetry", &path, true));
+    ctx.env.telemetry = ctx.telemetry.is_some();
     if let Some(path) = &resume {
-        // Open (or create) the journal before any simulation starts, so a
-        // bad path or a parameter mismatch fails fast.
         let params = RunParams {
             quick: ctx.quick,
             fault: ctx.env.fault,
@@ -195,19 +196,14 @@ fn cmd_run(args: &[String]) {
                 journal.len()
             );
         }
-        levi_bench::journal::activate(journal);
+        ctx.journal = Some(Arc::new(Mutex::new(journal)));
     }
 
-    if target == "all" {
-        for fig in ALL {
-            run_figure(fig, &ctx);
-        }
-        levi_bench::emit_json_line(&manifest_json(ctx.quick));
-    } else {
-        let Some(fig) = find_figure(&target) else {
-            fail(&format!("unknown figure {target:?}; see 'levi-bench list'"));
-        };
+    for fig in figures {
         run_figure(fig, &ctx);
+    }
+    if let (Some(json), "all") = (&ctx.json, target.as_str()) {
+        json.line(&manifest_json(ctx.quick));
     }
 }
 

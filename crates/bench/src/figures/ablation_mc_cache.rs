@@ -38,7 +38,7 @@ fn run(ctx: &RunCtx) {
     // config via the workload's `customize` hook — composed with the run
     // environment so fault plans apply here too.
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |&fifo_lines, env| {
             let r = run_hashtable_with(HtVariant::Leviathan, &scale, |cfg| {
@@ -61,7 +61,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "ablation_mc_cache",
+        ctx,
         &["config", "cycles", "DRAM accesses", "FIFO hits"],
         &rows,
     );

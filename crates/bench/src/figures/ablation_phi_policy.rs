@@ -48,7 +48,7 @@ fn run(ctx: &RunCtx) {
     });
     // The policy may only change timing, never results.
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |(v, s), env| w.run(*v, s, &graph, env),
         |(v, s)| w.golden(*v, s, &graph),
@@ -66,7 +66,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "ablation_phi_policy",
+        ctx,
         &["policy", "speedup", "DRAM accesses", "energy"],
         &rows,
     );

@@ -33,7 +33,7 @@ fn run(ctx: &RunCtx) {
         ("DYNAMIC placement", HtVariant::LeviathanDynamic),
     ];
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |&v, env| w.run(v, &scale, &(), env),
         |&v| w.golden(v, &scale, &()),
@@ -50,7 +50,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "ablation_scheduling",
+        ctx,
         &["placement", "cycles", "migrations", "NoC flit-hops"],
         &rows,
     );

@@ -44,7 +44,7 @@ fn run(ctx: &RunCtx) {
         ("4x engine-slot quota", Some(TenantPolicy::EngineSlotQuota)),
     ];
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |&policy, env| {
             let r = run_hashtable_with(HtVariant::Leviathan, &scale, |cfg| {
@@ -76,7 +76,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "ablation_tenancy",
+        ctx,
         &[
             "config",
             "cycles",

@@ -42,7 +42,7 @@ fn run(ctx: &RunCtx) {
         ("2 MiB pages", Some(21)),
     ];
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |&page_bits, env| {
             let r = run_hashtable_with(HtVariant::Leviathan, &scale, |cfg| {
@@ -74,7 +74,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "ablation_translation",
+        ctx,
         &[
             "config",
             "cycles",

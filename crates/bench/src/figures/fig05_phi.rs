@@ -33,7 +33,7 @@ fn run(ctx: &RunCtx) {
 
     let outcomes = sweep_variants(w, &scale, ctx);
     report_figure(
-        "fig05_phi",
+        ctx,
         &outcomes,
         &[
             ("Baseline", Some(1.0), Some(1.0)),

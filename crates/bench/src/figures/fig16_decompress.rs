@@ -30,7 +30,7 @@ fn run(ctx: &RunCtx) {
 
     let outcomes = sweep_variants(w, &scale, ctx);
     report_figure(
-        "fig16_decompress",
+        ctx,
         &outcomes,
         &[
             ("Baseline", Some(1.0), Some(1.0)),

@@ -47,7 +47,7 @@ fn run(ctx: &RunCtx) {
         }
     }
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |(scale, v), env| w.run(*v, scale, &(), env),
         |(scale, v)| w.golden(*v, scale, &()),
@@ -76,7 +76,7 @@ fn run(ctx: &RunCtx) {
         ]);
     }
     table_report(
-        "fig18_hashtable",
+        ctx,
         &[
             "node",
             "Leviathan",

@@ -35,7 +35,7 @@ fn run(ctx: &RunCtx) {
 
     let outcomes = sweep_variants(w, &scale, ctx);
     report_figure(
-        "fig20_hats",
+        ctx,
         &outcomes,
         &[
             ("Baseline", Some(1.0), Some(1.0)),

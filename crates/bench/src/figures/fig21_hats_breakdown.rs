@@ -52,7 +52,7 @@ fn run(ctx: &RunCtx) {
         ]);
     }
     table_report(
-        "fig21_hats_breakdown",
+        ctx,
         &[
             "variant",
             "DRAM(edge)",

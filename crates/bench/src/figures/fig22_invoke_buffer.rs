@@ -33,7 +33,7 @@ fn run(ctx: &RunCtx) {
         (format!("buffer={n}"), s)
     });
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |s, env| w.run(PhiVariant::Leviathan, s, &graph, env),
         |s| w.golden(PhiVariant::Leviathan, s, &graph),
@@ -56,9 +56,5 @@ fn run(ctx: &RunCtx) {
             ]
         })
         .collect();
-    table_report(
-        "fig22_invoke_buffer",
-        &["entries", "cycles", "NACKs", "rel. perf"],
-        &rows,
-    );
+    table_report(ctx, &["entries", "cycles", "NACKs", "rel. perf"], &rows);
 }

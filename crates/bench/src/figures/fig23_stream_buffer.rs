@@ -33,7 +33,7 @@ fn run(ctx: &RunCtx) {
         (format!("capacity={cap}"), s)
     });
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |s, env| w.run(HatsVariant::Leviathan, s, &graph, env),
         |s| w.golden(HatsVariant::Leviathan, s, &graph),
@@ -56,7 +56,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "fig23_stream_buffer",
+        ctx,
         &["entries", "cycles", "consumer stalls", "rel. perf"],
         &rows,
     );

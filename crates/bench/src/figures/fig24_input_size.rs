@@ -44,7 +44,7 @@ fn run(ctx: &RunCtx) {
     // Golden checksums depend on the node count, so each job is checked
     // against its own scale's model.
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |(scale, v), env| w.run(*v, scale, &(), env),
         |(scale, v)| w.golden(*v, scale, &()),
@@ -63,7 +63,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "fig24_input_size",
+        ctx,
         &["table size", "Leviathan speedup", "base DRAM", "lev DRAM"],
         &rows,
     );

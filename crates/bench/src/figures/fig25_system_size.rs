@@ -46,7 +46,7 @@ fn run(ctx: &RunCtx) {
     // Golden checksums depend on the tile count (lookups are per-thread),
     // so each job is checked against its own scale's model.
     let runs = sweep_jobs(
-        &ctx.env,
+        ctx,
         jobs,
         |(scale, v), env| w.run(*v, scale, &(), env),
         |(scale, v)| w.golden(*v, scale, &()),
@@ -65,7 +65,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "fig25_system_size",
+        ctx,
         &[
             "tiles",
             "Leviathan speedup",

@@ -41,7 +41,7 @@ fn run(ctx: &RunCtx) {
         })
         .collect();
     table_report(
-        "micro_kernels",
+        ctx,
         &[
             "kernel",
             "cycles",

@@ -4,16 +4,16 @@
 //! cycles (see `micro_kernels` for those).
 //!
 //! The timing kernels live in [`crate::micro_timers`]; this descriptor
-//! fans them out through a plain [`crate::Sweep`]. It runs no simulation,
-//! so it has no golden model, journal record or telemetry block, and does
-//! not take the runner's [`crate::runner::sweep_jobs`] path.
+//! fans them out through [`crate::fan_out`]. It runs no simulation, so it
+//! has no golden model, journal record or telemetry block, and does not
+//! take the runner's [`crate::runner::sweep_jobs`] path.
 //! Wall-clock numbers are indicative, not statistically rigorous, and a
-//! parallel sweep adds scheduling noise — run with `--serial` (or
-//! `LEVI_SWEEP_SERIAL`) for the quietest numbers.
+//! parallel fan-out adds scheduling noise — run with `--serial` for the
+//! quietest numbers.
 
 use crate::micro_timers::KERNELS;
 use crate::runner::{Figure, RunCtx};
-use crate::{table_json, Sweep};
+use crate::{emit_table, fan_out};
 
 /// The figure descriptor.
 pub const FIG: Figure = Figure {
@@ -23,19 +23,14 @@ pub const FIG: Figure = Figure {
     run,
 };
 
-fn run(_ctx: &RunCtx) {
+fn run(ctx: &RunCtx) {
     println!("{:<28} {:>15}", "benchmark", "median");
-    let results = Sweep::new()
-        .variants(KERNELS.iter().map(|&(name, timer)| (name, timer)))
-        .run(|_, timer| timer());
+    let results = fan_out(ctx.serial, KERNELS, |_, timer| timer());
     let mut rows = Vec::new();
-    for (name, ns) in &results {
+    for ((name, _), ns) in KERNELS.iter().zip(results) {
+        let ns = ns.unwrap_or_else(|p| panic!("{p}"));
         println!("{name:<28} {ns:>10.1} ns/iter");
         rows.push(vec![name.to_string(), format!("{ns:.1}")]);
     }
-    crate::emit_json_line(&table_json(
-        "micro_substrate",
-        &["benchmark", "median ns/iter"],
-        &rows,
-    ));
+    emit_table(ctx, &["benchmark", "median ns/iter"], &rows);
 }

@@ -16,7 +16,7 @@ pub const FIG: Figure = Figure {
     run,
 };
 
-fn run(_ctx: &RunCtx) {
+fn run(ctx: &RunCtx) {
     header(
         "Table IV — hardware overhead (state per LLC bank)",
         "paper: 32.8 KB / 512 KB = 6.4%",
@@ -43,7 +43,7 @@ fn run(_ctx: &RunCtx) {
         ),
         pct(report.overhead_fraction()),
     ]);
-    table_report("table04_area", &["component", "sizing", "bytes"], &rows);
+    table_report(ctx, &["component", "sizing", "bytes"], &rows);
 
     assert!((report.total_bytes / 1024.0 - 32.8).abs() < 0.1);
     assert!((report.overhead_fraction() - 0.064).abs() < 0.001);

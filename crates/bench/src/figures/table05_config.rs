@@ -16,7 +16,7 @@ pub const FIG: Figure = Figure {
     run,
 };
 
-fn run(_ctx: &RunCtx) {
+fn run(ctx: &RunCtx) {
     header(
         "Table V — system parameters",
         "simulated configuration vs the paper",
@@ -31,11 +31,7 @@ fn run(_ctx: &RunCtx) {
         vec!["NoC".into(), format!("{:?} mesh, {}-bit flits, {}/{}-cycle router/link", c.mesh_dims(), c.noc.flit_bits, c.noc.router_delay, c.noc.link_delay), "mesh, 128-bit flits, 2/1-cycle".into()],
         vec!["Memory".into(), format!("{} controllers, {}-cycle latency, {} cyc/line (~11.8 GB/s), {}-entry FIFO cache", c.mem.controllers, c.mem.latency, c.mem.cycles_per_line, c.mem.fifo_cache_lines), "4 controllers, 100-cycle, 11.8 GB/s, 32-entry FIFO".into()],
     ];
-    table_report(
-        "table05_config",
-        &["component", "simulated", "paper"],
-        &rows,
-    );
+    table_report(ctx, &["component", "simulated", "paper"], &rows);
 
     header(
         "Table I — NDC taxonomy (implemented paradigms)",

@@ -23,16 +23,21 @@
 //! when the process died — is skipped on load; corruption anywhere else
 //! is a typed error.
 //!
-//! The runner talks to one process-wide journal, installed by
-//! [`activate`] (`levi-bench run --resume`); with none active every call
-//! is a no-op and sweeps run exactly as before.
+//! Records are hex-armored `levi_isa::codec` bytes, so the file stays
+//! line-oriented whatever a record holds, and every append is synced to
+//! disk before it counts as done.
+//!
+//! `levi-bench run --resume` opens one journal and hands it to the
+//! runner in [`crate::runner::RunCtx::journal`]; each sweep job records
+//! its outcome there as soon as it finishes and passes its golden check.
+//! Without a journal, sweeps run unjournaled.
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 use levi_isa::codec::{Reader, Writer};
 
-use crate::codec::{hex_decode, hex_encode, LineStore};
 use levi_sim::{EnergyBreakdown, Stats};
 use levi_workloads::harness::{FaultSpec, RunOutcome};
 use levi_workloads::metrics::RunMetrics;
@@ -130,65 +135,88 @@ impl std::fmt::Display for JournalError {
 impl std::error::Error for JournalError {}
 
 /// A run journal: completed-variant records keyed by
-/// `(figure, sweep index, label)`, plus the append handle.
+/// `(figure, sweep index, label)`, the file they are appended to, and the
+/// sweep counter of the figure being run.
 pub struct Journal {
-    store: LineStore,
+    path: String,
     entries: HashMap<(String, u32, String), RunOutcome>,
+    /// The figure `next_sweep` counts for. A figure's sweeps run one
+    /// after another, so a plain counter reproduces the same indices on
+    /// every (re-)invocation.
+    figure: String,
+    next_sweep: u32,
 }
 
 impl Journal {
     /// Opens `path`, creating it with a fresh header if absent. An
     /// existing journal must carry a header for the same `params`; its
-    /// `done` records become the resume set. Framing (header line, hex-armored
-    /// records, synced appends) rides on [`crate::codec::LineStore`].
+    /// `done` records become the resume set.
     ///
     /// # Errors
     /// I/O failures, a corrupt header or interior record, and a
-    /// parameter mismatch are each a typed [`JournalError`]. A torn final line is
-    /// tolerated (that is the record in flight when a previous run died).
+    /// parameter mismatch are each a typed [`JournalError`]. A torn final
+    /// line is tolerated (that is the record in flight when a previous
+    /// run died).
     pub fn open(path: &str, params: RunParams) -> Result<Journal, JournalError> {
-        let mut entries = HashMap::new();
-        let (store, loaded) =
-            LineStore::open(path, &header(&params)).map_err(|e| JournalError::Io(e.to_string()))?;
-        if let Some(loaded) = loaded {
-            let first = loaded.header.ok_or_else(|| JournalError::Malformed {
-                line: 1,
-                what: "empty journal (no header)".into(),
-            })?;
-            let journal = parse_header(&first).ok_or_else(|| JournalError::Malformed {
-                line: 1,
-                what: format!("bad header {first:?}"),
-            })?;
-            if journal != params {
-                return Err(JournalError::Mismatch {
-                    journal,
-                    run: params,
-                });
+        let io = |e: std::io::Error| JournalError::Io(format!("{path}: {e}"));
+        let mut journal = Journal {
+            path: path.to_string(),
+            entries: HashMap::new(),
+            figure: String::new(),
+            next_sweep: 0,
+        };
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::write(path, format!("{}\n", header(&params))).map_err(io)?;
+                return Ok(journal);
             }
-            for rec in loaded.records {
-                match parse_record(&rec.text) {
-                    Ok((figure, sweep, label, outcome)) => {
-                        entries.insert((figure, sweep, label), outcome);
-                    }
-                    Err(what) => {
-                        // The torn tail of a crashed run is expected;
-                        // damage anywhere else is corruption.
-                        if rec.is_last {
-                            eprintln!(
-                                "levi-bench: journal {path}: ignoring torn final line \
-                                 (in-flight record of a crashed run)"
-                            );
-                        } else {
-                            return Err(JournalError::Malformed {
-                                line: rec.line,
-                                what,
-                            });
-                        }
-                    }
+            Err(e) => return Err(io(e)),
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        let first = lines.first().ok_or_else(|| JournalError::Malformed {
+            line: 1,
+            what: "empty journal (no header)".into(),
+        })?;
+        let written = parse_header(first).ok_or_else(|| JournalError::Malformed {
+            line: 1,
+            what: format!("bad header {first:?}"),
+        })?;
+        if written != params {
+            return Err(JournalError::Mismatch {
+                journal: written,
+                run: params,
+            });
+        }
+        for (i, line) in lines.iter().enumerate().skip(1) {
+            if line.trim().is_empty() {
+                continue;
+            }
+            match parse_record(line) {
+                Ok((figure, sweep, label, outcome)) => {
+                    journal.entries.insert((figure, sweep, label), outcome);
                 }
+                // The torn tail of a crashed run is expected; damage
+                // anywhere else is corruption.
+                Err(_) if i + 1 == lines.len() => eprintln!(
+                    "levi-bench: journal {path}: ignoring torn final line \
+                     (in-flight record of a crashed run)"
+                ),
+                Err(what) => return Err(JournalError::Malformed { line: i + 1, what }),
             }
         }
-        Ok(Journal { store, entries })
+        Ok(journal)
+    }
+
+    /// Claims the next sweep index for `figure`: 0 for its first sweep,
+    /// then 1, 2, ... for each further sweep it runs.
+    pub fn begin_sweep(&mut self, figure: &str) -> u32 {
+        if self.figure != figure {
+            self.figure = figure.to_string();
+            self.next_sweep = 0;
+        }
+        self.next_sweep += 1;
+        self.next_sweep - 1
     }
 
     /// The recorded outcome for `(figure, sweep, label)`, if present.
@@ -221,12 +249,17 @@ impl Journal {
         outcome: &RunOutcome,
     ) -> Result<(), JournalError> {
         let line = format!(
-            "done {figure} {sweep} {}",
+            "done {figure} {sweep} {}\n",
             hex_encode(&encode_outcome(label, outcome))
         );
-        self.store
-            .append(&line)
-            .map_err(|e| JournalError::Io(e.to_string()))?;
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&self.path)
+            .and_then(|mut f| {
+                f.write_all(line.as_bytes())?;
+                f.sync_data()
+            })
+            .map_err(|e| JournalError::Io(format!("{}: {e}", self.path)))?;
         self.entries.insert(
             (figure.to_string(), sweep, label.to_string()),
             outcome.clone(),
@@ -250,6 +283,32 @@ fn parse_record(line: &str) -> Result<(String, u32, String, RunOutcome), String>
     let blob = hex_decode(parts.next().ok_or("missing record blob")?)?;
     let (label, outcome) = decode_outcome(&blob).map_err(|e| format!("record blob: {e}"))?;
     Ok((figure, sweep, label, outcome))
+}
+
+/// Hex-armors a binary payload onto one line.
+fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(DIGITS[(b >> 4) as usize] as char);
+        out.push(DIGITS[(b & 0xf) as usize] as char);
+    }
+    out
+}
+
+/// Decodes a [`hex_encode`]d payload. Odd length and non-hex digits are
+/// errors (the torn-tail signal).
+fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+    let s = s.trim_end();
+    if !s.len().is_multiple_of(2) {
+        return Err("odd-length hex blob".into());
+    }
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for i in (0..s.len()).step_by(2) {
+        let byte = u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| "bad hex digit")?;
+        out.push(byte);
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -341,71 +400,6 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-// ---------------------------------------------------------------------------
-// The process-wide active journal (runner integration)
-// ---------------------------------------------------------------------------
-
-struct Active {
-    journal: Journal,
-    /// The figure the sweep counter refers to; sweeps within one figure
-    /// run sequentially, so a plain counter reproduces the same indices
-    /// on every (re-)invocation.
-    figure: String,
-    next_sweep: u32,
-}
-
-static ACTIVE: OnceLock<Mutex<Active>> = OnceLock::new();
-
-/// Makes `journal` the process-wide journal every later sweep resumes
-/// from and records into.
-///
-/// # Panics
-/// Panics if a journal is already active.
-pub fn activate(journal: Journal) {
-    let active = Mutex::new(Active {
-        journal,
-        figure: String::new(),
-        next_sweep: 0,
-    });
-    assert!(ACTIVE.set(active).is_ok(), "a journal is already active");
-}
-
-/// Claims the next sweep index for `figure` in the active journal.
-/// Returns `None` when no journal is active, in which case sweeps run
-/// unjournaled.
-pub fn begin_sweep(figure: &str) -> Option<u32> {
-    let mut a = ACTIVE.get()?.lock().expect("journal poisoned");
-    if a.figure != figure {
-        a.figure = figure.to_string();
-        a.next_sweep = 0;
-    }
-    let idx = a.next_sweep;
-    a.next_sweep += 1;
-    Some(idx)
-}
-
-/// The recorded outcome for `(figure, sweep, label)`, if a journal is
-/// active and holds one.
-pub fn lookup(figure: &str, sweep: u32, label: &str) -> Option<RunOutcome> {
-    let a = ACTIVE.get()?.lock().expect("journal poisoned");
-    a.journal.lookup(figure, sweep, label)
-}
-
-/// Records a completed variant in the active journal (no-op when none).
-///
-/// # Panics
-/// Panics if the append fails: silently losing completion records would
-/// make a later `--resume` re-run work it believed was saved.
-pub fn record(figure: &str, sweep: u32, label: &str, outcome: &RunOutcome) {
-    let Some(m) = ACTIVE.get() else {
-        return;
-    };
-    let mut a = m.lock().expect("journal poisoned");
-    a.journal
-        .record(figure, sweep, label, outcome)
-        .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,13 +439,95 @@ mod tests {
         assert_eq!(back.metrics.stats.digest(), o.metrics.stats.digest());
     }
 
-    #[test]
-    fn journal_persists_and_resumes() {
-        let dir = std::env::temp_dir().join("levi-journal-test-persist");
+    /// A fresh journal path in a directory of its own.
+    fn temp(name: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("levi-journal-test-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.journal");
-        let path = path.to_str().unwrap();
+        dir.join("j.journal").to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn hex_round_trips_and_rejects_damage() {
+        assert_eq!(hex_encode(&[0x00, 0xab, 0xff]), "00abff");
+        assert_eq!(hex_decode("00abff").unwrap(), vec![0x00, 0xab, 0xff]);
+        assert_eq!(hex_encode(&[]), "");
+        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
+        assert!(hex_decode("0g").is_err());
+        assert!(hex_decode("abc").is_err());
+    }
+
+    #[test]
+    fn open_creates_with_header_and_reloads_records() {
+        let path = &temp("create");
+        let mut j = Journal::open(path, FULL).expect("fresh journal");
+        assert_eq!(
+            std::fs::read_to_string(path).unwrap(),
+            "levi-journal v2 quick=0 fault=none\n",
+            "a fresh journal holds only its header"
+        );
+        j.record("fig", 0, "A", &sample_outcome("A")).unwrap();
+        j.record("fig", 1, "A", &sample_outcome("A")).unwrap();
+        drop(j);
+        let text = std::fs::read_to_string(path).unwrap();
+        let kinds: Vec<&str> = text.lines().skip(1).map(|l| &l[..11]).collect();
+        assert_eq!(kinds, ["done fig 0 ", "done fig 1 "]);
+        let j = Journal::open(path, FULL).expect("reopen");
+        assert_eq!(j.len(), 2);
+        assert!(j.lookup("fig", 1, "A").is_some());
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_and_last_line_is_flagged() {
+        let path = &temp("blanks");
+        let mut j = Journal::open(path, FULL).unwrap();
+        j.record("fig", 0, "A", &sample_outcome("A")).unwrap();
+        j.record("fig", 0, "B", &sample_outcome("B")).unwrap();
+        drop(j);
+        let text = std::fs::read_to_string(path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let (hdr, a, b) = (lines[0], lines[1], lines[2]);
+
+        std::fs::write(path, format!("{hdr}\n{a}\n\n{b}")).unwrap();
+        assert_eq!(Journal::open(path, FULL).expect("blank skipped").len(), 2);
+
+        // Torn on the last line (line 4): a crash artifact.
+        std::fs::write(path, format!("{hdr}\n{a}\n\n{}", &b[..30])).unwrap();
+        assert_eq!(Journal::open(path, FULL).expect("torn tail").len(), 1);
+
+        // The same damage followed by a blank line is no longer the last
+        // line, so it is corruption.
+        std::fs::write(path, format!("{hdr}\n{a}\n\n{}\n\n", &b[..30])).unwrap();
+        match Journal::open(path, FULL) {
+            Err(JournalError::Malformed { line, .. }) => assert_eq!(line, 4),
+            other => panic!("expected Malformed, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn an_empty_journal_is_malformed() {
+        let path = &temp("empty");
+        std::fs::write(path, "").unwrap();
+        match Journal::open(path, FULL) {
+            Err(JournalError::Malformed { line: 1, what }) => {
+                assert!(what.contains("no header"), "{what}");
+            }
+            other => panic!("expected Malformed, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn sweep_indices_restart_for_each_figure() {
+        let mut j = Journal::open(&temp("sweeps"), FULL).unwrap();
+        assert_eq!(j.begin_sweep("a"), 0);
+        assert_eq!(j.begin_sweep("a"), 1);
+        assert_eq!(j.begin_sweep("b"), 0);
+        assert_eq!(j.begin_sweep("a"), 0);
+    }
+
+    #[test]
+    fn journal_persists_and_resumes() {
+        let path = &temp("persist");
 
         let mut j = Journal::open(path, FULL).expect("fresh journal");
         assert!(j.is_empty());
@@ -479,16 +555,11 @@ mod tests {
             }
             other => panic!("expected Mismatch, got {:?}", other.err()),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn journal_is_bound_to_the_fault_plan() {
-        let dir = std::env::temp_dir().join("levi-journal-test-fault");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.journal");
-        let path = path.to_str().unwrap();
+        let path = &temp("fault");
 
         let faulted = RunParams {
             quick: true,
@@ -533,16 +604,11 @@ mod tests {
                 other => panic!("expected Mismatch for {run}, got {:?}", other.err()),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_v1_header_is_malformed() {
-        let dir = std::env::temp_dir().join("levi-journal-test-v1");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.journal");
-        let path = path.to_str().unwrap();
+        let path = &temp("v1");
         std::fs::write(path, "levi-journal v1 quick=1\n").unwrap();
         let quick = RunParams {
             quick: true,
@@ -552,16 +618,11 @@ mod tests {
             Err(JournalError::Malformed { line: 1, .. }) => {}
             other => panic!("expected Malformed, got {:?}", other.err()),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_final_line_is_skipped_but_interior_damage_is_an_error() {
-        let dir = std::env::temp_dir().join("levi-journal-test-torn");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.journal");
-        let path = path.to_str().unwrap();
+        let path = &temp("torn");
 
         let mut j = Journal::open(path, FULL).expect("fresh journal");
         j.record("fig", 0, "A", &sample_outcome("A")).unwrap();
@@ -599,7 +660,6 @@ mod tests {
             Err(JournalError::Malformed { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected Malformed, got {:?}", other.err()),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A minimal JSON reader for validating `LEVI_BENCH_JSON` report files
+//! A minimal JSON reader for validating `levi-bench run --json` report files
 //! (`levi-bench check-report`) without pulling a crates.io dependency
 //! into the workspace.
 //!
@@ -9,7 +9,7 @@
 //!
 //! The writing side lives here too: [`JsonWriter`] is the incremental
 //! emitter every JSON producer in the harness ([`crate::figure_json`],
-//! [`crate::table_json`], [`crate::runner::manifest_json`]) rides on —
+//! [`crate::table_report`], [`crate::runner::manifest_json`]) rides on —
 //! escaping-correct by construction (strings go through
 //! [`levi_sim::telemetry::write_escaped`], the same escaper as the
 //! telemetry exporters), deterministic key order (keys are

@@ -12,154 +12,74 @@
 #![warn(missing_docs)]
 
 use std::io::Write as _;
+use std::sync::{Arc, Mutex};
 
 use levi_sim::Histogram;
 use levi_workloads::metrics::RunMetrics;
 
-pub mod codec;
+use crate::runner::RunCtx;
+
 pub mod figures;
 pub mod journal;
 pub mod json;
 pub mod micro_timers;
 pub mod runner;
 
-/// True when `LEVI_SWEEP_SERIAL` is set: [`Sweep`] runs its variants on
-/// the calling thread instead of fanning out. The output is byte-identical
-/// either way; the switch exists for debugging and for comparing
-/// wall-clock times.
-pub fn sweep_serial() -> bool {
-    std::env::var("LEVI_SWEEP_SERIAL").is_ok()
-}
-
-/// A deterministic parallel experiment driver.
+/// Runs `f(label, item)` for every labelled item and returns the results
+/// **in declaration order**, one per item.
 ///
-/// A `Sweep` holds a list of *named variants* — typically workload-variant
-/// enums or `SystemConfig`s — and runs one simulation per variant. Each
-/// simulated run is a pure function of its configuration and seed (the
-/// simulator shares no global state), so the variants fan out over
-/// [`std::thread::scope`] and the results are collected **in declaration
-/// order**: a parallel sweep prints byte-identical tables to a serial one,
-/// just sooner. Run functions must therefore not print; keep per-run
-/// logging in the closure's return value and emit it after [`Sweep::run`]
-/// returns.
+/// Each item runs to completion even if others panic: a panicking item
+/// becomes an `Err(`[`VariantPanic`]`)` in its slot, so one poisoned
+/// configuration cannot take down its siblings' (possibly hours of)
+/// completed work. Unless `serial` is set or there is at most one item,
+/// the items fan out over [`std::thread::scope`]. Every simulated run is
+/// a pure function of its configuration and seed (the simulator shares
+/// no global state), so a parallel fan-out yields the same results as a
+/// serial one, just sooner. `f` must therefore not print; return per-item
+/// output and emit it afterwards.
 ///
 /// ```no_run
-/// use levi_bench::Sweep;
-/// let results = Sweep::new()
-///     .variant("small", 4u32)
-///     .variant("large", 64u32)
-///     .run(|_, &tiles| tiles * 2);
-/// assert_eq!(results, [("small", 8), ("large", 128)]);
+/// let results = levi_bench::fan_out(false, &[("small", 4u32), ("large", 64)], |_, &t| t * 2);
+/// let doubled: Vec<u32> = results.into_iter().map(Result::unwrap).collect();
+/// assert_eq!(doubled, [8, 128]);
 /// ```
-pub struct Sweep<'a, C> {
-    variants: Vec<(&'a str, C)>,
+pub fn fan_out<T, R, F>(serial: bool, items: &[(&str, T)], f: F) -> Vec<Result<R, VariantPanic>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&str, &T) -> R + Sync,
+{
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let panicked = |label: &str, p: Box<dyn std::any::Any + Send>| VariantPanic {
+        label: label.to_string(),
+        message: panic_message(p.as_ref()),
+    };
+    let guarded = |label: &str, item: &T| {
+        catch_unwind(AssertUnwindSafe(|| f(label, item))).map_err(|p| panicked(label, p))
+    };
+    if serial || items.len() < 2 {
+        return items
+            .iter()
+            .map(|(label, item)| guarded(label, item))
+            .collect();
+    }
+    let guarded = &guarded;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .iter()
+            .map(|(label, item)| s.spawn(move || guarded(label, item)))
+            .collect();
+        // The closure catches its own panics; a join error would mean the
+        // thread died some other way.
+        handles
+            .into_iter()
+            .zip(items)
+            .map(|(h, (label, _))| h.join().unwrap_or_else(|p| Err(panicked(label, p))))
+            .collect()
+    })
 }
 
-impl<'a, C> Default for Sweep<'a, C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a, C> Sweep<'a, C> {
-    /// An empty sweep.
-    pub fn new() -> Self {
-        Sweep {
-            variants: Vec::new(),
-        }
-    }
-
-    /// Appends one named variant. Results come back in the order the
-    /// variants were declared, regardless of which finishes first.
-    pub fn variant(mut self, name: &'a str, cfg: C) -> Self {
-        self.variants.push((name, cfg));
-        self
-    }
-
-    /// Appends variants from an iterator.
-    pub fn variants(mut self, it: impl IntoIterator<Item = (&'a str, C)>) -> Self {
-        self.variants.extend(it);
-        self
-    }
-
-    /// Runs `f(name, cfg)` for every variant — concurrently unless
-    /// `LEVI_SWEEP_SERIAL` is set or there is at most one variant — and
-    /// returns `(name, result)` pairs in declaration order.
-    ///
-    /// # Panics
-    /// Every variant runs to completion even if some panic; if any did,
-    /// this panics afterwards with a summary naming each failed variant.
-    /// Use [`Sweep::try_run`] to handle per-variant panics as values.
-    pub fn run<R, F>(self, f: F) -> Vec<(&'a str, R)>
-    where
-        C: Sync,
-        R: Send,
-        F: Fn(&str, &C) -> R + Sync,
-    {
-        let mut ok = Vec::new();
-        let mut failed: Vec<VariantPanic> = Vec::new();
-        for (name, result) in self.try_run(f) {
-            match result {
-                Ok(r) => ok.push((name, r)),
-                Err(p) => failed.push(p),
-            }
-        }
-        raise_variant_panics(&failed);
-        ok
-    }
-
-    /// Like [`Sweep::run`], but a panicking variant becomes an
-    /// `Err(`[`VariantPanic`]`)` in its slot instead of aborting the
-    /// sweep: one poisoned configuration cannot take down the other
-    /// variants' (possibly hours of) completed work. Results stay in
-    /// declaration order.
-    pub fn try_run<R, F>(self, f: F) -> Vec<(&'a str, Result<R, VariantPanic>)>
-    where
-        C: Sync,
-        R: Send,
-        F: Fn(&str, &C) -> R + Sync,
-    {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let guarded = |name: &str, cfg: &C| {
-            catch_unwind(AssertUnwindSafe(|| f(name, cfg))).map_err(|p| VariantPanic {
-                label: name.to_string(),
-                message: panic_message(p.as_ref()),
-            })
-        };
-        if sweep_serial() || self.variants.len() < 2 {
-            return self
-                .variants
-                .iter()
-                .map(|(name, cfg)| (*name, guarded(name, cfg)))
-                .collect();
-        }
-        let guarded = &guarded;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .variants
-                .iter()
-                .map(|(name, cfg)| (*name, s.spawn(move || guarded(name, cfg))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|(name, h)| {
-                    let result = match h.join() {
-                        Ok(r) => r,
-                        // The closure catches its own panics; a join error
-                        // would mean the thread died some other way.
-                        Err(p) => Err(VariantPanic {
-                            label: name.to_string(),
-                            message: panic_message(p.as_ref()),
-                        }),
-                    };
-                    (name, result)
-                })
-                .collect()
-        })
-    }
-}
-
-/// A sweep variant whose run panicked (see [`Sweep::try_run`]).
+/// A fanned-out item whose run panicked (see [`fan_out`]).
 #[derive(Clone, Debug)]
 pub struct VariantPanic {
     /// The variant's label.
@@ -243,8 +163,8 @@ pub fn speedup_table(rows: &[Row<'_>]) {
     }
 }
 
-/// Prints the speedup/energy table and, when `LEVI_BENCH_JSON=<path>` is
-/// set, appends one machine-readable JSON line for the figure so results
+/// Prints the speedup/energy table and appends one machine-readable JSON
+/// line for the figure to the ctx's `--json` report, if any, so results
 /// across commits are diffable.
 ///
 /// The JSON schema (one object per line, one line per figure run):
@@ -257,47 +177,63 @@ pub fn speedup_table(rows: &[Row<'_>]) {
 ///            "load_to_use": {...}, "dram_queue": {...},
 ///            "stream_stall": {...}, "trace_dropped": 0}]}
 /// ```
-pub fn report(figure: &str, rows: &[Row<'_>]) {
+pub fn report(ctx: &RunCtx, rows: &[Row<'_>]) {
     speedup_table(rows);
-    emit_json_line(&figure_json(figure, rows));
+    if let Some(json) = &ctx.json {
+        json.line(&figure_json(ctx.figure, rows));
+    }
 }
 
-/// Appends one line to the `LEVI_BENCH_JSON` report file, if the variable
-/// is set (no-op otherwise). All machine-readable emission — figure rows,
-/// table snapshots, the `all`-run manifest — funnels through here.
-///
-/// # Panics
-/// Panics if the report file cannot be opened or written.
-pub fn emit_json_line(json: &str) {
-    let Ok(path) = std::env::var("LEVI_BENCH_JSON") else {
-        return;
-    };
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .unwrap_or_else(|e| panic!("LEVI_BENCH_JSON={path}: {e}"));
-    writeln!(f, "{json}").expect("write bench JSON");
+/// An output file that every run of an invocation appends to: the
+/// `--json` report or the `--telemetry` dump. The CLI opens it before any
+/// simulation starts, so a bad path fails fast; clones share one handle.
+#[derive(Clone, Debug)]
+pub struct Sink {
+    path: String,
+    file: Arc<Mutex<std::fs::File>>,
 }
 
-/// Appends one pre-rendered telemetry block (JSON lines, newline-
-/// terminated) to the `LEVI_TELEMETRY` dump file, if the variable is set
-/// (no-op otherwise). `levi-bench run --telemetry PATH` truncates the
-/// file and sets the variable; every run's
-/// [`levi_sim::Telemetry::to_jsonl`] block funnels through here.
-///
-/// # Panics
-/// Panics if the dump file cannot be opened or written.
-pub fn emit_telemetry_block(block: &str) {
-    let Ok(path) = std::env::var("LEVI_TELEMETRY") else {
-        return;
-    };
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .unwrap_or_else(|e| panic!("LEVI_TELEMETRY={path}: {e}"));
-    write!(f, "{block}").expect("write telemetry dump");
+impl Sink {
+    /// Opens `path` for appending, creating it if absent and emptying it
+    /// first when `truncate` is set.
+    ///
+    /// # Errors
+    /// Propagates the I/O error of opening the file.
+    pub fn open(path: &str, truncate: bool) -> std::io::Result<Sink> {
+        let file = if truncate {
+            std::fs::File::create(path)?
+        } else {
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)?
+        };
+        Ok(Sink {
+            path: path.to_string(),
+            file: Arc::new(Mutex::new(file)),
+        })
+    }
+
+    /// Appends `text` verbatim (a telemetry block is newline-terminated).
+    ///
+    /// # Panics
+    /// Panics if the write fails.
+    pub fn write(&self, text: &str) {
+        let written = self
+            .file
+            .lock()
+            .expect("sink poisoned")
+            .write_all(text.as_bytes());
+        written.unwrap_or_else(|e| panic!("{}: {e}", self.path));
+    }
+
+    /// Appends one line (a JSON report object, say) and a newline.
+    ///
+    /// # Panics
+    /// Panics if the write fails.
+    pub fn line(&self, line: &str) {
+        self.write(&format!("{line}\n"));
+    }
 }
 
 /// Renders one figure's rows as a single JSON object (no trailing newline).
@@ -344,14 +280,8 @@ fn hist_json(w: &mut json::JsonWriter, h: &Histogram) {
 }
 
 /// Renders a generic column table as a single JSON object (no trailing
-/// newline), mirroring [`figure_json`] for figures whose natural output is
-/// a [`table`] rather than a speedup comparison:
-///
-/// ```json
-/// {"figure": "fig22_invoke_buffer",
-///  "table": {"headers": ["entries", ...], "rows": [["1", ...], ...]}}
-/// ```
-pub fn table_json(figure: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+/// newline); see [`emit_table`] for the schema.
+fn table_json(figure: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut w = json::JsonWriter::new();
     w.begin_obj();
     w.key("figure").str(figure);
@@ -375,11 +305,27 @@ pub fn table_json(figure: &str, headers: &[&str], rows: &[Vec<String>]) -> Strin
     w.finish()
 }
 
-/// Prints the table and, when `LEVI_BENCH_JSON` is set, appends its
-/// [`table_json`] line — the table-shaped counterpart of [`report`].
-pub fn table_report(figure: &str, headers: &[&str], rows: &[Vec<String>]) {
+/// Prints the table and appends its JSON line to the ctx's `--json`
+/// report (see [`emit_table`]) — the table-shaped counterpart of
+/// [`report`].
+pub fn table_report(ctx: &RunCtx, headers: &[&str], rows: &[Vec<String>]) {
     table(headers, rows);
-    emit_json_line(&table_json(figure, headers, rows));
+    emit_table(ctx, headers, rows);
+}
+
+/// Appends a table's JSON line to the ctx's `--json` report, if any,
+/// without printing it (for figures that print their own layout). The
+/// line mirrors [`figure_json`] for figures whose natural output is a
+/// [`table`] rather than a speedup comparison:
+///
+/// ```json
+/// {"figure": "fig22_invoke_buffer",
+///  "table": {"headers": ["entries", ...], "rows": [["1", ...], ...]}}
+/// ```
+pub fn emit_table(ctx: &RunCtx, headers: &[&str], rows: &[Vec<String>]) {
+    if let Some(json) = &ctx.json {
+        json.line(&table_json(ctx.figure, headers, rows));
+    }
 }
 
 /// Prints a generic column table.
@@ -420,52 +366,47 @@ mod tests {
 
     #[test]
     fn try_run_contains_panics_and_completes_the_other_variants() {
-        let results = Sweep::new()
-            .variant("ok-1", 1u32)
-            .variant("boom", 2u32)
-            .variant("ok-2", 3u32)
-            .try_run(|name, &v| {
-                assert!(name != "boom", "variant {v} is poisoned");
-                v * 10
-            });
-        assert_eq!(results.len(), 3, "every variant reports, panicked or not");
-        assert_eq!(results[0].0, "ok-1");
-        assert_eq!(*results[0].1.as_ref().unwrap(), 10);
-        let (name, err) = (&results[1].0, results[1].1.as_ref().unwrap_err());
-        assert_eq!(*name, "boom");
-        assert_eq!(err.label, "boom");
-        assert!(
-            err.message.contains("variant 2 is poisoned"),
-            "payload text surfaces: {}",
-            err.message
-        );
-        assert_eq!(results[2].0, "ok-2");
-        assert_eq!(*results[2].1.as_ref().unwrap(), 30);
+        for serial in [false, true] {
+            let results = fan_out(
+                serial,
+                &[("ok-1", 1u32), ("boom", 2), ("ok-2", 3)],
+                |name, &v| {
+                    assert!(name != "boom", "variant {v} is poisoned");
+                    v * 10
+                },
+            );
+            assert_eq!(results.len(), 3, "every variant reports, panicked or not");
+            assert_eq!(*results[0].as_ref().unwrap(), 10);
+            let err = results[1].as_ref().unwrap_err();
+            assert_eq!(err.label, "boom");
+            assert!(
+                err.message.contains("variant 2 is poisoned"),
+                "payload text surfaces: {}",
+                err.message
+            );
+            assert_eq!(*results[2].as_ref().unwrap(), 30);
+        }
     }
 
     #[test]
     fn run_panics_with_a_summary_after_completing_all_variants() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let completed = AtomicU32::new(0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Sweep::new()
-                .variant("a", 0u32)
-                .variant("bad", 1u32)
-                .variant("c", 2u32)
-                .run(|name, _| {
-                    assert!(name != "bad", "injected failure");
-                    completed.fetch_add(1, Ordering::SeqCst);
-                })
-        }));
-        let msg = match caught {
-            Ok(_) => panic!("run() must re-panic when a variant panicked"),
-            Err(p) => *p.downcast::<String>().expect("summary is a String"),
-        };
+        let results = fan_out(false, &[("a", 0u32), ("bad", 1), ("c", 2)], |name, _| {
+            assert!(name != "bad", "injected failure");
+            completed.fetch_add(1, Ordering::SeqCst);
+        });
         assert_eq!(
             completed.load(Ordering::SeqCst),
             2,
             "the healthy variants still ran to completion"
         );
+        let failed: Vec<VariantPanic> = results.into_iter().filter_map(Result::err).collect();
+        let caught = std::panic::catch_unwind(|| raise_variant_panics(&failed));
+        let msg = match caught {
+            Ok(()) => panic!("a failed variant must raise a panic"),
+            Err(p) => *p.downcast::<String>().expect("summary is a String"),
+        };
         assert!(
             msg.contains("1 sweep variant(s) panicked") && msg.contains("\"bad\""),
             "summary names the failed variant: {msg}"
@@ -530,54 +471,40 @@ mod tests {
     fn sweep_collects_in_declaration_order() {
         // The slowest variant is declared first; a completion-order
         // collector would return it last.
-        let results = Sweep::new()
-            .variant("slow", 30u64)
-            .variant("mid", 5u64)
-            .variant("fast", 0u64)
-            .run(|name, &ms| {
+        let results = fan_out(
+            false,
+            &[("slow", 30u64), ("mid", 5), ("fast", 0)],
+            |name, &ms| {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
                 format!("{name}:{ms}")
-            });
-        assert_eq!(
-            results,
-            [
-                ("slow", "slow:30".to_string()),
-                ("mid", "mid:5".to_string()),
-                ("fast", "fast:0".to_string()),
-            ]
+            },
         );
+        let results: Vec<String> = results.into_iter().map(Result::unwrap).collect();
+        assert_eq!(results, ["slow:30", "mid:5", "fast:0"]);
     }
 
     #[test]
     fn sweep_parallel_matches_serial_on_simulated_runs() {
         use levi_workloads::hashtable::{run_hashtable, HtScale, HtVariant};
         let scale = HtScale::test(64);
-        let run = || {
-            Sweep::new()
-                .variant("Baseline", HtVariant::Baseline)
-                .variant("Leviathan", HtVariant::Leviathan)
-                .variant("Ideal", HtVariant::Ideal)
-                .variant("Baseline2", HtVariant::Baseline)
-                .run(|_, &v| {
-                    let r = run_hashtable(v, &scale);
-                    (r.metrics.cycles, r.checksum)
-                })
-        };
-        let parallel = run();
-        let serial: Vec<_> = [
+        let variants = [
             ("Baseline", HtVariant::Baseline),
             ("Leviathan", HtVariant::Leviathan),
             ("Ideal", HtVariant::Ideal),
             ("Baseline2", HtVariant::Baseline),
-        ]
-        .iter()
-        .map(|&(n, v)| {
-            let r = run_hashtable(v, &scale);
-            (n, (r.metrics.cycles, r.checksum))
-        })
-        .collect();
-        assert_eq!(parallel, serial);
+        ];
+        let run = |serial| -> Vec<(u64, u64)> {
+            fan_out(serial, &variants, |_, &v| {
+                let r = run_hashtable(v, &scale);
+                (r.metrics.cycles, r.checksum)
+            })
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+        };
+        let parallel = run(false);
+        assert_eq!(parallel, run(true));
         // Identical configs give identical runs even across threads.
-        assert_eq!(parallel[0].1, parallel[3].1);
+        assert_eq!(parallel[0], parallel[3]);
     }
 }

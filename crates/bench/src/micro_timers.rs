@@ -4,8 +4,8 @@
 //!
 //! Numbers are indicative, not statistically rigorous — and unlike every
 //! simulated figure they are *not* deterministic: wall-clock nanoseconds
-//! vary run to run, and a parallel sweep adds scheduling noise. Run with
-//! `--serial` / `LEVI_SWEEP_SERIAL` for the quietest numbers.
+//! vary run to run, and a parallel fan-out adds scheduling noise. Run with
+//! `--serial` for the quietest numbers.
 
 use levi_isa::{interp::Interpreter, Memory, PagedMem, ProgramBuilder, Reg};
 use levi_sim::cache::CacheBank;
@@ -42,7 +42,7 @@ pub type TimerFn = fn() -> f64;
 
 /// The substrate timing kernels as `(name, timer)` pairs, in presentation
 /// order. Each timer is self-contained and returns its median ns/iter, so
-/// the figure can fan them out through a [`crate::Sweep`].
+/// the figure can fan them out through [`crate::fan_out`].
 pub static KERNELS: &[(&str, TimerFn)] = &[
     ("cache/probe_hit", probe_hit),
     ("cache/insert_evict", insert_evict),

@@ -1,5 +1,5 @@
 //! The unified figure runner: a registry of figure descriptors and the
-//! one run path that drives their simulations through [`crate::Sweep`].
+//! one run path that drives their simulations through [`crate::fan_out`].
 //!
 //! Each figure of the paper's evaluation is one [`Figure`] descriptor in
 //! [`crate::figures::ALL`]: a static id, a one-line summary, the registry
@@ -9,9 +9,11 @@
 //!
 //! Shared plumbing lives here so descriptors stay declarative:
 //!
-//! * [`RunCtx`] — scale selection (`--quick`), variant filtering
-//!   (`--filter`), and the [`RunEnv`] injected into every run
-//!   (`--fault-plan`).
+//! * [`RunCtx`] — every switch of one invocation: scale selection
+//!   (`--quick`), variant filtering (`--filter`), `--serial`, the
+//!   [`RunEnv`] injected into every run (`--fault-plan`, ...), the
+//!   `--json` and `--telemetry` sinks, the `--resume` journal, and the id
+//!   of the figure being run. Nothing else carries run state.
 //! * [`sweep_jobs`] — every simulated run of every figure goes through
 //!   it: labelled jobs run in parallel, each is golden-checked, journaled
 //!   (`--resume`), reported on stderr and dumped as one telemetry block
@@ -20,14 +22,19 @@
 //! * [`report_figure`] — join measured outcomes with the paper's numbers
 //!   by label and emit the standard speedup/energy report.
 
+use std::sync::{Arc, Mutex};
+
 use levi_workloads::harness::{
     DynWorkload, PreparedRun, RunEnv, RunOutcome, RunStatus, ScaleKind, Workload,
 };
 
-use crate::{report, Row, Sweep};
+use crate::journal::Journal;
+use crate::{fan_out, report, Row, Sink};
 
 /// Per-invocation context threaded into every figure's `run` function.
-#[derive(Clone, Debug, Default)]
+/// The CLI fills it once, opening every output before any simulation
+/// starts; [`run_figure`] then sets the figure id.
+#[derive(Clone, Default)]
 pub struct RunCtx {
     /// Run at reduced scale (`--quick`).
     pub quick: bool,
@@ -36,6 +43,21 @@ pub struct RunCtx {
     pub filter: Option<String>,
     /// Environment applied uniformly to every simulated run.
     pub env: RunEnv,
+    /// Run each sweep's jobs one after another on the calling thread
+    /// (`--serial`). The output is byte-identical either way; the switch
+    /// exists for debugging and for quieter wall-clock timings.
+    pub serial: bool,
+    /// The id of the figure being run (empty outside [`run_figure`]):
+    /// the `"figure"` key of report JSON, the key of journal records and
+    /// the `figure/label` scope of telemetry blocks.
+    pub figure: &'static str,
+    /// The `--json` report: one line per figure.
+    pub json: Option<Sink>,
+    /// The `--telemetry` dump: one registry block per run. Its presence
+    /// should match `env.telemetry`, which makes runs record spans.
+    pub telemetry: Option<Sink>,
+    /// The `--resume` journal, shared by a sweep's parallel jobs.
+    pub journal: Option<Arc<Mutex<Journal>>>,
 }
 
 impl RunCtx {
@@ -92,28 +114,28 @@ impl std::ops::Index<&str> for Outcomes {
     }
 }
 
-/// Runs labelled jobs as one sweep of the current figure: the one run
-/// path every simulated figure takes.
+/// Runs labelled jobs as one sweep of `ctx`'s figure: the one run path
+/// every simulated figure takes.
 ///
-/// Each job is either loaded from the active journal (`--resume`) or run
-/// as `run(job, env)` through [`Sweep::try_run`], so one panicking job
+/// Each job is either loaded from the ctx's journal (`--resume`) or run
+/// as `run(job, &ctx.env)` through [`fan_out`], so one panicking job
 /// cannot abort its siblings. Every outcome is checked against
-/// `golden(job)`: a fresh one inside the sweep, a resumed one here (which
-/// also catches a stale journal from an older build). Fresh outcomes are
-/// recorded in the journal before any panic is re-raised, so a partly
-/// failed invocation resumes without repeating its finished work.
+/// `golden(job)`: a fresh one inside its job, a resumed one here (which
+/// also catches a stale journal from an older build). A fresh outcome is
+/// recorded in the journal inside its job, right after its golden check,
+/// so a kill or a panic later in the sweep cannot lose finished work.
 /// Progress goes to stderr, `UNSUPPORTED` notices to stdout, and one
-/// telemetry block per run to the `LEVI_TELEMETRY` dump.
+/// telemetry block per run, in job order, to the `--telemetry` dump.
 ///
 /// Applies no `--filter`: knob sweeps run every job.
 ///
 /// # Panics
 /// Panics if two jobs share a label (journal records are keyed by
 /// `(figure, sweep, label)` and telemetry scopes by `figure/label`, so a
-/// duplicate is a harness bug), on a golden mismatch, and after every
-/// job has reported if any job panicked.
+/// duplicate is a harness bug), on a golden mismatch, if a journal append
+/// fails, and after every job has reported if any job panicked.
 pub fn sweep_jobs<L, J, F, G>(
-    env: &RunEnv,
+    ctx: &RunCtx,
     jobs: impl IntoIterator<Item = (L, J)>,
     run: F,
     golden: G,
@@ -124,7 +146,7 @@ where
     F: Fn(&J, &RunEnv) -> RunStatus + Sync,
     G: Fn(&J) -> u64 + Sync,
 {
-    let figure = current_figure();
+    let figure = ctx.figure;
     let jobs: Vec<(String, J)> = jobs.into_iter().map(|(l, j)| (l.into(), j)).collect();
     let mut seen = std::collections::HashSet::new();
     for (label, _) in &jobs {
@@ -134,30 +156,43 @@ where
         );
     }
 
-    let sweep_idx = crate::journal::begin_sweep(&figure);
-    let resumed: Vec<Option<RunOutcome>> = jobs
+    let (sweep, resumed): (Option<u32>, Vec<Option<RunOutcome>>) = match &ctx.journal {
+        Some(journal) => {
+            let mut journal = journal.lock().expect("journal poisoned");
+            let sweep = journal.begin_sweep(figure);
+            let resumed = jobs
+                .iter()
+                .map(|(label, _)| journal.lookup(figure, sweep, label))
+                .collect();
+            (Some(sweep), resumed)
+        }
+        None => (None, jobs.iter().map(|_| None).collect()),
+    };
+    let pending: Vec<(&str, &J)> = jobs
         .iter()
-        .map(|(label, _)| sweep_idx.and_then(|s| crate::journal::lookup(&figure, s, label)))
+        .zip(&resumed)
+        .filter(|(_, r)| r.is_none())
+        .map(|((label, job), _)| (label.as_str(), job))
         .collect();
-    let mut fresh = Sweep::new()
-        .variants(
-            jobs.iter()
-                .zip(&resumed)
-                .filter(|(_, r)| r.is_none())
-                .map(|((label, job), _)| (label.as_str(), job)),
-        )
-        .try_run(|label, job| {
-            let status = run(job, env);
-            if let RunStatus::Done(o) = &status {
-                assert_eq!(
-                    o.checksum,
-                    golden(job),
-                    "{label} diverged from the golden model"
-                );
+    let mut fresh = fan_out(ctx.serial, &pending, |label, &job| {
+        let status = run(job, &ctx.env);
+        if let RunStatus::Done(o) = &status {
+            assert_eq!(
+                o.checksum,
+                golden(job),
+                "{label} diverged from the golden model"
+            );
+            if let (Some(journal), Some(sweep)) = (&ctx.journal, sweep) {
+                let appended = journal
+                    .lock()
+                    .expect("journal poisoned")
+                    .record(figure, sweep, label, o);
+                appended.unwrap_or_else(|e| panic!("journal append failed: {e}"));
             }
-            status
-        })
-        .into_iter();
+        }
+        status
+    })
+    .into_iter();
 
     let mut entries = Vec::new();
     let mut failed: Vec<crate::VariantPanic> = Vec::new();
@@ -175,11 +210,8 @@ where
                 );
                 o
             }
-            None => match fresh.next().expect("one result per pending job").1 {
+            None => match fresh.next().expect("one result per pending job") {
                 Ok(RunStatus::Done(o)) => {
-                    if let Some(s) = sweep_idx {
-                        crate::journal::record(&figure, s, label, &o);
-                    }
                     eprintln!("  ran {:<18} {:>12} cycles", label, o.metrics.cycles);
                     *o
                 }
@@ -193,26 +225,18 @@ where
                 }
             },
         };
-        emit_run_telemetry(&figure, label, &o.metrics.stats);
+        if let Some(dump) = &ctx.telemetry {
+            let scope = if figure.is_empty() {
+                label.to_string()
+            } else {
+                format!("{figure}/{label}")
+            };
+            dump.write(&levi_sim::Telemetry::new(&o.metrics.stats).to_jsonl(&scope));
+        }
         entries.push((label.clone(), o));
     }
     crate::raise_variant_panics(&failed);
     Outcomes { entries }
-}
-
-/// Appends one run's registry dump to the `LEVI_TELEMETRY` file (no-op
-/// when unset). The block's scope is `figure/label`, using the figure id
-/// [`run_figure`] exported for the runs it drives.
-fn emit_run_telemetry(figure: &str, label: &str, stats: &levi_sim::Stats) {
-    if std::env::var("LEVI_TELEMETRY").is_err() {
-        return;
-    }
-    let scope = if figure.is_empty() {
-        label.to_string()
-    } else {
-        format!("{figure}/{label}")
-    };
-    crate::emit_telemetry_block(&levi_sim::Telemetry::new(stats).to_jsonl(&scope));
 }
 
 /// Runs the (filtered) variants of a typed workload at `scale` through
@@ -226,7 +250,7 @@ pub fn sweep_variants<W: Workload>(w: &W, scale: &W::Scale, ctx: &RunCtx) -> Out
         .filter(|&(i, (label, _))| ctx.keeps(i, label))
         .map(|(_, pair)| pair);
     sweep_jobs(
-        &ctx.env,
+        ctx,
         variants,
         |&v, env| w.run(v, scale, &input, env),
         |&v| w.golden(v, scale, &input),
@@ -244,7 +268,7 @@ pub fn sweep_prepared(w: &dyn DynWorkload, prepared: &dyn PreparedRun, ctx: &Run
         .filter(|&(i, label)| ctx.keeps(i, label))
         .map(|(_, label)| (label, label));
     sweep_jobs(
-        &ctx.env,
+        ctx,
         labels,
         |&label, env| prepared.run(label, env),
         |&label| prepared.golden(label),
@@ -256,7 +280,7 @@ pub fn sweep_prepared(w: &dyn DynWorkload, prepared: &dyn PreparedRun, ctx: &Run
 /// Rows keep the sweep's presentation order; the first outcome is the
 /// baseline.
 pub fn report_figure(
-    figure: &str,
+    ctx: &RunCtx,
     outcomes: &Outcomes,
     paper: &[(&str, Option<f64>, Option<f64>)],
 ) {
@@ -275,7 +299,7 @@ pub fn report_figure(
             }
         })
         .collect();
-    report(figure, &rows);
+    report(ctx, &rows);
 }
 
 /// One figure or table of the paper's evaluation.
@@ -305,32 +329,14 @@ pub fn find_figure(id: &str) -> Option<&'static Figure> {
     }
 }
 
-thread_local! {
-    /// The figure id the current thread is running (see [`run_figure`]).
-    static CURRENT_FIGURE: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-}
-
-/// The figure id the current thread is running (empty outside
-/// [`run_figure`]). Journal records and telemetry scopes use this.
-pub fn current_figure() -> String {
-    CURRENT_FIGURE.with(|f| f.borrow().clone())
-}
-
-/// Runs one figure under `ctx`, scoping [`current_figure`] to its id for
-/// the duration so telemetry blocks and journal records emitted by the
-/// runs it drives carry a `figure/variant` scope. A figure runs entirely
-/// on the calling thread (only its inner sweeps fan out), so the scope
-/// is thread-local.
+/// Runs one figure under `ctx`, with [`RunCtx::figure`] set to its id so
+/// the report JSON, journal records and telemetry blocks of the runs it
+/// drives carry it.
 pub fn run_figure(fig: &Figure, ctx: &RunCtx) {
-    struct Scope(String);
-    impl Drop for Scope {
-        fn drop(&mut self) {
-            CURRENT_FIGURE.with(|f| *f.borrow_mut() = std::mem::take(&mut self.0));
-        }
-    }
-    let prev = CURRENT_FIGURE.with(|f| std::mem::replace(&mut *f.borrow_mut(), fig.id.to_string()));
-    let _scope = Scope(prev);
-    (fig.run)(ctx);
+    (fig.run)(&RunCtx {
+        figure: fig.id,
+        ..ctx.clone()
+    });
 }
 
 /// Renders the roll-up manifest emitted after `levi-bench run all`: which
@@ -423,11 +429,55 @@ mod tests {
     #[should_panic(expected = "duplicate sweep label \"a\"")]
     fn a_repeated_sweep_label_panics() {
         sweep_jobs(
-            &RunEnv::default(),
+            &RunCtx::default(),
             [("a", 1u32), ("b", 2), ("a", 3)],
             |_, _| RunStatus::Unsupported("never runs"),
             |_| 0,
         );
+    }
+
+    #[test]
+    fn a_finished_job_is_journaled_before_the_next_starts() {
+        use crate::journal::{Journal, RunParams};
+        use levi_workloads::metrics::RunMetrics;
+        use leviathan::{System, SystemConfig};
+
+        let dir = std::env::temp_dir().join("levi-runner-test-journal");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.journal");
+        let path = path.to_str().unwrap();
+        let params = RunParams {
+            quick: true,
+            fault: None,
+        };
+        let ctx = RunCtx {
+            serial: true,
+            figure: "fig_test",
+            journal: Some(Arc::new(Mutex::new(Journal::open(path, params).unwrap()))),
+            ..RunCtx::default()
+        };
+        let sys = System::try_new(SystemConfig::small()).expect("small config is valid");
+        let metrics = RunMetrics::capture("job", &sys);
+        let outcomes = sweep_jobs(
+            &ctx,
+            [("first", 1u32), ("second", 2)],
+            |&job, _| {
+                if job == 2 {
+                    // A kill here must not lose the first job's work.
+                    let on_disk = Journal::open(path, params).expect("reopen");
+                    assert!(
+                        on_disk.lookup("fig_test", 0, "first").is_some(),
+                        "the first job's record is on disk before the second runs"
+                    );
+                }
+                RunStatus::Done(Box::new(RunOutcome::new(metrics.clone(), 7)))
+            },
+            |_| 7,
+        );
+        assert_eq!(outcomes.iter().count(), 2);
+        assert_eq!(Journal::open(path, params).unwrap().len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -121,3 +121,20 @@ fn telemetry_values_match_the_golden_dump() {
     }
     assert_eq!(dump.len(), golden.len(), "telemetry dump length");
 }
+
+#[test]
+fn a_bad_json_path_fails_before_any_figure_runs() {
+    let missing = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir/x.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_levi-bench"))
+        .args(["run", "table05_config", "--json"])
+        .arg(&missing)
+        .output()
+        .expect("spawn levi-bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "exit code; stderr:\n{stderr}");
+    assert!(
+        stderr.starts_with("levi-bench: --json ") && !stderr.contains("panicked"),
+        "a typed error, not a panic:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no figure ran before the failure");
+}
