@@ -39,16 +39,16 @@ cargo run --release --quiet -p levi-bench -- run all --quick --json "$tmp/bench-
   > "$tmp/run-all-quick.txt"
 cargo run --release --quiet -p levi-bench -- check-report "$tmp/bench-report.json"
 echo "== figure golden =="
-# Figure stdout must not drift across commits: the run above, minus the
-# wall-clock `ns/iter` rows, must equal the committed golden. A change
-# that moves a figure on purpose regenerates the golden in the same commit.
-grep -v 'ns/iter$' "$tmp/run-all-quick.txt" | diff tests/golden/run_all_quick.txt -
+# Figure stdout is deterministic and must not drift across commits: the
+# run above must equal the committed golden byte for byte. A change that
+# moves a figure on purpose regenerates the golden in the same commit.
+diff tests/golden/run_all_quick.txt "$tmp/run-all-quick.txt"
 echo "== serial golden =="
 # --serial reaches every sweep through the run context, not a side
 # channel: the serial run must print the same golden as the parallel one.
 cargo run --release --quiet -p levi-bench -- run all --quick --serial \
   > "$tmp/run-all-serial.txt" 2> /dev/null
-grep -v 'ns/iter$' "$tmp/run-all-serial.txt" | diff tests/golden/run_all_quick.txt -
+diff tests/golden/run_all_quick.txt "$tmp/run-all-serial.txt"
 echo "== xlat ablation smoke =="
 # The levi-xlat figures must be deterministic: two quick runs of each
 # print byte-identical output. Both figures are registered in ALL, so the
@@ -64,13 +64,13 @@ for fig in ablation_translation ablation_tenancy; do
 done
 echo "== telemetry smoke =="
 # --telemetry must be purely observational and cover every simulated run:
-# `run all --quick` with the flag must print the committed golden (minus
-# the wall-clock `ns/iter` rows), its dump must pass structural
-# validation, and every figure that names a workload in `levi-bench list`
-# must have dumped at least one `<figure>/<label>` block.
+# `run all --quick` with the flag must print the committed golden, its
+# dump must pass structural validation, and every figure that names a
+# workload in `levi-bench list` must have dumped at least one
+# `<figure>/<label>` block.
 cargo run --release --quiet -p levi-bench -- run all --quick \
   --telemetry "$tmp/telemetry.jsonl" > "$tmp/run-all-telemetry.txt" 2> /dev/null
-grep -v 'ns/iter$' "$tmp/run-all-telemetry.txt" | diff tests/golden/run_all_quick.txt -
+diff tests/golden/run_all_quick.txt "$tmp/run-all-telemetry.txt"
 cargo run --release --quiet -p levi-bench -- check-report "$tmp/telemetry.jsonl"
 cargo run --release --quiet -p levi-bench -- list > "$tmp/figures.txt"
 for fig in $(awk 'NR > 1 && $2 != "-" { print $1 }' "$tmp/figures.txt"); do

@@ -1,11 +1,11 @@
 //! Microkernels — simulated cycle counts for the substrate primitives.
 //!
-//! Complements `micro_substrate` (which times the *simulator* in
-//! wall-clock nanoseconds): this figure runs the `micro` workload's
-//! scan / pointer-chase / invoke kernels on the timed simulator and
-//! reports deterministic cycle counts, golden-checked like every other
-//! workload. It drives the workload purely through the registry, as a
-//! living example of the [`levi_workloads::DynWorkload`] path.
+//! This figure runs the `micro` workload's scan / pointer-chase / invoke
+//! kernels on the timed simulator and reports deterministic cycle counts,
+//! golden-checked like every other workload. The simulator's own host
+//! speed is measured by `benchmark/`, not by a figure. It drives the
+//! workload purely through the registry, as a living example of the
+//! [`levi_workloads::DynWorkload`] path.
 
 use levi_workloads::harness::find_workload;
 

@@ -22,7 +22,6 @@ pub mod fig23_stream_buffer;
 pub mod fig24_input_size;
 pub mod fig25_system_size;
 pub mod micro_kernels;
-pub mod micro_substrate;
 pub mod table04_area;
 pub mod table05_config;
 
@@ -44,7 +43,6 @@ pub static ALL: &[Figure] = &[
     ablation_translation::FIG,
     ablation_tenancy::FIG,
     micro_kernels::FIG,
-    micro_substrate::FIG,
     table04_area::FIG,
     table05_config::FIG,
 ];

@@ -1,5 +1,6 @@
-//! The figure runner behind `levi-bench`, and its shared reporting
-//! utilities.
+//! The figure runner behind `levi-bench`. The crate root holds the shared
+//! reporting utilities; [`runner`] is the one run path every simulated
+//! figure takes.
 //!
 //! Every figure in [`figures::ALL`] regenerates one table or figure of the
 //! paper's evaluation and prints the measured values next to the paper's
@@ -22,101 +23,7 @@ use crate::runner::RunCtx;
 pub mod figures;
 pub mod journal;
 pub mod json;
-pub mod micro_timers;
 pub mod runner;
-
-/// Runs `f(label, item)` for every labelled item and returns the results
-/// **in declaration order**, one per item.
-///
-/// Each item runs to completion even if others panic: a panicking item
-/// becomes an `Err(`[`VariantPanic`]`)` in its slot, so one poisoned
-/// configuration cannot take down its siblings' (possibly hours of)
-/// completed work. Unless `serial` is set or there is at most one item,
-/// the items fan out over [`std::thread::scope`]. Every simulated run is
-/// a pure function of its configuration and seed (the simulator shares
-/// no global state), so a parallel fan-out yields the same results as a
-/// serial one, just sooner. `f` must therefore not print; return per-item
-/// output and emit it afterwards.
-///
-/// ```no_run
-/// let results = levi_bench::fan_out(false, &[("small", 4u32), ("large", 64)], |_, &t| t * 2);
-/// let doubled: Vec<u32> = results.into_iter().map(Result::unwrap).collect();
-/// assert_eq!(doubled, [8, 128]);
-/// ```
-pub fn fan_out<T, R, F>(serial: bool, items: &[(&str, T)], f: F) -> Vec<Result<R, VariantPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&str, &T) -> R + Sync,
-{
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let panicked = |label: &str, p: Box<dyn std::any::Any + Send>| VariantPanic {
-        label: label.to_string(),
-        message: panic_message(p.as_ref()),
-    };
-    let guarded = |label: &str, item: &T| {
-        catch_unwind(AssertUnwindSafe(|| f(label, item))).map_err(|p| panicked(label, p))
-    };
-    if serial || items.len() < 2 {
-        return items
-            .iter()
-            .map(|(label, item)| guarded(label, item))
-            .collect();
-    }
-    let guarded = &guarded;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .iter()
-            .map(|(label, item)| s.spawn(move || guarded(label, item)))
-            .collect();
-        // The closure catches its own panics; a join error would mean the
-        // thread died some other way.
-        handles
-            .into_iter()
-            .zip(items)
-            .map(|(h, (label, _))| h.join().unwrap_or_else(|p| Err(panicked(label, p))))
-            .collect()
-    })
-}
-
-/// A fanned-out item whose run panicked (see [`fan_out`]).
-#[derive(Clone, Debug)]
-pub struct VariantPanic {
-    /// The variant's label.
-    pub label: String,
-    /// The panic payload, rendered as text.
-    pub message: String,
-}
-
-impl std::fmt::Display for VariantPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "variant {:?} panicked: {}", self.label, self.message)
-    }
-}
-
-impl std::error::Error for VariantPanic {}
-
-/// Panics with a summary naming every variant in `failed`, if any.
-fn raise_variant_panics(failed: &[VariantPanic]) {
-    if failed.is_empty() {
-        return;
-    }
-    let mut msg = format!("{} sweep variant(s) panicked:", failed.len());
-    for p in failed {
-        msg.push_str(&format!("\n  {p}"));
-    }
-    panic!("{msg}");
-}
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Prints a figure/table header.
 pub fn header(title: &str, description: &str) {
@@ -280,7 +187,7 @@ fn hist_json(w: &mut json::JsonWriter, h: &Histogram) {
 }
 
 /// Renders a generic column table as a single JSON object (no trailing
-/// newline); see [`emit_table`] for the schema.
+/// newline); see [`table_report`] for the schema.
 fn table_json(figure: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut w = json::JsonWriter::new();
     w.begin_obj();
@@ -305,24 +212,17 @@ fn table_json(figure: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     w.finish()
 }
 
-/// Prints the table and appends its JSON line to the ctx's `--json`
-/// report (see [`emit_table`]) — the table-shaped counterpart of
-/// [`report`].
-pub fn table_report(ctx: &RunCtx, headers: &[&str], rows: &[Vec<String>]) {
-    table(headers, rows);
-    emit_table(ctx, headers, rows);
-}
-
-/// Appends a table's JSON line to the ctx's `--json` report, if any,
-/// without printing it (for figures that print their own layout). The
-/// line mirrors [`figure_json`] for figures whose natural output is a
-/// [`table`] rather than a speedup comparison:
+/// Prints the table and appends one JSON line for the figure to the
+/// ctx's `--json` report, if any — the table-shaped counterpart of
+/// [`report`]. The line mirrors [`figure_json`] for figures whose natural
+/// output is a [`table`] rather than a speedup comparison:
 ///
 /// ```json
 /// {"figure": "fig22_invoke_buffer",
 ///  "table": {"headers": ["entries", ...], "rows": [["1", ...], ...]}}
 /// ```
-pub fn emit_table(ctx: &RunCtx, headers: &[&str], rows: &[Vec<String>]) {
+pub fn table_report(ctx: &RunCtx, headers: &[&str], rows: &[Vec<String>]) {
+    table(headers, rows);
     if let Some(json) = &ctx.json {
         json.line(&table_json(ctx.figure, headers, rows));
     }
@@ -357,60 +257,131 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::sweep_jobs;
+    use levi_workloads::{RunOutcome, RunStatus};
     use leviathan::{System, SystemConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    #[test]
-    fn pct_formats() {
-        assert_eq!(super::pct(0.064), "6.4%");
+    /// A serial and a parallel context: each sweep test runs under both.
+    fn serial_and_parallel() -> [RunCtx; 2] {
+        [
+            RunCtx {
+                serial: true,
+                ..RunCtx::default()
+            },
+            RunCtx::default(),
+        ]
+    }
+
+    /// Metrics of an idle small system, for jobs that simulate nothing.
+    fn idle_metrics() -> RunMetrics {
+        let sys = System::try_new(SystemConfig::small()).expect("small config is valid");
+        RunMetrics::capture("job", &sys)
+    }
+
+    /// Sweeps three jobs of which the middle one panics; returns how many
+    /// jobs ran to completion and the sweep's panic message.
+    fn sweep_with_a_poisoned_job(ctx: &RunCtx) -> (u32, String) {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let completed = AtomicU32::new(0);
+        let metrics = idle_metrics();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            sweep_jobs(
+                ctx,
+                [("ok-1", 1u64), ("boom", 2), ("ok-2", 3)],
+                |&job, _| {
+                    assert!(job != 2, "job {job} is poisoned");
+                    completed.fetch_add(1, Ordering::SeqCst);
+                    RunStatus::Done(Box::new(RunOutcome::new(metrics.clone(), job)))
+                },
+                |&job| job,
+            )
+        }));
+        let message = match caught {
+            Ok(_) => panic!("a panicked job must make the sweep panic"),
+            Err(p) => *p.downcast::<String>().expect("summary is a String"),
+        };
+        (completed.load(Ordering::SeqCst), message)
     }
 
     #[test]
     fn try_run_contains_panics_and_completes_the_other_variants() {
-        for serial in [false, true] {
-            let results = fan_out(
-                serial,
-                &[("ok-1", 1u32), ("boom", 2), ("ok-2", 3)],
-                |name, &v| {
-                    assert!(name != "boom", "variant {v} is poisoned");
-                    v * 10
-                },
+        for ctx in serial_and_parallel() {
+            let (completed, _) = sweep_with_a_poisoned_job(&ctx);
+            assert_eq!(
+                completed, 2,
+                "the healthy jobs still ran to completion (serial: {})",
+                ctx.serial
             );
-            assert_eq!(results.len(), 3, "every variant reports, panicked or not");
-            assert_eq!(*results[0].as_ref().unwrap(), 10);
-            let err = results[1].as_ref().unwrap_err();
-            assert_eq!(err.label, "boom");
-            assert!(
-                err.message.contains("variant 2 is poisoned"),
-                "payload text surfaces: {}",
-                err.message
-            );
-            assert_eq!(*results[2].as_ref().unwrap(), 30);
         }
     }
 
     #[test]
     fn run_panics_with_a_summary_after_completing_all_variants() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let completed = AtomicU32::new(0);
-        let results = fan_out(false, &[("a", 0u32), ("bad", 1), ("c", 2)], |name, _| {
-            assert!(name != "bad", "injected failure");
-            completed.fetch_add(1, Ordering::SeqCst);
+        for ctx in serial_and_parallel() {
+            let (_, msg) = sweep_with_a_poisoned_job(&ctx);
+            assert!(
+                msg.contains("1 sweep variant(s) panicked")
+                    && msg.contains("variant \"boom\" panicked")
+                    && msg.contains("job 2 is poisoned"),
+                "summary names the failed job and its payload (serial: {}): {msg}",
+                ctx.serial
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_collects_in_declaration_order() {
+        let metrics = idle_metrics();
+        for ctx in serial_and_parallel() {
+            // The slowest job is declared first; a completion-order
+            // collector would return it last.
+            let outcomes = sweep_jobs(
+                &ctx,
+                [("slow", 30u64), ("mid", 5), ("fast", 0)],
+                |&ms, _| {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                    RunStatus::Done(Box::new(RunOutcome::new(metrics.clone(), ms)))
+                },
+                |&ms| ms,
+            );
+            let got: Vec<(&str, u64)> = outcomes.iter().map(|(l, o)| (l, o.checksum)).collect();
+            assert_eq!(got, [("slow", 30), ("mid", 5), ("fast", 0)]);
+        }
+    }
+
+    #[test]
+    fn sweep_parallel_matches_serial_on_simulated_runs() {
+        use levi_workloads::hashtable::{HashtableWorkload, HtScale, HtVariant};
+        use levi_workloads::Workload;
+        let w = HashtableWorkload;
+        let scale = HtScale::test(64);
+        let jobs = [
+            ("Baseline", HtVariant::Baseline),
+            ("Leviathan", HtVariant::Leviathan),
+            ("Ideal", HtVariant::Ideal),
+            ("Baseline2", HtVariant::Baseline),
+        ];
+        let [serial, parallel] = serial_and_parallel().map(|ctx| {
+            let outcomes = sweep_jobs(
+                &ctx,
+                jobs,
+                |&v, env| w.run(v, &scale, &(), env),
+                |&v| w.golden(v, &scale, &()),
+            );
+            outcomes
+                .iter()
+                .map(|(_, o)| (o.metrics.cycles, o.checksum))
+                .collect::<Vec<_>>()
         });
-        assert_eq!(
-            completed.load(Ordering::SeqCst),
-            2,
-            "the healthy variants still ran to completion"
-        );
-        let failed: Vec<VariantPanic> = results.into_iter().filter_map(Result::err).collect();
-        let caught = std::panic::catch_unwind(|| raise_variant_panics(&failed));
-        let msg = match caught {
-            Ok(()) => panic!("a failed variant must raise a panic"),
-            Err(p) => *p.downcast::<String>().expect("summary is a String"),
-        };
-        assert!(
-            msg.contains("1 sweep variant(s) panicked") && msg.contains("\"bad\""),
-            "summary names the failed variant: {msg}"
-        );
+        assert_eq!(serial, parallel);
+        // Identical configs give identical runs even across threads.
+        assert_eq!(parallel[0], parallel[3]);
+    }
+
+    #[test]
+    fn pct_formats() {
+        assert_eq!(super::pct(0.064), "6.4%");
     }
 
     #[test]
@@ -465,46 +436,5 @@ mod tests {
         let mut out = String::new();
         levi_sim::telemetry::write_escaped(&mut out, "a\"b\\c");
         assert_eq!(out, "a\\\"b\\\\c");
-    }
-
-    #[test]
-    fn sweep_collects_in_declaration_order() {
-        // The slowest variant is declared first; a completion-order
-        // collector would return it last.
-        let results = fan_out(
-            false,
-            &[("slow", 30u64), ("mid", 5), ("fast", 0)],
-            |name, &ms| {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                format!("{name}:{ms}")
-            },
-        );
-        let results: Vec<String> = results.into_iter().map(Result::unwrap).collect();
-        assert_eq!(results, ["slow:30", "mid:5", "fast:0"]);
-    }
-
-    #[test]
-    fn sweep_parallel_matches_serial_on_simulated_runs() {
-        use levi_workloads::hashtable::{run_hashtable, HtScale, HtVariant};
-        let scale = HtScale::test(64);
-        let variants = [
-            ("Baseline", HtVariant::Baseline),
-            ("Leviathan", HtVariant::Leviathan),
-            ("Ideal", HtVariant::Ideal),
-            ("Baseline2", HtVariant::Baseline),
-        ];
-        let run = |serial| -> Vec<(u64, u64)> {
-            fan_out(serial, &variants, |_, &v| {
-                let r = run_hashtable(v, &scale);
-                (r.metrics.cycles, r.checksum)
-            })
-            .into_iter()
-            .map(Result::unwrap)
-            .collect()
-        };
-        let parallel = run(false);
-        assert_eq!(parallel, run(true));
-        // Identical configs give identical runs even across threads.
-        assert_eq!(parallel[0], parallel[3]);
     }
 }

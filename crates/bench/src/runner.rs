@@ -1,5 +1,5 @@
 //! The unified figure runner: a registry of figure descriptors and the
-//! one run path that drives their simulations through [`crate::fan_out`].
+//! one run path that drives their simulations, [`sweep_jobs`].
 //!
 //! Each figure of the paper's evaluation is one [`Figure`] descriptor in
 //! [`crate::figures::ALL`]: a static id, a one-line summary, the registry
@@ -17,11 +17,13 @@
 //! * [`sweep_jobs`] — every simulated run of every figure goes through
 //!   it: labelled jobs run in parallel, each is golden-checked, journaled
 //!   (`--resume`), reported on stderr and dumped as one telemetry block
-//!   (`--telemetry`). [`sweep_variants`] / [`sweep_prepared`] adapt it
+//!   (`--telemetry`). It is the only place that spawns threads or
+//!   contains panics. [`sweep_variants`] / [`sweep_prepared`] adapt it
 //!   to "a workload's (filtered) variants at one scale".
 //! * [`report_figure`] — join measured outcomes with the paper's numbers
 //!   by label and emit the standard speedup/energy report.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use levi_workloads::harness::{
@@ -29,7 +31,7 @@ use levi_workloads::harness::{
 };
 
 use crate::journal::Journal;
-use crate::{fan_out, report, Row, Sink};
+use crate::{report, Row, Sink};
 
 /// Per-invocation context threaded into every figure's `run` function.
 /// The CLI fills it once, opening every output before any simulation
@@ -44,8 +46,9 @@ pub struct RunCtx {
     /// Environment applied uniformly to every simulated run.
     pub env: RunEnv,
     /// Run each sweep's jobs one after another on the calling thread
-    /// (`--serial`). The output is byte-identical either way; the switch
-    /// exists for debugging and for quieter wall-clock timings.
+    /// (`--serial`). The output is byte-identical either way; the serial
+    /// run is the reference the parallel one is checked against, and the
+    /// easier one to debug.
     pub serial: bool,
     /// The id of the figure being run (empty outside [`run_figure`]):
     /// the `"figure"` key of report JSON, the key of journal records and
@@ -118,10 +121,15 @@ impl std::ops::Index<&str> for Outcomes {
 /// every simulated figure takes.
 ///
 /// Each job is either loaded from the ctx's journal (`--resume`) or run
-/// as `run(job, &ctx.env)` through [`fan_out`], so one panicking job
-/// cannot abort its siblings. Every outcome is checked against
-/// `golden(job)`: a fresh one inside its job, a resumed one here (which
-/// also catches a stale journal from an older build). A fresh outcome is
+/// as `run(job, &ctx.env)`, on its own thread unless `ctx.serial` is set.
+/// Every simulated run is a pure function of its configuration and seed
+/// (the simulator shares no global state), so the parallel sweep returns
+/// what the serial one does, in job order. A panicking job is contained
+/// so it cannot abort its siblings' (possibly hours of) completed work.
+///
+/// Every outcome is checked against `golden(job)`: a fresh one inside its
+/// job, a resumed one here (which also catches a stale journal from an
+/// older build). A fresh outcome is
 /// recorded in the journal inside its job, right after its golden check,
 /// so a kill or a panic later in the sweep cannot lose finished work.
 /// Progress goes to stderr, `UNSUPPORTED` notices to stdout, and one
@@ -195,7 +203,7 @@ where
     .into_iter();
 
     let mut entries = Vec::new();
-    let mut failed: Vec<crate::VariantPanic> = Vec::new();
+    let mut failed = Vec::new();
     for ((label, job), resumed) in jobs.iter().zip(resumed) {
         let o = match resumed {
             Some(o) => {
@@ -219,8 +227,8 @@ where
                     println!("{label:<22} UNSUPPORTED — {reason}");
                     continue;
                 }
-                Err(p) => {
-                    failed.push(p);
+                Err(message) => {
+                    failed.push(format!("variant {label:?} panicked: {message}"));
                     continue;
                 }
             },
@@ -235,8 +243,58 @@ where
         }
         entries.push((label.clone(), o));
     }
-    crate::raise_variant_panics(&failed);
+    if !failed.is_empty() {
+        panic!(
+            "{} sweep variant(s) panicked:\n  {}",
+            failed.len(),
+            failed.join("\n  ")
+        );
+    }
     Outcomes { entries }
+}
+
+/// Runs `f(label, item)` for every labelled item, on scoped threads unless
+/// `serial` is set or there is at most one item, and returns the results
+/// in declaration order. A panicking item becomes an `Err` holding its
+/// panic message; the other items still run to completion.
+fn fan_out<T, R, F>(serial: bool, items: &[(&str, T)], f: F) -> Vec<Result<R, String>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&str, &T) -> R + Sync,
+{
+    let guarded = |label: &str, item: &T| {
+        catch_unwind(AssertUnwindSafe(|| f(label, item))).map_err(|p| panic_message(p.as_ref()))
+    };
+    if serial || items.len() < 2 {
+        return items
+            .iter()
+            .map(|(label, item)| guarded(label, item))
+            .collect();
+    }
+    let guarded = &guarded;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .iter()
+            .map(|(label, item)| s.spawn(move || guarded(label, item)))
+            .collect();
+        // The closure catches its own panics; a join error would mean the
+        // thread died some other way.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))))
+            .collect()
+    })
+}
+
+fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// Runs the (filtered) variants of a typed workload at `scale` through
@@ -310,7 +368,7 @@ pub struct Figure {
     /// One-line summary shown by `levi-bench list`.
     pub about: &'static str,
     /// Registry workloads this figure exercises (empty for figures that
-    /// measure the substrate or print static configuration).
+    /// print static configuration and simulate nothing).
     pub workloads: &'static [&'static str],
     /// Prints the figure (and emits its report JSON) for a context.
     pub run: fn(&RunCtx),

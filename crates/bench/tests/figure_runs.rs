@@ -1,7 +1,9 @@
-//! End-to-end runs of the `levi-bench` binary on knob-sweep figures.
-//! Every simulated run of a figure takes the runner's one sweep path, so
-//! `--telemetry` dumps one block per run and a second `--resume` of the
-//! same journal replays every run instead of simulating it again.
+//! End-to-end runs of the `levi-bench` binary. Every figure prints
+//! deterministic stdout, so `run all --quick` must print the committed
+//! golden byte for byte. Every simulated run of a figure takes the
+//! runner's one sweep path, so `--telemetry` dumps one block per run and a
+//! second `--resume` of the same journal replays every run instead of
+//! simulating it again.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -17,6 +19,10 @@ const RUNS_PER_FIGURE: usize = 4;
 /// `run ablation_tenancy --quick`: eight blocks whose values cover the
 /// TLB counters, the `xlat_walk` histogram and the per-tenant series.
 const TELEMETRY_GOLDEN: &str = include_str!("../../../tests/golden/telemetry_quick.jsonl");
+
+/// The stdout of `run all --quick`. A change that moves a figure on
+/// purpose regenerates it in the same commit.
+const RUN_ALL_QUICK_GOLDEN: &str = include_str!("../../../tests/golden/run_all_quick.txt");
 
 /// A fresh path under the test's scratch directory.
 fn scratch(name: &str) -> String {
@@ -38,6 +44,19 @@ fn levi_bench(args: &[&str]) -> Output {
         String::from_utf8_lossy(&out.stderr)
     );
     out
+}
+
+#[test]
+fn run_all_quick_prints_the_golden_byte_for_byte() {
+    let out = levi_bench(&["run", "all", "--quick"]);
+    let stdout = String::from_utf8(out.stdout).expect("figure output is UTF-8");
+    for (i, (got, want)) in stdout.lines().zip(RUN_ALL_QUICK_GOLDEN.lines()).enumerate() {
+        assert_eq!(got, want, "stdout line {} differs from the golden", i + 1);
+    }
+    assert_eq!(
+        stdout, RUN_ALL_QUICK_GOLDEN,
+        "stdout differs from the golden in length or line endings"
+    );
 }
 
 #[test]

@@ -2,8 +2,7 @@
 //! mechanism each — streaming bandwidth (Scan), dependent load latency
 //! (PtrChase), and the invoke path (InvokeAdd).
 //!
-//! Unlike the wall-clock harness microbenchmarks (`micro_substrate`),
-//! these run on the timed simulator with host golden models, so they join
+//! They run on the timed simulator with host golden models, so they join
 //! the [`crate::harness::REGISTRY`] and the differential tests like any
 //! case study: a regression in the core pipeline, the cache walk, or the
 //! task-offload scheduler shows up as a cycle or checksum drift here
