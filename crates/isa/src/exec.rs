@@ -6,10 +6,15 @@
 //! [`crate::interp`] wraps it into a plain interpreter for tests. Keeping a
 //! single copy of the semantics guarantees the timed and functional paths
 //! can never disagree.
+//!
+//! `step` is [`fetch`] followed by [`execute`]. The timed loops call the
+//! two halves themselves: they schedule the fetched instruction from its
+//! [`InstMeta`] (decoded once, when its function was built) and then hand
+//! the same instruction to `execute`, so no instruction is matched twice.
 
 use std::fmt;
 
-use crate::inst::{Addr, Inst, InstClass, Location, MemOrder, MemWidth, Reg, NUM_REGS};
+use crate::inst::{Addr, Inst, InstClass, InstMeta, Location, MemOrder, MemWidth, Reg, NUM_REGS};
 use crate::mem::Memory;
 use crate::program::{ActionId, FuncId, Program};
 
@@ -263,7 +268,7 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Executes one instruction of `ctx`.
+/// Executes one instruction of `ctx`: [`fetch`], then [`execute`].
 ///
 /// On success the returned [`StepInfo`] describes what happened; if the
 /// instruction blocked on the host ([`Control::Blocked`]) the PC is
@@ -280,17 +285,45 @@ pub fn step(
     mem: &mut dyn Memory,
     host: &mut dyn NdcHost,
 ) -> Result<StepInfo, ExecError> {
+    let (inst, meta) = fetch(prog, ctx)?;
+    execute(ctx, inst, meta.class, mem, host)
+}
+
+/// Fetches the instruction at `ctx`'s PC with its decoded [`InstMeta`],
+/// so a timing model can schedule it before [`execute`] runs it.
+///
+/// # Errors
+/// Returns [`ExecError::Halted`] if the context already halted and
+/// [`ExecError::PcOutOfRange`] for a malformed PC.
+#[inline]
+pub fn fetch<'p>(prog: &'p Program, ctx: &ExecCtx) -> Result<(&'p Inst, InstMeta), ExecError> {
     if ctx.halted {
         return Err(ExecError::Halted);
     }
     let pc = ctx.pc;
     let func = prog.func(pc.func);
-    let inst = func
-        .insts()
-        .get(pc.idx as usize)
-        .ok_or(ExecError::PcOutOfRange(pc))?;
-    let class = inst.class();
+    let idx = pc.idx as usize;
+    match (func.insts().get(idx), func.metas().get(idx)) {
+        (Some(inst), Some(meta)) => Ok((inst, *meta)),
+        _ => Err(ExecError::PcOutOfRange(pc)),
+    }
+}
 
+/// Executes `inst`, the instruction [`fetch`] returned for `ctx`'s current
+/// PC, with `class` its [`InstMeta::class`]. This is the one
+/// implementation of every instruction's semantics.
+///
+/// # Errors
+/// Returns [`ExecError::StackOverflow`] if `call` nesting exceeds
+/// [`MAX_CALL_DEPTH`].
+pub fn execute(
+    ctx: &mut ExecCtx,
+    inst: &Inst,
+    class: InstClass,
+    mem: &mut dyn Memory,
+    host: &mut dyn NdcHost,
+) -> Result<StepInfo, ExecError> {
+    let pc = ctx.pc;
     let mut control = Control::Next;
     let mut mem_effect = None;
 
@@ -649,6 +682,82 @@ mod tests {
         let mut ctx = ExecCtx::new(id, &[1, 2]);
         let info = step(&prog, &mut ctx, &mut mem, &mut host).unwrap();
         assert_eq!(info.control, Control::Branch { taken: false });
+    }
+
+    /// A [`Memory`] with word-sized `read`/`write` that counts every call
+    /// of the byte accessors.
+    #[derive(Default)]
+    struct ByteCountingMem {
+        inner: PagedMem,
+        byte_reads: std::cell::Cell<u64>,
+        byte_writes: u64,
+    }
+
+    impl Memory for ByteCountingMem {
+        fn read_u8(&self, addr: Addr) -> u8 {
+            self.byte_reads.set(self.byte_reads.get() + 1);
+            self.inner.read_u8(addr)
+        }
+        fn write_u8(&mut self, addr: Addr, val: u8) {
+            self.byte_writes += 1;
+            self.inner.write_u8(addr, val)
+        }
+        fn read(&self, addr: Addr, width: MemWidth) -> u64 {
+            self.inner.read(addr, width)
+        }
+        fn write(&mut self, addr: Addr, val: u64, width: MemWidth) {
+            self.inner.write(addr, val, width)
+        }
+    }
+
+    /// Through its `&mut dyn Memory`, `step` must reach an implementation's
+    /// own word accessors. An `impl Memory for &mut M` would make
+    /// `mem.read(..)` there autoref to the trait's default byte loop.
+    #[test]
+    fn word_accesses_make_no_byte_calls() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("words");
+        let (p, v, w) = (Reg(0), Reg(1), Reg(2));
+        f.ld8(v, p, 0);
+        f.st8(p, 8, v);
+        f.rmw_fenced(RmwOp::Add, w, p, v, MemWidth::B8);
+        f.ret();
+        let id = f.finish();
+        let prog = pb.finish().unwrap();
+        let mut mem = ByteCountingMem::default();
+        mem.inner.write_u64(0x100, 5);
+        let mut ctx = ExecCtx::new(id, &[0x100]);
+        for name in ["ld", "st", "rmw"] {
+            step(&prog, &mut ctx, &mut mem, &mut NoNdc).unwrap();
+            assert_eq!(mem.byte_reads.get(), 0, "{name} read byte by byte");
+            assert_eq!(mem.byte_writes, 0, "{name} wrote byte by byte");
+        }
+        assert_eq!(mem.inner.read_u64(0x108), 5);
+        assert_eq!(mem.inner.read_u64(0x100), 10);
+        assert_eq!(ctx.reg(w), 5);
+    }
+
+    #[test]
+    fn step_is_fetch_then_execute() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("m");
+        f.mul(Reg(0), Reg(0), Reg(1)).ret();
+        let id = f.finish();
+        let prog = pb.finish().unwrap();
+        let mut ctx = ExecCtx::new(id, &[6, 7]);
+        let (inst, meta) = fetch(&prog, &ctx).unwrap();
+        assert_eq!(*inst, prog.func(id).insts()[0]);
+        assert_eq!(meta, InstMeta::of(inst));
+        let info = execute(&mut ctx, inst, meta.class, &mut PagedMem::new(), &mut NoNdc).unwrap();
+        assert_eq!(info.class, InstClass::Mul);
+        assert_eq!(ctx.ret_val(), 42);
+        ctx.pc.idx = 9;
+        assert_eq!(
+            fetch(&prog, &ctx).map(|_| ()),
+            Err(ExecError::PcOutOfRange(ctx.pc))
+        );
+        ctx.halted = true;
+        assert_eq!(fetch(&prog, &ctx).map(|_| ()), Err(ExecError::Halted));
     }
 
     #[test]

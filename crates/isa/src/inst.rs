@@ -565,6 +565,56 @@ impl Inst {
     }
 }
 
+/// What the timing models need of an instruction, decoded once per static
+/// instruction when its [`crate::Function`] is built: the registers it
+/// reads (one bit per register), its timing class and the register it
+/// writes. The timed loops read this instead of re-matching the [`Inst`]
+/// on every execution.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InstMeta {
+    /// Bit `r` is set if the instruction reads register `r`
+    /// ([`Inst::for_each_use`]); a repeated register sets one bit.
+    pub uses: u64,
+    /// [`Inst::class`].
+    pub class: InstClass,
+    /// [`Inst::def`].
+    pub def: Option<Reg>,
+}
+
+// `InstMeta::uses` has one bit per register.
+const _: () = assert!(NUM_REGS <= 64);
+
+impl InstMeta {
+    /// Decodes `inst`. Registers out of range (which program validation
+    /// rejects) set no bit.
+    pub fn of(inst: &Inst) -> Self {
+        let mut uses = 0u64;
+        inst.for_each_use(|r| {
+            if r.index() < NUM_REGS {
+                uses |= 1 << r.index();
+            }
+        });
+        InstMeta {
+            uses,
+            class: inst.class(),
+            def: inst.def(),
+        }
+    }
+
+    /// The cycle the instruction's operands are ready: the latest of
+    /// `start` and `reg_ready[r]` over every register it reads.
+    #[inline]
+    pub fn ready(&self, reg_ready: &[u64; NUM_REGS], start: u64) -> u64 {
+        let mut ready = start;
+        let mut uses = self.uses;
+        while uses != 0 {
+            ready = ready.max(reg_ready[uses.trailing_zeros() as usize]);
+            uses &= uses - 1;
+        }
+        ready
+    }
+}
+
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

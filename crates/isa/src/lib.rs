@@ -79,7 +79,8 @@ pub use exec::{
     Control, ExecCtx, ExecError, MemEffect, NdcHost, NdcRequest, NoNdc, Poll, StepInfo,
 };
 pub use inst::{
-    Addr, AluOp, BrCond, Inst, InstClass, Label, Location, MemOrder, MemWidth, Reg, RmwOp, NUM_REGS,
+    Addr, AluOp, BrCond, Inst, InstClass, InstMeta, Label, Location, MemOrder, MemWidth, Reg,
+    RmwOp, NUM_REGS,
 };
 pub use mem::{Memory, PagedMem};
 pub use program::{ActionId, FuncId, Function, Program, ProgramError};

@@ -15,8 +15,13 @@ pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// Byte-addressed memory with typed accessors.
 ///
 /// All multi-byte accesses are little-endian. Reads of untouched memory
-/// return zero. Implementations may be sparse; a `&mut M where M: Memory`
-/// can be passed wherever a `Memory` is needed.
+/// return zero. Implementations may be sparse.
+///
+/// Pass a `&mut M` where a `&mut dyn Memory` is wanted: there is
+/// deliberately no `impl Memory for &mut M`. With one, a method call on a
+/// `mem: &mut dyn Memory` autorefs to `<&mut dyn Memory as Memory>::read`,
+/// which is this trait's default byte loop, and never reaches an
+/// implementation's own `read`.
 pub trait Memory {
     /// Reads one byte.
     fn read_u8(&self, addr: Addr) -> u8;
@@ -72,29 +77,11 @@ pub trait Memory {
         self.write(addr, val, MemWidth::B8)
     }
 
-    /// Copies `len` bytes from `src` to `dst` (regions may not overlap in a
-    /// way that matters: the copy proceeds low-to-high).
-    fn copy(&mut self, dst: Addr, src: Addr, len: u64) {
-        for i in 0..len {
-            let b = self.read_u8(src.wrapping_add(i));
-            self.write_u8(dst.wrapping_add(i), b);
-        }
-    }
-
     /// Fills `[addr, addr+len)` with `byte`.
     fn fill(&mut self, addr: Addr, len: u64, byte: u8) {
         for i in 0..len {
             self.write_u8(addr.wrapping_add(i), byte);
         }
-    }
-}
-
-impl<M: Memory + ?Sized> Memory for &mut M {
-    fn read_u8(&self, addr: Addr) -> u8 {
-        (**self).read_u8(addr)
-    }
-    fn write_u8(&mut self, addr: Addr, val: u8) {
-        (**self).write_u8(addr, val)
     }
 }
 
@@ -108,6 +95,14 @@ pub struct PagedMem {
 }
 
 impl PagedMem {
+    /// The page holding `addr`, allocated (zeroed) on first touch.
+    #[inline]
+    fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_SIZE] {
+        self.pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
     /// Creates an empty memory.
     pub fn new() -> Self {
         Self::default()
@@ -145,11 +140,7 @@ impl Memory for PagedMem {
 
     #[inline]
     fn write_u8(&mut self, addr: Addr, val: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = val;
+        self.page_mut(addr)[(addr as usize) & (PAGE_SIZE - 1)] = val;
     }
 
     // Multi-byte accesses are the interpreter's hot path: one page-table
@@ -184,15 +175,24 @@ impl Memory for PagedMem {
         let n = width.bytes();
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + n as usize <= PAGE_SIZE {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + n as usize].copy_from_slice(&val.to_le_bytes()[..n as usize]);
+            self.page_mut(addr)[off..off + n as usize]
+                .copy_from_slice(&val.to_le_bytes()[..n as usize]);
         } else {
             for i in 0..n {
                 self.write_u8(addr.wrapping_add(i), (val >> (8 * i)) as u8);
             }
+        }
+    }
+
+    /// One page lookup per page the range touches.
+    fn fill(&mut self, addr: Addr, len: u64, byte: u8) {
+        let (mut addr, mut left) = (addr, len);
+        while left > 0 {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            let n = left.min((PAGE_SIZE - off) as u64);
+            self.page_mut(addr)[off..off + n as usize].fill(byte);
+            addr = addr.wrapping_add(n);
+            left -= n;
         }
     }
 }
@@ -229,14 +229,29 @@ mod tests {
     }
 
     #[test]
-    fn copy_and_fill() {
-        let mut mem = PagedMem::new();
-        mem.write_u64(0x200, 0x1234_5678_9ABC_DEF0);
-        mem.copy(0x300, 0x200, 8);
-        assert_eq!(mem.read_u64(0x300), 0x1234_5678_9ABC_DEF0);
-        mem.fill(0x300, 4, 0xFF);
-        assert_eq!(mem.read_u32(0x300), 0xFFFF_FFFF);
-        assert_eq!(mem.read_u32(0x304), 0x1234_5678);
+    fn fill_matches_byte_writes() {
+        // Inside one page, and from 3 bytes before a page boundary across
+        // two more pages.
+        let cases = [
+            (0x300, 4),
+            (PAGE_SIZE as u64 - 3, 2 * PAGE_SIZE as u64 + 10),
+        ];
+        for (addr, len) in cases {
+            let mut paged = PagedMem::new();
+            let mut bytes = PagedMem::new();
+            for m in [&mut paged, &mut bytes] {
+                m.write_u64(addr - 8, u64::MAX);
+                m.write_u64(addr + len, u64::MAX);
+            }
+            paged.fill(addr, len, 0xAB);
+            for i in 0..len {
+                bytes.write_u8(addr + i, 0xAB);
+            }
+            for a in addr - 8..addr + len + 8 {
+                assert_eq!(paged.read_u8(a), bytes.read_u8(a), "byte {a:#x}");
+            }
+            assert_eq!(paged.resident_pages(), bytes.resident_pages());
+        }
     }
 
     #[test]

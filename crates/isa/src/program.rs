@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::inst::Inst;
+use crate::inst::{Inst, InstMeta};
 
 /// Identifies a function within a [`Program`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,11 +42,14 @@ impl fmt::Debug for ActionId {
 pub struct Function {
     name: String,
     insts: Vec<Inst>,
+    /// `metas[i]` is `InstMeta::of(&insts[i])`.
+    metas: Vec<InstMeta>,
 }
 
 impl Function {
     pub(crate) fn new(name: String, insts: Vec<Inst>) -> Self {
-        Function { name, insts }
+        let metas = insts.iter().map(InstMeta::of).collect();
+        Function { name, insts, metas }
     }
 
     /// The function's diagnostic name.
@@ -57,6 +60,12 @@ impl Function {
     /// The function's instructions.
     pub fn insts(&self) -> &[Inst] {
         &self.insts
+    }
+
+    /// The decoded timing view of each instruction, indexed like
+    /// [`Function::insts`].
+    pub fn metas(&self) -> &[InstMeta] {
+        &self.metas
     }
 
     /// Number of instructions in the function.

@@ -1,11 +1,14 @@
 //! Randomized tests of the LevIR semantics against native Rust evaluation:
-//! random straight-line ALU programs, memory round trips, and control-flow
-//! invariants. Formerly proptest-based; now driven by a fixed-seed
+//! random straight-line ALU programs, memory round trips, control-flow
+//! invariants, and the decoded `InstMeta` of random instructions. Formerly proptest-based; now driven by a fixed-seed
 //! splitmix64 generator so the suite is deterministic and needs no
 //! external crates.
 
 use levi_isa::interp::Interpreter;
-use levi_isa::{AluOp, BrCond, ExecCtx, Memory, NoNdc, PagedMem, ProgramBuilder, Reg, RmwOp};
+use levi_isa::{
+    ActionId, AluOp, BrCond, ExecCtx, FuncId, Inst, InstMeta, Label, Location, MemOrder, MemWidth,
+    Memory, NoNdc, PagedMem, ProgramBuilder, Reg, RmwOp, NUM_REGS,
+};
 
 /// Minimal in-file deterministic generator (splitmix64).
 struct Gen(u64);
@@ -220,4 +223,115 @@ fn step_writes_only_def() {
             }
         }
     }
+}
+
+/// A random instruction of any kind. Registers come from `0..regs`, so a
+/// small `regs` makes repeated operands (`add r1, r1, r1`) common.
+fn sample_inst(g: &mut Gen, regs: u64) -> Inst {
+    let mut r = || Reg(g.below(regs) as u8);
+    let (a, b, c, d) = (r(), r(), r(), r());
+    let nargs = g.below(5) as usize;
+    let args: Vec<Reg> = (0..nargs).map(|_| Reg(g.below(regs) as u8)).collect();
+    let future = (g.below(2) == 1).then(|| Reg(g.below(regs) as u8));
+    let op = OPS[g.below(OPS.len() as u64) as usize];
+    let width = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8][g.below(4) as usize];
+    match g.below(21) {
+        0 => Inst::Imm {
+            rd: a,
+            val: g.next(),
+        },
+        1 => Inst::Mov { rd: a, rs: b },
+        2 => Inst::Alu {
+            op,
+            rd: a,
+            ra: b,
+            rb: c,
+        },
+        3 => Inst::AluI {
+            op,
+            rd: a,
+            ra: b,
+            imm: g.next(),
+        },
+        4 => Inst::Ld {
+            rd: a,
+            ra: b,
+            off: 8,
+            width,
+            sext: g.below(2) == 1,
+        },
+        5 => Inst::St {
+            rs: a,
+            ra: b,
+            off: -8,
+            width,
+        },
+        6 => Inst::Br {
+            cond: BrCond::LtU,
+            ra: a,
+            rb: b,
+            target: Label(0),
+        },
+        7 => Inst::Jmp { target: Label(0) },
+        8 => Inst::Call { func: FuncId(0) },
+        9 => Inst::Ret,
+        10 => Inst::Halt,
+        11 => Inst::Nop,
+        12 => Inst::AtomicRmw {
+            op: RmwOp::Add,
+            rd: a,
+            addr: b,
+            rv: c,
+            width,
+            ordering: MemOrder::Relaxed,
+        },
+        13 => Inst::Fence,
+        14 => Inst::Invoke {
+            actor: d,
+            action: ActionId(3),
+            args,
+            future,
+            loc: Location::Remote,
+            exclusive: false,
+        },
+        15 => Inst::FutureWait { rd: a, rf: b },
+        16 => Inst::FutureSend { rf: a, rv: b },
+        17 => Inst::Push { stream: a, rs: b },
+        18 => Inst::Pop { stream: a },
+        19 => Inst::Flush { addr: a, len: b },
+        _ => Inst::Trace { rs: a },
+    }
+}
+
+/// `InstMeta` (decoded once per static instruction) agrees with the
+/// per-use decoders the timing models used to call on every execution,
+/// and `InstMeta::ready` with their operand-readiness max.
+#[test]
+fn inst_meta_matches_decoders() {
+    let mut g = Gen(0x3e7a);
+    let mut invokes_with_args = 0;
+    for i in 0..4000 {
+        let regs = if i % 2 == 0 { 4 } else { NUM_REGS as u64 };
+        let inst = sample_inst(&mut g, regs);
+        let meta = InstMeta::of(&inst);
+        assert_eq!(meta.class, inst.class(), "{inst}");
+        assert_eq!(meta.def, inst.def(), "{inst}");
+        let mut uses = 0u64;
+        inst.for_each_use(|r| uses |= 1 << r.index());
+        assert_eq!(meta.uses, uses, "{inst}");
+        if matches!(&inst, Inst::Invoke { args, .. } if !args.is_empty()) {
+            invokes_with_args += 1;
+        }
+        for _ in 0..4 {
+            let start = g.below(1000);
+            let mut reg_ready = [0u64; NUM_REGS];
+            for t in &mut reg_ready {
+                *t = g.below(2000);
+            }
+            let mut want = start;
+            inst.for_each_use(|r| want = want.max(reg_ready[r.index()]));
+            assert_eq!(meta.ready(&reg_ready, start), want, "{inst}");
+        }
+    }
+    assert!(invokes_with_args > 50, "sample covers invoke args");
 }

@@ -2,7 +2,7 @@
 //! timing.
 //!
 //! [`step_one`] executes exactly one instruction of an actor functionally
-//! (via [`levi_isa::exec::step`]) while charging its timing against the
+//! (via [`levi_isa::exec::execute`]) while charging its timing against the
 //! scoreboard: operand-ready cycles per register, an issue-width or FU
 //! cursor slot, MSHR-limited memory-level parallelism ([`mshr_limit`]),
 //! fence drains, branch-predictor outcomes, and the hierarchy walk for
@@ -10,9 +10,7 @@
 //! [`crate::ndc_host`]; the scheduler in [`crate::sched`] interprets the
 //! returned [`StepOutcome`].
 
-use std::sync::Arc;
-
-use levi_isa::{exec, Control, Inst, InstClass, MemOrder, PagedMem, Program};
+use levi_isa::{exec, Control, Inst, InstClass, InstMeta, MemOrder, PagedMem};
 
 use crate::hw::{AccessKind, Hw, Walk};
 use crate::ndc::{StreamMode, WaitCond};
@@ -29,7 +27,6 @@ pub(crate) struct StepEnv<'a> {
     pub(crate) is_core: bool,
     pub(crate) tile: u32,
     pub(crate) engine: Option<crate::engine::EngineId>,
-    pub(crate) prog: &'a Arc<Program>,
     /// The cycle of the run-queue entry the actor was dispatched from.
     pub(crate) dispatched_at: u64,
 }
@@ -44,14 +41,15 @@ pub(crate) enum StepOutcome {
     SleepUntil(u64),
 }
 
-/// Executes one instruction of `a` with issue slot `slot`; returns the
-/// outcome. Kept as a free function so borrows of the machine's fields
-/// stay disjoint.
+/// Executes `inst`, the instruction at `a`'s PC, with its decoded `meta`
+/// and issue slot `slot`; returns the outcome. Kept as a free function so
+/// borrows of the machine's fields stay disjoint.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn step_one(
     env: StepEnv<'_>,
     a: &mut Actor,
     inst: &Inst,
+    meta: InstMeta,
     slot: u64,
     spawns: &mut Vec<SpawnReq>,
     wakes: &mut Vec<(WaitCond, u64)>,
@@ -64,7 +62,6 @@ pub(crate) fn step_one(
         is_core,
         tile,
         engine,
-        prog,
         dispatched_at,
     } = env;
 
@@ -110,11 +107,11 @@ pub(crate) fn step_one(
             if is_load {
                 hw.stats.load_to_use.record(at.saturating_sub(slot));
             }
-            let info =
-                exec::step(prog, &mut a.ctx, mem, &mut NoBlockHost).expect("mem step failed");
+            let info = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut NoBlockHost)
+                .expect("mem step failed");
             debug_assert!(info.retired());
             count_instr(hw);
-            if let Some(rd) = inst.def() {
+            if let Some(rd) = meta.def {
                 a.reg_ready[rd.index()] = at;
             }
             a.pending_mem.push(at);
@@ -156,14 +153,14 @@ pub(crate) fn step_one(
             if fenced {
                 hw.stats.fences += 1;
             }
-            let info =
-                exec::step(prog, &mut a.ctx, mem, &mut NoBlockHost).expect("rmw step failed");
+            let info = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut NoBlockHost)
+                .expect("rmw step failed");
             debug_assert!(info.retired());
             count_instr(hw);
             if is_core {
                 hw.stats.core_rmws += 1;
             }
-            if let Some(rd) = inst.def() {
+            if let Some(rd) = meta.def {
                 a.reg_ready[rd.index()] = at;
             }
             if fenced {
@@ -183,7 +180,7 @@ pub(crate) fn step_one(
             }
             a.pending_mem.clear();
             hw.stats.fences += 1;
-            let _ = exec::step(prog, &mut a.ctx, mem, &mut NoBlockHost);
+            let _ = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut NoBlockHost);
             count_instr(hw);
             a.clock = t;
             O::Continue
@@ -192,8 +189,8 @@ pub(crate) fn step_one(
         // ---- control flow ----
         Inst::Br { .. } => {
             let pc_sig = ((a.ctx.pc.func.0 as u64) << 20) | a.ctx.pc.idx as u64;
-            let info =
-                exec::step(prog, &mut a.ctx, mem, &mut NoBlockHost).expect("branch step failed");
+            let info = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut NoBlockHost)
+                .expect("branch step failed");
             count_instr(hw);
             let taken = matches!(info.control, Control::Branch { taken: true });
             if let Some(pred) = a.predictor.as_mut() {
@@ -211,8 +208,8 @@ pub(crate) fn step_one(
             O::Continue
         }
         Inst::Jmp { .. } | Inst::Call { .. } | Inst::Ret | Inst::Halt => {
-            let info =
-                exec::step(prog, &mut a.ctx, mem, &mut NoBlockHost).expect("ctrl step failed");
+            let info = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut NoBlockHost)
+                .expect("ctrl step failed");
             count_instr(hw);
             a.clock = a.clock.max(slot);
             if info.control == Control::Halt {
@@ -229,24 +226,23 @@ pub(crate) fn step_one(
 
         // ---- plain ALU ----
         Inst::Imm { .. } | Inst::Mov { .. } | Inst::Alu { .. } | Inst::AluI { .. } | Inst::Nop => {
-            let class = inst.class();
-            let _ = exec::step(prog, &mut a.ctx, mem, &mut NoBlockHost);
+            let _ = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut NoBlockHost);
             count_instr(hw);
             let lat = if is_core {
-                match class {
+                match meta.class {
                     InstClass::Mul => hw.cfg.core.mul_latency,
                     InstClass::Div => hw.cfg.core.div_latency,
                     _ => 1,
                 }
             } else {
                 let e = &hw.engines[engine.expect("engine").index()];
-                e.latency().max(match class {
+                e.latency().max(match meta.class {
                     InstClass::Mul => 3,
                     InstClass::Div => 12,
                     _ => e.latency(),
                 })
             };
-            if let Some(rd) = inst.def() {
+            if let Some(rd) = meta.def {
                 a.reg_ready[rd.index()] = slot + lat;
             }
             a.clock = a.clock.max(slot);
@@ -255,7 +251,7 @@ pub(crate) fn step_one(
 
         Inst::Trace { rs } => {
             traces.push(a.ctx.reg(*rs));
-            let _ = exec::step(prog, &mut a.ctx, mem, &mut NoBlockHost);
+            let _ = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut NoBlockHost);
             count_instr(hw);
             a.clock = a.clock.max(slot);
             O::Continue
@@ -287,7 +283,8 @@ pub(crate) fn step_one(
                 op_done: slot + 1,
                 wait_fill: slot,
             };
-            let info = exec::step(prog, &mut a.ctx, mem, &mut host).expect("ndc step failed");
+            let info = exec::execute(&mut a.ctx, inst, meta.class, mem, &mut host)
+                .expect("ndc step failed");
             let block = host.block;
             let sleep = host.sleep_until;
             let backoff = host.backoff_until;
@@ -306,7 +303,7 @@ pub(crate) fn step_one(
                 return O::Park(block.expect("blocked NDC op must set a condition"));
             }
             count_instr(hw);
-            if let Some(rd) = inst.def() {
+            if let Some(rd) = meta.def {
                 // FutureWait: value usable once the store-update arrives.
                 a.reg_ready[rd.index()] = wait_fill.max(slot) + 1;
             }

@@ -152,12 +152,13 @@ impl WindowFu {
             // Slide the window forward if `t` runs past it.
             if t >= self.start + FU_WINDOW as u64 {
                 let new_start = t - (FU_WINDOW as u64) / 2;
-                for c in self.start..new_start.min(self.start + FU_WINDOW as u64) {
-                    self.used[(c % FU_WINDOW as u64) as usize] = 0;
-                }
-                if new_start >= self.start + FU_WINDOW as u64 {
-                    self.used.iter_mut().for_each(|u| *u = 0);
-                }
+                // Cycles `start..new_start` leave the window: free their
+                // slots, a ring range that wraps at most once.
+                let gone = (new_start - self.start).min(FU_WINDOW as u64) as usize;
+                let from = (self.start % FU_WINDOW as u64) as usize;
+                let wrap = (from + gone).saturating_sub(FU_WINDOW);
+                self.used[from..from + gone - wrap].fill(0);
+                self.used[..wrap].fill(0);
                 self.start = new_start;
             }
             let slot = &mut self.used[(t % FU_WINDOW as u64) as usize];
@@ -432,6 +433,55 @@ mod tests {
             skipped.skip_late_grants(n);
             assert_eq!(skipped, stepped, "{fu:?} after {n} grants");
         }
+    }
+
+    /// The window slide frees exactly the slots the per-cycle loop it
+    /// replaced did: grants and window state agree on sampled request
+    /// streams that mix nearby requests with jumps past the window.
+    #[test]
+    fn window_slide_matches_per_cycle_reference() {
+        fn reference_reserve(fu: &mut WindowFu, t: u64) -> u64 {
+            let w = FU_WINDOW as u64;
+            let mut t = t.max(fu.start);
+            loop {
+                if t >= fu.start + w {
+                    let new_start = t - w / 2;
+                    for c in fu.start..new_start.min(fu.start + w) {
+                        fu.used[(c % w) as usize] = 0;
+                    }
+                    if new_start >= fu.start + w {
+                        fu.used.iter_mut().for_each(|u| *u = 0);
+                    }
+                    fu.start = new_start;
+                }
+                let slot = &mut fu.used[(t % w) as usize];
+                if (*slot as u32) < fu.limit {
+                    *slot += 1;
+                    return t;
+                }
+                t += 1;
+            }
+        }
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x5115e);
+        let mut slides = 0;
+        for _ in 0..200 {
+            let limit = rng.gen_range(1u32..5);
+            let (mut fu, mut reference) = (WindowFu::new(limit), WindowFu::new(limit));
+            let mut t = 0u64;
+            for _ in 0..400 {
+                t += match rng.gen_range(0u32..10) {
+                    0 => rng.gen_range(0u64..4 * FU_WINDOW as u64),
+                    1 => rng.gen_range(FU_WINDOW as u64 / 2..FU_WINDOW as u64 + 64),
+                    _ => rng.gen_range(0u64..8),
+                };
+                let ask = t.saturating_sub(rng.gen_range(0u64..64));
+                let start = fu.start;
+                assert_eq!(fu.reserve(ask), reference_reserve(&mut reference, ask));
+                assert_eq!((fu.start, &fu.used), (reference.start, &reference.used));
+                slides += u32::from(fu.start != start);
+            }
+        }
+        assert!(slides > 1000, "only {slides} slides sampled");
     }
 
     #[test]

@@ -210,6 +210,7 @@ impl Hw {
         level: MorphLevel,
         home: u32,
     ) -> u64 {
+        crate::perf::prof_scope!(crate::perf::Phase::Inline);
         let addr = line << LINE_SHIFT;
         let Some(mi) = self.ndc.morph_at(addr) else {
             // Morph was unregistered; drop the line.

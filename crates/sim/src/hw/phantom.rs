@@ -131,6 +131,7 @@ impl Hw {
         obj: Addr,
         now: u64,
     ) -> u64 {
+        crate::perf::prof_scope!(crate::perf::Phase::Inline);
         let mut t = now;
         match m.ctor {
             Some(ctor) => {
@@ -236,22 +237,18 @@ impl Hw {
                 prog.func(aref.func).name()
             );
             fuel -= 1;
-            let inst = &prog.func(ctx.pc.func).insts()[ctx.pc.idx as usize];
-            let mut ready = start;
-            inst.for_each_use(|r| ready = ready.max(reg_ready[r.index()]));
-            let class = inst.class();
-            let def = inst.def();
-            let is_mem = class == InstClass::Mem;
+            let (inst, meta) = exec::fetch(prog, &ctx).expect("inline action fetch failed");
+            let ready = meta.ready(&reg_ready, start);
 
             // Compute the memory address before stepping (the walk may run
             // nothing here — phantom is disabled — but must charge time).
-            let slot = if is_mem {
+            let slot = if meta.class == InstClass::Mem {
                 self.engines[eid.index()].reserve_mem(ready)
             } else {
                 self.engines[eid.index()].reserve_int(ready)
             };
-            let info =
-                exec::step(prog, &mut ctx, mem, &mut host).expect("inline action execution failed");
+            let info = exec::execute(&mut ctx, inst, meta.class, mem, &mut host)
+                .expect("inline action execution failed");
             debug_assert!(info.retired(), "inline actions cannot block");
             self.stats.engine_instrs += 1;
 
@@ -271,13 +268,13 @@ impl Hw {
                     }
                 }
             } else {
-                match class {
+                match meta.class {
                     InstClass::Mul => complete += 2,
                     InstClass::Div => complete += 11,
                     _ => {}
                 }
             }
-            if let Some(rd) = def {
+            if let Some(rd) = meta.def {
                 reg_ready[rd.index()] = complete;
             }
             done_max = done_max.max(complete);

@@ -5,10 +5,11 @@
 //! north-star is "as fast as the hardware allows"), so this module lets a
 //! build measure *where* host time goes: construction, scheduling,
 //! instruction execution, cache walks, NoC routing, DRAM service, invoke
-//! scheduling, and flushes. Hooks are `prof_scope!` statements threaded
-//! through the hot modules; each opens a scoped timer on a thread-local
-//! stack and records *self time* — time in nested scopes is attributed to
-//! the inner phase, not double-counted in the outer one.
+//! scheduling, flushes, and inline Morph constructors and destructors.
+//! Hooks are `prof_scope!` statements threaded through the hot modules;
+//! each opens a scoped timer on a thread-local stack and records *self
+//! time* — time in nested scopes is attributed to the inner phase, not
+//! double-counted in the outer one.
 //!
 //! Everything here is feature-gated on `self-profile`:
 //!
@@ -73,8 +74,10 @@ phases! {
     Sched => "sched",
     /// Instruction execution (issue, scoreboard, functional step).
     Exec => "exec",
-    /// Cache-hierarchy miss walks (L2/LLC probes, directory, fills).
-    /// L1/L1d hits resolve before the scope opens and land in the caller.
+    /// Cache-hierarchy miss walks (L2/LLC probes, directory, fills),
+    /// including the walks an inline Morph action's own loads and stores
+    /// make. L1/L1d hits resolve before the scope opens and land in the
+    /// caller.
     Cache => "cache",
     /// NoC routing and link reservation for cross-tile messages.
     /// Same-tile sends return before the scope opens.
@@ -84,8 +87,14 @@ phases! {
     Dram => "dram",
     /// Invoke scheduling (placement, NACK, backpressure).
     Invoke => "invoke",
-    /// Range flushes (Morph unregistration, cache drains).
+    /// Range flushes (Morph unregistration, cache drains). Destructors a
+    /// flush runs land in `Inline`.
     Flush => "flush",
+    /// Data-triggered Morph actions: the constructors of each phantom
+    /// line filled and the destructors of each line evicted or flushed,
+    /// interpreted inline on an engine. One scope per line, not per
+    /// action.
+    Inline => "inline",
 }
 
 impl Phase {

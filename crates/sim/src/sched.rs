@@ -43,7 +43,7 @@ use std::cmp::Reverse;
 use std::fmt;
 use std::sync::Arc;
 
-use levi_isa::{ExecCtx, InstClass, Program, NUM_REGS};
+use levi_isa::{exec, ExecCtx, InstClass, Program, NUM_REGS};
 
 use crate::branch::Gshare;
 use crate::core_pipe::{step_one, StepEnv, StepOutcome};
@@ -642,7 +642,7 @@ impl Machine {
                     // `args: Vec<Reg>`) and memcpy'd every other
                     // instruction, and this is the hottest line in the
                     // simulator.
-                    let inst = &prog.func(a.ctx.pc.func).insts()[a.ctx.pc.idx as usize];
+                    let (inst, meta) = exec::fetch(&prog, &a.ctx).expect("fetch failed");
                     let is_core = matches!(a.kind, ActorKind::CoreThread { .. });
                     let (tile, engine) = match a.kind {
                         ActorKind::CoreThread { core } => (core, None),
@@ -650,16 +650,14 @@ impl Machine {
                     };
 
                     // Operand readiness.
-                    let mut ready = a.clock;
-                    inst.for_each_use(|r| ready = ready.max(a.reg_ready[r.index()]));
+                    let ready = meta.ready(&a.reg_ready, a.clock);
 
                     // Issue slot.
-                    let class = inst.class();
                     let slot = if is_core {
                         a.issue.reserve(ready)
                     } else {
                         let e = &mut hw.engines[engine.expect("engine task").index()];
-                        match class {
+                        match meta.class {
                             InstClass::Mem => e.reserve_mem(ready),
                             _ => e.reserve_int(ready),
                         }
@@ -673,11 +671,11 @@ impl Machine {
                             is_core,
                             tile,
                             engine,
-                            prog: &prog,
                             dispatched_at,
                         },
                         a,
                         inst,
+                        meta,
                         slot,
                         &mut spawns,
                         &mut wakes,

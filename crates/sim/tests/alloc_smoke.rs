@@ -1,32 +1,47 @@
-//! Steady-state allocation smoke test.
+//! Steady-state allocation smoke tests.
 //!
 //! The data-oriented substrate claims the simulator's per-instruction hot
 //! path — `run_actor`, cache probes/fills, waiter park/wake, DRAM and NoC
-//! queueing — performs **zero heap allocations** once warm: flat slabs are
-//! sized up front, scratch vectors are taken/restored, waiter lists are
-//! pooled, and guest memory pages are only allocated on first touch.
+//! queueing, and the inline interpreter that runs Morph constructors and
+//! destructors — performs **zero heap allocations** once warm: flat slabs
+//! are sized up front, scratch vectors are taken/restored, waiter lists
+//! are pooled, and guest memory pages are only allocated on first touch.
 //!
-//! Verified with a counting global allocator and two otherwise-identical
-//! single-thread runs that differ only in loop trip count: the longer run
-//! executes ~60k more instructions over the *same* memory footprint, so
-//! any per-instruction allocation would show up as a large count delta.
-//! A small slack absorbs one-off amortized growth (e.g. a `Vec` capacity
-//! doubling inside stats sampling).
+//! Verified with a counting global allocator and pairs of otherwise
+//! identical single-thread runs that differ only in trip count: the
+//! longer run does much more steady-state work (instructions, or LLC
+//! evictions that run destructors) over the *same* memory footprint, so
+//! any per-instruction or per-eviction allocation would show up as a
+//! large count delta. A small slack absorbs one-off amortized growth
+//! (e.g. a `Vec` capacity doubling inside stats sampling).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-use levi_isa::{Memory, Reg};
+use levi_isa::{ActionId, Memory, Reg};
+use levi_sim::ndc::{MorphLevel, MorphRegion};
 use levi_sim::{Machine, MachineConfig};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so tests running in parallel do not see each other's
+    // allocations. `const` and drop-free, so reading it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
+
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.alloc(layout)
     }
 
@@ -35,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -87,9 +102,9 @@ fn measure(reps: u64) -> (u64, u64, u64) {
         m.mem_mut().write_u64(base + 8 * k, k + 1);
     }
     m.spawn_thread(0, prog, func, &[base, reps]).unwrap();
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     m.run().unwrap();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
     (
         after - before,
         m.stats().core_instrs,
@@ -99,8 +114,6 @@ fn measure(reps: u64) -> (u64, u64, u64) {
 
 #[test]
 fn steady_state_run_allocates_nothing_per_instruction() {
-    // One test fn (not two) so no parallel test thread pollutes the
-    // global counter between the two measurements.
     let (allocs_short, instrs_short, sum_a) = measure(10);
     let (allocs_long, instrs_long, sum_b) = measure(200);
     assert_eq!(sum_a, sum_b, "both runs compute the same checksum");
@@ -119,5 +132,92 @@ fn steady_state_run_allocates_nothing_per_instruction() {
         extra_allocs < 64,
         "steady-state execution must not allocate: {extra_allocs} extra \
          allocation calls over {extra_instrs} extra instructions"
+    );
+}
+
+/// Phantom range of the eviction test: 1024 lines of 8 B objects, four
+/// times the shrunken LLC below.
+const PHANTOM: u64 = 64 * 1024;
+
+/// Streams one store per line over a sub-line LLC Morph with a
+/// destructor, `reps` times. The LLC holds a quarter of the range, so
+/// every store after the first pass misses, fills a zeroed phantom line
+/// and evicts one whose 8 destructors then run inline. Returns (alloc
+/// calls during run, destructor actions, the destructors' tally).
+fn measure_evictions(reps: u64) -> (u64, u64, u64) {
+    let mut pb = levi_isa::ProgramBuilder::new();
+    // Destructor: r0 = object, r1 = view; counts into the view.
+    let dtor = {
+        let mut f = pb.function("count_dtor");
+        let (view, c) = (Reg(1), Reg(3));
+        f.ld8(c, view, 0).addi(c, c, 1).st8(view, 0, c).halt();
+        f.finish()
+    };
+    let writer = {
+        let mut f = pb.function("writer");
+        let (base, reps, r, p, end, v) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4), Reg(5));
+        let (outer, inner, done) = (f.label(), f.label(), f.label());
+        f.imm(r, 0).imm(v, 7);
+        f.bind(outer);
+        f.bge_u(r, reps, done);
+        f.mov(p, base).addi(end, base, PHANTOM);
+        f.bind(inner);
+        f.st8(p, 0, v);
+        f.addi(p, p, 64);
+        f.blt_u(p, end, inner);
+        f.addi(r, r, 1);
+        f.jmp(outer);
+        f.bind(done);
+        f.halt();
+        f.finish()
+    };
+    let prog = Arc::new(pb.finish().unwrap());
+    let mut cfg = MachineConfig::with_tiles(4);
+    cfg.prefetcher = false;
+    cfg.l1.size_bytes = 2 * 1024;
+    cfg.l2.size_bytes = 4 * 1024;
+    cfg.llc.size_bytes = 4 * 1024; // per bank: 16 KiB in all
+    let mut m = Machine::try_new(cfg).unwrap();
+    m.hw.ndc.actions.register(ActionId(0), prog.clone(), dtor);
+    let (view, base) = (0xA000u64, 0x20_0000u64);
+    m.hw.ndc.register_morph(MorphRegion {
+        base,
+        bound: base + PHANTOM,
+        level: MorphLevel::Llc,
+        obj_size: 8,
+        ctor: None,
+        dtor: Some(ActionId(0)),
+        view,
+        stream: None,
+    });
+    m.spawn_thread(0, prog, writer, &[base, reps]).unwrap();
+    let before = alloc_calls();
+    m.run().unwrap();
+    let after = alloc_calls();
+    (
+        after - before,
+        m.stats().dtor_actions,
+        m.mem().read_u64(view),
+    )
+}
+
+#[test]
+fn steady_state_evictions_allocate_nothing_per_destructor() {
+    let (allocs_short, dtors_short, tally_short) = measure_evictions(2);
+    let (allocs_long, dtors_long, tally_long) = measure_evictions(6);
+    assert_eq!(tally_short, dtors_short, "every destructor ran once");
+    assert_eq!(tally_long, dtors_long, "every destructor ran once");
+    let extra_evictions = (dtors_long - dtors_short) / 8;
+    assert!(
+        extra_evictions > 3000,
+        "the long run must add real steady-state evictions: {extra_evictions}"
+    );
+    // Same footprint, so the same cold-start allocations; 64 covers
+    // amortized container growth, not one allocation per eviction.
+    let extra_allocs = allocs_long.saturating_sub(allocs_short);
+    assert!(
+        extra_allocs < 64,
+        "steady-state evictions must not allocate: {extra_allocs} extra \
+         allocation calls over {extra_evictions} extra evictions"
     );
 }

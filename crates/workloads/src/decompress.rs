@@ -134,8 +134,8 @@ const VIEW_BASES: [i32; 3] = [0, 8, 16];
 const VIEW_DELTAS: [i32; 3] = [24, 32, 40];
 const VIEW_PHANTOM: i32 = 48;
 
-struct Programs {
-    prog: Arc<Program>,
+pub(crate) struct Programs {
+    pub(crate) prog: Arc<Program>,
     baseline: levi_isa::FuncId,
     consumer: levi_isa::FuncId,
     ctor: levi_isa::FuncId,
@@ -174,7 +174,7 @@ fn emit_decompress(
     }
 }
 
-fn build_programs() -> Programs {
+pub(crate) fn build_programs() -> Programs {
     let mut pb = ProgramBuilder::new();
 
     // Pixel constructor (Fig. 15): r0 = pixel object, r1 = view.

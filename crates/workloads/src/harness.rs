@@ -360,4 +360,45 @@ mod tests {
             plan.validate(&cfg.machine).expect("plan fits the machine");
         }
     }
+
+    /// Every program the workloads build carries, for each instruction,
+    /// the `InstMeta` the per-use decoders describe: the timed loops read
+    /// only the former.
+    #[test]
+    fn every_workload_program_decodes_once() {
+        use levi_isa::{InstMeta, Location, Program};
+        let mut progs: Vec<std::sync::Arc<Program>> = vec![
+            crate::decompress::build_programs().prog,
+            crate::hats::build_programs().prog,
+            crate::micro::scan_program().0,
+            crate::micro::chase_program().0,
+            crate::micro::invoke_programs().0,
+        ];
+        for v in crate::phi::PhiVariant::all() {
+            progs.push(crate::phi::build_programs(v).prog);
+        }
+        for node_bytes in [24, 64, 128] {
+            for loc in [Location::Remote, Location::Dynamic] {
+                progs.push(crate::hashtable::build_programs(node_bytes, loc).prog);
+            }
+        }
+        let mut checked = 0;
+        for prog in &progs {
+            for (_, func) in prog.iter() {
+                assert_eq!(func.metas().len(), func.len());
+                for (inst, meta) in func.insts().iter().zip(func.metas()) {
+                    let mut uses = 0u64;
+                    inst.for_each_use(|r| uses |= 1 << r.index());
+                    let want = InstMeta {
+                        uses,
+                        class: inst.class(),
+                        def: inst.def(),
+                    };
+                    assert_eq!(*meta, want, "`{inst}` in {}", func.name());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 200, "only {checked} instructions checked");
+    }
 }

@@ -140,14 +140,14 @@ pub struct HtResult {
     pub checksum: u64,
 }
 
-struct Programs {
-    prog: Arc<Program>,
+pub(crate) struct Programs {
+    pub(crate) prog: Arc<Program>,
     baseline: levi_isa::FuncId,
     driver: levi_isa::FuncId,
     lookup: levi_isa::FuncId,
 }
 
-fn build_programs(node_bytes: u64, first_loc: Location) -> Programs {
+pub(crate) fn build_programs(node_bytes: u64, first_loc: Location) -> Programs {
     let nxt = next_off(node_bytes);
     let mut pb = ProgramBuilder::new();
 

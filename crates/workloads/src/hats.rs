@@ -168,8 +168,8 @@ mod ctx {
     pub const SIZE: u64 = 96;
 }
 
-struct Programs {
-    prog: Arc<Program>,
+pub(crate) struct Programs {
+    pub(crate) prog: Arc<Program>,
     producer: FuncId,
     consumer: FuncId,
     sw_bdfs: FuncId,
@@ -315,7 +315,7 @@ fn emit_bdfs(
     resume
 }
 
-fn build_programs() -> Programs {
+pub(crate) fn build_programs() -> Programs {
     let mut pb = ProgramBuilder::new();
 
     // ---- stream producer: genStream(r0 = stream handle, r1 = ctx) ----

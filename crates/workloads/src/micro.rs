@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use levi_isa::{ActionId, Location, MemWidth, ProgramBuilder, Reg, RmwOp};
+use levi_isa::{ActionId, FuncId, Location, MemWidth, Program, ProgramBuilder, Reg, RmwOp};
 use leviathan::{System, SystemConfig};
 
 use crate::harness::{RunEnv, RunOutcome, RunStatus, ScaleKind, Workload};
@@ -176,12 +176,8 @@ pub fn run_micro_with(
     }
 }
 
-fn run_scan(sys: &mut System, scale: &MicroScale) -> u64 {
-    let total = scale.lines_per_tile * scale.tiles as u64;
-    let base = sys.alloc_raw(64 * total, 64);
-    for j in 0..total {
-        sys.write_u64(base + 64 * j, scan_value(j, scale.seed));
-    }
+/// The scan kernel: `scan(slice base, line count, result slot)`.
+pub(crate) fn scan_program() -> (Arc<Program>, FuncId) {
     let mut pb = ProgramBuilder::new();
     let scan = {
         // r0 = slice base, r1 = line count, r2 = result slot.
@@ -203,30 +199,11 @@ fn run_scan(sys: &mut System, scale: &MicroScale) -> u64 {
         f.halt();
         f.finish()
     };
-    let prog = Arc::new(pb.finish().expect("scan program validates"));
-    let results = sys.alloc_raw(8 * scale.tiles as u64, 64);
-    for t in 0..scale.tiles {
-        let slice = base + 64 * scale.lines_per_tile * t as u64;
-        sys.spawn_thread(
-            t,
-            &prog,
-            scan,
-            &[slice, scale.lines_per_tile, results + 8 * t as u64],
-        )
-        .unwrap();
-    }
-    sys.run().expect("scan kernel deadlocked");
-    (0..scale.tiles).fold(0u64, |a, t| {
-        a.wrapping_add(sys.read_u64(results + 8 * t as u64))
-    })
+    (Arc::new(pb.finish().expect("scan program validates")), scan)
 }
 
-fn run_chase(sys: &mut System, scale: &MicroScale) -> u64 {
-    let next = chase_cycle(scale);
-    let base = sys.alloc_raw(64 * scale.chase_nodes, 64);
-    for (i, &nx) in next.iter().enumerate() {
-        sys.write_u64(base + 64 * i as u64, base + 64 * nx as u64);
-    }
+/// The pointer-chase kernel: `chase(start node, hops, result slot)`.
+pub(crate) fn chase_program() -> (Arc<Program>, FuncId) {
     let mut pb = ProgramBuilder::new();
     let chase = {
         // r0 = start node, r1 = hops, r2 = result slot.
@@ -246,16 +223,15 @@ fn run_chase(sys: &mut System, scale: &MicroScale) -> u64 {
         f.halt();
         f.finish()
     };
-    let prog = Arc::new(pb.finish().expect("chase program validates"));
-    let result = sys.alloc_raw(8, 64);
-    sys.spawn_thread(0, &prog, chase, &[base, scale.chase_hops, result])
-        .unwrap();
-    sys.run().expect("chase kernel deadlocked");
-    (sys.read_u64(result) - base) / 64
+    (
+        Arc::new(pb.finish().expect("chase program validates")),
+        chase,
+    )
 }
 
-fn run_invoke_add(sys: &mut System, scale: &MicroScale) -> u64 {
-    let counters = sys.alloc_raw(64 * scale.counters, 64);
+/// The invoke microkernel: its offloaded `rmw_task` and the per-core
+/// `invoke_driver`.
+pub(crate) fn invoke_programs() -> (Arc<Program>, FuncId, FuncId) {
     let mut pb = ProgramBuilder::new();
     // Offloaded RMW task: r0 = counter line, r1 = amount.
     let rmw_task = {
@@ -290,6 +266,50 @@ fn run_invoke_add(sys: &mut System, scale: &MicroScale) -> u64 {
         f.finish()
     };
     let prog = Arc::new(pb.finish().expect("invoke programs validate"));
+    (prog, rmw_task, driver)
+}
+
+fn run_scan(sys: &mut System, scale: &MicroScale) -> u64 {
+    let total = scale.lines_per_tile * scale.tiles as u64;
+    let base = sys.alloc_raw(64 * total, 64);
+    for j in 0..total {
+        sys.write_u64(base + 64 * j, scan_value(j, scale.seed));
+    }
+    let (prog, scan) = scan_program();
+    let results = sys.alloc_raw(8 * scale.tiles as u64, 64);
+    for t in 0..scale.tiles {
+        let slice = base + 64 * scale.lines_per_tile * t as u64;
+        sys.spawn_thread(
+            t,
+            &prog,
+            scan,
+            &[slice, scale.lines_per_tile, results + 8 * t as u64],
+        )
+        .unwrap();
+    }
+    sys.run().expect("scan kernel deadlocked");
+    (0..scale.tiles).fold(0u64, |a, t| {
+        a.wrapping_add(sys.read_u64(results + 8 * t as u64))
+    })
+}
+
+fn run_chase(sys: &mut System, scale: &MicroScale) -> u64 {
+    let next = chase_cycle(scale);
+    let base = sys.alloc_raw(64 * scale.chase_nodes, 64);
+    for (i, &nx) in next.iter().enumerate() {
+        sys.write_u64(base + 64 * i as u64, base + 64 * nx as u64);
+    }
+    let (prog, chase) = chase_program();
+    let result = sys.alloc_raw(8, 64);
+    sys.spawn_thread(0, &prog, chase, &[base, scale.chase_hops, result])
+        .unwrap();
+    sys.run().expect("chase kernel deadlocked");
+    (sys.read_u64(result) - base) / 64
+}
+
+fn run_invoke_add(sys: &mut System, scale: &MicroScale) -> u64 {
+    let counters = sys.alloc_raw(64 * scale.counters, 64);
+    let (prog, rmw_task, driver) = invoke_programs();
     let action = sys.register_action(&prog, rmw_task);
     assert_eq!(action, ActionId(0));
     for t in 0..scale.tiles {

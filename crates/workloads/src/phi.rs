@@ -157,8 +157,8 @@ pub struct PhiResult {
     pub leftover_deltas: u64,
 }
 
-struct PhiPrograms {
-    prog: Arc<Program>,
+pub(crate) struct PhiPrograms {
+    pub(crate) prog: Arc<Program>,
     edge_phase: levi_isa::FuncId,
     vertex_phase: levi_isa::FuncId,
     rmw_task: levi_isa::FuncId,
@@ -169,7 +169,7 @@ struct PhiPrograms {
 
 /// Builds all PHI LevIR code. `update` controls how the edge phase issues
 /// an update to `target + v*8`.
-fn build_programs(variant: PhiVariant) -> PhiPrograms {
+pub(crate) fn build_programs(variant: PhiVariant) -> PhiPrograms {
     let mut pb = ProgramBuilder::new();
 
     // ---- offloaded RMW task (paper Fig. 2): r0 = delta addr, r1 = amount
