@@ -49,19 +49,6 @@ echo "== serial golden =="
 cargo run --release --quiet -p levi-bench -- run all --quick --serial \
   > "$tmp/run-all-serial.txt" 2> /dev/null
 diff tests/golden/run_all_quick.txt "$tmp/run-all-serial.txt"
-echo "== xlat ablation smoke =="
-# The levi-xlat figures must be deterministic: two quick runs of each
-# print byte-identical output. Both figures are registered in ALL, so the
-# check-report pass above already validated their JSON lines and manifest
-# coverage — assert they really are in the report to keep that honest.
-for fig in ablation_translation ablation_tenancy; do
-  grep -q "\"figure\":\"$fig\"" "$tmp/bench-report.json"
-  cargo run --release --quiet -p levi-bench -- run "$fig" --quick \
-    > "$tmp/$fig-a.txt" 2> /dev/null
-  cargo run --release --quiet -p levi-bench -- run "$fig" --quick \
-    > "$tmp/$fig-b.txt" 2> /dev/null
-  diff "$tmp/$fig-a.txt" "$tmp/$fig-b.txt"
-done
 echo "== telemetry smoke =="
 # --telemetry must be purely observational and cover every simulated run:
 # `run all --quick` with the flag must print the committed golden, its

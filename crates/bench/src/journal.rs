@@ -11,7 +11,7 @@
 //! # File format
 //!
 //! ```text
-//! levi-journal v2 quick=<0|1> fault=<seed>:<horizon>|none
+//! levi-journal v3 quick=<0|1> fault=<seed>:<horizon>|none
 //! done <figure> <sweep> <hex-encoded outcome record>
 //! ```
 //!
@@ -64,7 +64,10 @@ impl std::fmt::Display for RunParams {
     }
 }
 
-const HEADER_PREFIX: &str = "levi-journal v2 ";
+/// The header's version names the record encoding. v3 records carry the
+/// snapshot codec's version-2 trace events; v2 records (trace events by
+/// name) are refused rather than misread.
+const HEADER_PREFIX: &str = "levi-journal v3 ";
 
 /// The journal header line for the given run parameters.
 fn header(params: &RunParams) -> String {
@@ -463,7 +466,7 @@ mod tests {
         let mut j = Journal::open(path, FULL).expect("fresh journal");
         assert_eq!(
             std::fs::read_to_string(path).unwrap(),
-            "levi-journal v2 quick=0 fault=none\n",
+            "levi-journal v3 quick=0 fault=none\n",
             "a fresh journal holds only its header"
         );
         j.record("fig", 0, "A", &sample_outcome("A")).unwrap();
@@ -607,16 +610,23 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_header_is_malformed() {
-        let path = &temp("v1");
-        std::fs::write(path, "levi-journal v1 quick=1\n").unwrap();
+    fn older_journal_versions_are_malformed() {
         let quick = RunParams {
             quick: true,
             ..FULL
         };
-        match Journal::open(path, quick) {
-            Err(JournalError::Malformed { line: 1, .. }) => {}
-            other => panic!("expected Malformed, got {:?}", other.err()),
+        // v2 records hold stats whose trace events the current codec
+        // would misread; v1 predates the fault-plan binding.
+        for old in [
+            "levi-journal v1 quick=1",
+            "levi-journal v2 quick=1 fault=none",
+        ] {
+            let path = &temp("old");
+            std::fs::write(path, format!("{old}\n")).unwrap();
+            match Journal::open(path, quick) {
+                Err(JournalError::Malformed { line: 1, .. }) => {}
+                other => panic!("{old}: expected Malformed, got {:?}", other.err()),
+            }
         }
     }
 
@@ -671,17 +681,17 @@ mod tests {
                 horizon: 5000,
             }),
         };
-        assert_eq!(header(&FULL), "levi-journal v2 quick=0 fault=none");
-        assert_eq!(header(&faulted), "levi-journal v2 quick=1 fault=3:5000");
+        assert_eq!(header(&FULL), "levi-journal v3 quick=0 fault=none");
+        assert_eq!(header(&faulted), "levi-journal v3 quick=1 fault=3:5000");
         for params in [FULL, faulted] {
             assert_eq!(parse_header(&header(&params)), Some(params));
         }
         for bad in [
-            "levi-journal v2 quick=1",
-            "levi-journal v2 quick=2 fault=none",
-            "levi-journal v2 quick=1 fault=3",
-            "levi-journal v2 quick=1 fault=03:5000",
-            "levi-journal v2 quick=1 fault=none ",
+            "levi-journal v3 quick=1",
+            "levi-journal v3 quick=2 fault=none",
+            "levi-journal v3 quick=1 fault=3",
+            "levi-journal v3 quick=1 fault=03:5000",
+            "levi-journal v3 quick=1 fault=none ",
         ] {
             assert_eq!(parse_header(bad), None, "{bad}");
         }

@@ -197,28 +197,12 @@ pub struct MachineConfig {
     /// global clock before yielding. Smaller is more accurate, larger is
     /// faster.
     pub quantum: u64,
-    /// Enable the structured event tracer ([`crate::trace::Tracer`]).
+    /// Enable the structured event tracer ([`crate::trace::Tracer`],
+    /// retaining the last [`crate::trace::TRACE_CAPACITY`] events) and the
+    /// invoke-lifecycle span table ([`crate::span::SpanTable`], retaining
+    /// the first [`crate::span::DEFAULT_SPAN_CAPACITY`] invokes).
     /// Observational only: recorded cycles are identical either way.
     pub trace: bool,
-    /// Ring-buffer capacity (events) when tracing is enabled.
-    pub trace_capacity: usize,
-    /// Also record invoke-scheduler decisions
-    /// ([`TraceCategory::Sched`](crate::trace::TraceCategory)): placement
-    /// (`sched.place`), NACKs (`sched.nack`), and the 1/32 migrate-local
-    /// policy (`sched.migrate_local`). Off by default — and gated
-    /// separately from [`MachineConfig::trace`] — so default traced runs
-    /// stay byte-identical across simulator versions. Has no effect
-    /// unless `trace` is also enabled.
-    pub trace_sched: bool,
-    /// Record causal invoke-lifecycle spans
-    /// ([`crate::span::SpanTable`]): per-invoke stage cycle marks for the
-    /// post-run critical-path analyzer, plus `span.*` stage events in the
-    /// tracer (when `trace` is also on) joined by Perfetto flow arrows.
-    /// Off by default — and gated separately from
-    /// [`MachineConfig::trace`] — so default runs (traced or not) stay
-    /// byte-identical across simulator versions. The span table retains
-    /// at most [`crate::span::DEFAULT_SPAN_CAPACITY`] spans.
-    pub trace_spans: bool,
     /// Time-series sampling interval in cycles
     /// ([`crate::stats::TimeSeries`]); 0 disables sampling.
     pub sample_interval: u64,
@@ -319,9 +303,6 @@ impl MachineConfig {
             prefetch_degree: 2,
             quantum: 64,
             trace: false,
-            trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
-            trace_sched: false,
-            trace_spans: false,
             sample_interval: 0,
             fault_plan: None,
             max_cycles: 0,
@@ -353,28 +334,9 @@ impl MachineConfig {
         self
     }
 
-    /// Enables the structured event tracer (default ring capacity).
+    /// Enables the structured event tracer and the invoke span table.
     pub fn traced(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Enables the tracer *and* the invoke-scheduler decision events
-    /// (`sched.place` / `sched.nack` / `sched.migrate_local` in the
-    /// `sched` category).
-    pub fn sched_traced(mut self) -> Self {
-        self.trace = true;
-        self.trace_sched = true;
-        self
-    }
-
-    /// Enables the tracer *and* causal invoke-lifecycle spans: the
-    /// [`SpanTable`](crate::span::SpanTable) fills for the critical-path
-    /// analyzer and `span.*` stage events land in the `span` trace
-    /// category, flow-linked in the Perfetto export.
-    pub fn span_traced(mut self) -> Self {
-        self.trace = true;
-        self.trace_spans = true;
         self
     }
 
@@ -584,12 +546,8 @@ mod tests {
 
     #[test]
     fn tracing_builders() {
-        let cfg = MachineConfig::with_tiles(4);
-        assert!(!cfg.trace && !cfg.trace_sched && !cfg.trace_spans);
-        let cfg = MachineConfig::with_tiles(4).span_traced();
-        assert!(cfg.trace && cfg.trace_spans && !cfg.trace_sched);
-        let cfg = MachineConfig::with_tiles(4).sched_traced();
-        assert!(cfg.trace && cfg.trace_sched && !cfg.trace_spans);
+        assert!(!MachineConfig::with_tiles(4).trace);
+        assert!(MachineConfig::with_tiles(4).traced().trace);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::config::{MemConfig, LINE_SHIFT, LINE_SIZE};
 use crate::fault::DramFault;
 use crate::stats::Stats;
-use crate::trace::{TraceCategory, TraceEvent, Track};
+use crate::trace::{TraceEvent, TraceKind, Track};
 
 /// One entry of the LLC translation buffer (25 B each in Table IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -251,10 +251,9 @@ impl Dram {
             stats.trace.record(|| {
                 TraceEvent::instant(
                     now,
-                    TraceCategory::Dram,
-                    "dram.fifo_hit",
+                    TraceKind::DramFifoHit,
                     Track::Dram(mc as u32),
-                    &[("line", dram_line)],
+                    &[dram_line],
                 )
             });
             return now + self.cfg.fifo_hit_latency;
@@ -280,10 +279,9 @@ impl Dram {
                 stats.trace.record(|| {
                     TraceEvent::instant(
                         start,
-                        TraceCategory::Fault,
-                        "fault.dram_throttled",
+                        TraceKind::FaultDramThrottled,
                         Track::Dram(mc as u32),
-                        &[("line", dram_line), ("extra", extra)],
+                        &[dram_line, extra],
                     )
                 });
             }
@@ -301,13 +299,12 @@ impl Dram {
         }
         let done = start + self.cfg.latency;
         stats.trace.record(|| {
-            TraceEvent::span(
+            TraceEvent::lasting(
                 now,
                 done - now,
-                TraceCategory::Dram,
-                "dram.access",
+                TraceKind::DramAccess,
                 Track::Dram(mc as u32),
-                &[("line", dram_line), ("queued", start - now)],
+                &[dram_line, start - now],
             )
         });
         done

@@ -6,11 +6,11 @@
 //! testable instead of aborting the process. Runtime failures inside a
 //! simulation surface through [`crate::machine::RunError`], which wraps a
 //! `SimError` when a program trips one mid-run (e.g. invoking an
-//! unregistered action).
+//! unregistered action, or a Morph constructor that never halts).
 
 use std::fmt;
 
-use levi_isa::ActionId;
+use levi_isa::{ActionId, ExecError};
 
 /// An error from a `levi-sim` public API.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,6 +47,26 @@ pub enum SimError {
         /// Human-readable description of the offending field(s).
         what: String,
     },
+    /// A Morph constructor or destructor, which runs to its `halt` inside
+    /// a cache walk, stopped short of it.
+    InlineAction {
+        /// The action's function name.
+        func: String,
+        /// Why it stopped.
+        fault: InlineFault,
+    },
+}
+
+/// Why an inline Morph action stopped before its `halt`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InlineFault {
+    /// It retired this many instructions without halting.
+    OutOfFuel(u64),
+    /// It reached an NDC operation (named here), which an action running
+    /// inside a cache walk cannot issue.
+    NdcOp(&'static str),
+    /// The interpreter refused to step it (e.g. its call stack overflowed).
+    Exec(ExecError),
 }
 
 impl fmt::Display for SimError {
@@ -67,6 +87,14 @@ impl fmt::Display for SimError {
             }
             SimError::ZeroStreamCapacity => write!(f, "stream capacity must be positive"),
             SimError::InvalidConfig { what } => write!(f, "invalid machine config: {what}"),
+            SimError::InlineAction { func, fault } => {
+                write!(f, "inline Morph action `{func}` ")?;
+                match fault {
+                    InlineFault::OutOfFuel(n) => write!(f, "did not halt within {n} instructions"),
+                    InlineFault::NdcOp(op) => write!(f, "executed `{op}`, an NDC operation"),
+                    InlineFault::Exec(e) => write!(f, "failed: {e}"),
+                }
+            }
         }
     }
 }
@@ -87,5 +115,13 @@ mod tests {
             what: "quantum must be positive".into(),
         };
         assert!(e.to_string().contains("quantum"));
+        let e = SimError::InlineAction {
+            func: "ctor".into(),
+            fault: InlineFault::NdcOp("invoke"),
+        };
+        assert_eq!(
+            e.to_string(),
+            "inline Morph action `ctor` executed `invoke`, an NDC operation"
+        );
     }
 }

@@ -12,7 +12,7 @@ use levi_isa::Addr;
 use crate::cache::PrivState;
 use crate::config::LINE_SHIFT;
 use crate::ndc::MorphLevel;
-use crate::trace::{TraceCategory, TraceEvent, Track};
+use crate::trace::{TraceEvent, TraceKind, Track};
 
 use super::{AccessKind, Hw, Walk, CTRL_MSG, DATA_MSG, INVAL_MSG};
 
@@ -168,10 +168,9 @@ impl Hw {
                 self.stats.trace.record(|| {
                     TraceEvent::instant(
                         ta,
-                        TraceCategory::Coherence,
-                        "coh.inval",
+                        TraceKind::CohInval,
                         Track::Core(s),
-                        &[("line", line), ("dirty", dirty as u64)],
+                        &[line, dirty as u64],
                     )
                 });
                 let mut tr = ta + self.cfg.l2.latency;
@@ -190,13 +189,7 @@ impl Hw {
                 self.stats.ownership_transfers += 1;
                 let from = owner.unwrap_or(0) as u64;
                 self.stats.trace.record(|| {
-                    TraceEvent::instant(
-                        t,
-                        TraceCategory::Coherence,
-                        "coh.xfer",
-                        Track::Core(bank),
-                        &[("line", line), ("from", from)],
-                    )
+                    TraceEvent::instant(t, TraceKind::CohXfer, Track::Core(bank), &[line, from])
                 });
             }
             if any {
@@ -229,10 +222,9 @@ impl Hw {
                     self.stats.trace.record(|| {
                         TraceEvent::instant(
                             tr,
-                            TraceCategory::Coherence,
-                            "coh.xfer",
+                            TraceKind::CohXfer,
                             Track::Core(bank),
-                            &[("line", line), ("from", o as u64)],
+                            &[line, o as u64],
                         )
                     });
                     if let Some(l) = self.llc[b].peek_mut(line) {

@@ -14,9 +14,8 @@ use crate::cache::PrivState;
 use crate::config::{LINE_SHIFT, LINE_SIZE};
 use crate::engine::{EngineId, EngineLevel};
 use crate::ndc::MorphLevel;
-use crate::trace::{TraceCategory, TraceEvent, Track};
+use crate::trace::{TraceEvent, TraceKind, Track};
 
-use super::phantom::m_action;
 use super::{AccessKind, Hw, PendingDtor, DATA_MSG, INVAL_MSG};
 
 impl Hw {
@@ -158,15 +157,15 @@ impl Hw {
             }
             let ta = self.noc.send(bank, s, INVAL_MSG, t, &mut self.stats);
             self.stats.invalidations += 1;
-            dirty |= self.invalidate_private(s, victim.line);
+            let was_dirty = self.invalidate_private(s, victim.line);
+            dirty |= was_dirty;
             let line = victim.line;
             self.stats.trace.record(|| {
                 TraceEvent::instant(
                     ta,
-                    TraceCategory::Coherence,
-                    "coh.inval",
+                    TraceKind::CohInval,
                     Track::Core(s),
-                    &[("line", line)],
+                    &[line, was_dirty as u64],
                 )
             });
             t = t.max(ta + self.cfg.l2.latency);
@@ -218,7 +217,7 @@ impl Hw {
         };
         let m = self.ndc.morphs[mi].clone();
         debug_assert_eq!(m.level, level);
-        let Some(dtor) = m.dtor else {
+        let Some(aref) = m.dtor.and_then(|dtor| self.morph_action(dtor)) else {
             return now;
         };
         let mut t = now;
@@ -244,15 +243,15 @@ impl Hw {
                             }
                             for sh in 0..self.cfg.tiles {
                                 if mask & (1 << sh) != 0 {
-                                    any_dirty |= self.invalidate_private(sh, l);
+                                    let was_dirty = self.invalidate_private(sh, l);
+                                    any_dirty |= was_dirty;
                                     self.stats.invalidations += 1;
                                     self.stats.trace.record(|| {
                                         TraceEvent::instant(
                                             t,
-                                            TraceCategory::Coherence,
-                                            "coh.inval",
+                                            TraceKind::CohInval,
                                             Track::Core(sh),
-                                            &[("line", l)],
+                                            &[l, was_dirty as u64],
                                         )
                                     });
                                 }
@@ -277,7 +276,7 @@ impl Hw {
             t = self.run_inline_action(
                 mem,
                 eid,
-                &m_action(&self.ndc, dtor),
+                &aref,
                 &[obj, m.view, any_dirty as u64],
                 t,
                 Some(span),
@@ -287,7 +286,6 @@ impl Hw {
             // destructors in parallel (FU limits still apply through the
             // engine cursors).
             let objs = LINE_SIZE / m.obj_size;
-            let aref = m_action(&self.ndc, dtor);
             let mut t_max = now;
             for k in 0..objs {
                 let obj = addr + k * m.obj_size;

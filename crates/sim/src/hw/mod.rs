@@ -199,9 +199,8 @@ impl Hw {
             ));
         }
         let mut stats = Stats::new();
-        stats.trace = Tracer::new(cfg.trace, cfg.trace_capacity);
-        stats.spans =
-            crate::span::SpanTable::new(cfg.trace_spans, crate::span::DEFAULT_SPAN_CAPACITY);
+        stats.trace = Tracer::new(cfg.trace);
+        stats.spans = crate::span::SpanTable::new(cfg.trace, crate::span::DEFAULT_SPAN_CAPACITY);
         stats.timeline = crate::stats::TimeSeries::new(cfg.sample_interval);
         let mut noc = Noc::new(cols, rows, cfg.noc);
         let mut dram = Dram::new(cfg.mem);

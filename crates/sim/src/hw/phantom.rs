@@ -8,13 +8,56 @@
 //! constructors), and [`Hw::run_inline_action`] — the synchronous
 //! interpreter that executes short ctor/dtor actions on an engine's
 //! dataflow fabric, charging FU slots and hierarchy walks as it goes.
+//!
+//! An inline action that cannot finish (it is not registered, never
+//! halts, issues an NDC operation, or trips the interpreter) does not
+//! panic: it sets `Hw::fatal`, and the scheduler ends the run with
+//! [`RunError::Fault`](crate::machine::RunError::Fault).
 
-use levi_isa::{exec, Addr, ExecCtx, InstClass, MemEffect, NoNdc, Program};
+use levi_isa::{
+    exec, ActionId, Addr, ExecCtx, InstClass, MemEffect, Memory, NdcHost, NdcRequest, Poll, Program,
+};
 
 use crate::cache::PrivState;
 use crate::config::{LINE_SHIFT, LINE_SIZE};
 use crate::engine::{EngineId, EngineLevel};
-use crate::ndc::{NdcState, WaitCond};
+use crate::error::{InlineFault, SimError};
+use crate::ndc::{ActionRef, WaitCond};
+
+/// Instructions an inline action may retire before it is declared hung.
+const INLINE_FUEL: u64 = 5_000_000;
+
+/// The NDC host of an inline action. It runs inside a cache walk, so it
+/// can issue no NDC operation: each one is refused and remembered, and
+/// [`Hw::run_inline_action`] ends the run with [`InlineFault::NdcOp`].
+#[derive(Default)]
+struct InlineHost {
+    refused: Option<&'static str>,
+}
+
+impl NdcHost for InlineHost {
+    fn invoke(&mut self, _mem: &mut dyn Memory, _req: NdcRequest) -> Poll<()> {
+        self.refused = Some("invoke");
+        Poll::Pending
+    }
+    fn future_wait(&mut self, _mem: &mut dyn Memory, _fut: Addr) -> Poll<u64> {
+        self.refused = Some("future_wait");
+        Poll::Pending
+    }
+    fn future_send(&mut self, _mem: &mut dyn Memory, _fut: Addr, _val: u64) {
+        self.refused = Some("future_send");
+    }
+    fn push(&mut self, _mem: &mut dyn Memory, _stream: u64, _val: u64) -> Poll<()> {
+        self.refused = Some("push");
+        Poll::Pending
+    }
+    fn pop(&mut self, _mem: &mut dyn Memory, _stream: u64) {
+        self.refused = Some("pop");
+    }
+    fn flush(&mut self, _mem: &mut dyn Memory, _addr: Addr, _len: u64) {
+        self.refused = Some("flush");
+    }
+}
 
 use super::{AccessKind, Hw, Walk};
 
@@ -135,7 +178,9 @@ impl Hw {
         let mut t = now;
         match m.ctor {
             Some(ctor) => {
-                let aref = m_action(&self.ndc, ctor);
+                let Some(aref) = self.morph_action(ctor) else {
+                    return t;
+                };
                 if m.is_multiline() {
                     self.stats.ctor_actions += 1;
                     let span = (obj, obj + m.obj_size);
@@ -164,7 +209,7 @@ impl Hw {
                 }
             }
             None => {
-                if let Some(sid) = m.stream {
+                if m.stream.is_some() {
                     // Built-in stream constructor: read the buffer line
                     // through the hierarchy and copy it into the phantom
                     // line (2 engine memory ops per word).
@@ -176,14 +221,13 @@ impl Hw {
                         done = done.max(slot + self.engines[eid.index()].latency());
                         self.stats.engine_instrs += 2;
                     }
-                    // One read of the underlying buffer line.
-                    let buf_line_addr = obj; // phantom range *is* the ring buffer
+                    // One read of the underlying buffer line (the phantom
+                    // range *is* the ring buffer).
                     if let Walk::Done { at } =
-                        self.access_engine(mem, eid, AccessKind::Read, buf_line_addr, t, false)
+                        self.access_engine(mem, eid, AccessKind::Read, obj, t, false)
                     {
                         done = done.max(at);
                     }
-                    let _ = sid;
                     t = done;
                 } else {
                     // Default constructor: zero-fill the constructed
@@ -214,30 +258,41 @@ impl Hw {
     /// destructed: accesses inside it hit the engine's line buffer
     /// directly (the data is in flight through the engine) instead of
     /// walking the hierarchy.
+    ///
+    /// An action that stops short of its `halt` sets `Hw::fatal` (see
+    /// [`InlineFault`]); once it is set, later actions do not run.
     pub fn run_inline_action(
         &mut self,
         mem: &mut dyn levi_isa::Memory,
         eid: EngineId,
-        aref: &crate::ndc::ActionRef,
+        aref: &ActionRef,
         args: &[u64],
         start: u64,
         local: Option<(Addr, Addr)>,
     ) -> u64 {
+        if self.fatal.is_some() {
+            return start;
+        }
         let prog: &Program = &aref.prog;
         let mut ctx = ExecCtx::new(aref.func, args);
         let mut reg_ready = [start; levi_isa::NUM_REGS];
         let mut done_max = start;
-        let mut host = NoNdc;
-        let mut fuel: u64 = 5_000_000;
+        let mut host = InlineHost::default();
+        let mut fuel = INLINE_FUEL;
         self.inline_depth += 1;
         while !ctx.halted {
-            assert!(
-                fuel > 0,
-                "inline action ran out of fuel: {}",
-                prog.func(aref.func).name()
-            );
+            if fuel == 0 {
+                self.inline_fault(aref, InlineFault::OutOfFuel(INLINE_FUEL));
+                break;
+            }
             fuel -= 1;
-            let (inst, meta) = exec::fetch(prog, &ctx).expect("inline action fetch failed");
+            let (inst, meta) = match exec::fetch(prog, &ctx) {
+                Ok(fetched) => fetched,
+                Err(e) => {
+                    self.inline_fault(aref, InlineFault::Exec(e));
+                    break;
+                }
+            };
             let ready = meta.ready(&reg_ready, start);
 
             // Compute the memory address before stepping (the walk may run
@@ -247,8 +302,17 @@ impl Hw {
             } else {
                 self.engines[eid.index()].reserve_int(ready)
             };
-            let info = exec::execute(&mut ctx, inst, meta.class, mem, &mut host)
-                .expect("inline action execution failed");
+            let info = match exec::execute(&mut ctx, inst, meta.class, mem, &mut host) {
+                Ok(info) => info,
+                Err(e) => {
+                    self.inline_fault(aref, InlineFault::Exec(e));
+                    break;
+                }
+            };
+            if let Some(op) = host.refused {
+                self.inline_fault(aref, InlineFault::NdcOp(op));
+                break;
+            }
             debug_assert!(info.retired(), "inline actions cannot block");
             self.stats.engine_instrs += 1;
 
@@ -288,13 +352,27 @@ impl Hw {
         }
         done_max
     }
-}
 
-/// Clones the action reference out of the table (the borrow checker
-/// requires ending the `ndc` borrow before running the action).
-pub(super) fn m_action(ndc: &NdcState, id: levi_isa::ActionId) -> crate::ndc::ActionRef {
-    ndc.actions
-        .get(id)
-        .expect("morph ctor/dtor action not registered")
-        .clone()
+    /// Records why an inline action stopped; the first fault of a step
+    /// is the one the run reports.
+    #[cold]
+    fn inline_fault(&mut self, aref: &ActionRef, fault: InlineFault) {
+        let func = aref.prog.func(aref.func).name().to_string();
+        self.fatal
+            .get_or_insert(SimError::InlineAction { func, fault });
+    }
+
+    /// Clones a Morph ctor's or dtor's action reference out of the table
+    /// (the borrow checker requires ending the `ndc` borrow before running
+    /// the action). An unregistered action sets `Hw::fatal` to
+    /// [`SimError::UnknownAction`] and returns `None`.
+    pub(super) fn morph_action(&mut self, id: ActionId) -> Option<ActionRef> {
+        match self.ndc.actions.get(id) {
+            Ok(a) => Some(a.clone()),
+            Err(e) => {
+                self.fatal.get_or_insert(e);
+                None
+            }
+        }
+    }
 }

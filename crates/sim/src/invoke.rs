@@ -11,61 +11,22 @@
 //! retries with bounded exponential backoff before falling back to a
 //! software handler on the issuing core.
 //!
-//! With [`MachineConfig::trace_sched`](crate::MachineConfig::trace_sched)
-//! enabled, every decision is recorded in the `sched` trace category:
-//! `sched.place` (where an invoke was sent and why), `sched.nack`
-//! (target engine out of contexts), and `sched.migrate_local` (the 1/32
-//! policy overrode a remote placement).
+//! With [`MachineConfig::trace`](crate::MachineConfig::trace) on, each
+//! outcome of an issue attempt is recorded once: the issue, NACK, quota
+//! NACK, fault-backoff and core-fallback events carry the invoke's
+//! [`SpanId`](crate::span::SpanId), and the span table marks the same
+//! cycle. The packet's arrival and the ACK's return are marked in the span
+//! table only; the NoC events of the packet and the ACK carry the span.
+//! Migrate-local decisions are counted in `invoke_migrations`.
 
 use levi_isa::{Location, Memory, NdcRequest, Poll};
 
 use crate::engine::{EngineId, EngineLevel};
 use crate::ndc::WaitCond;
 use crate::ndc_host::{SpawnReq, TimedHost, INVOKE_ACK};
-use crate::span::SpanId;
-use crate::trace::{TraceCategory, TraceEvent, Track};
-
-/// Compact encoding of a placement decision for `sched.place` trace
-/// events: how the target engine was chosen.
-enum Placement {
-    /// LOCAL request → issuing tile's L2 engine.
-    Local = 0,
-    /// REMOTE request → actor's home-bank LLC engine.
-    Remote = 1,
-    /// DYNAMIC probe hit the issuing tile's private caches → local.
-    DynamicCached = 2,
-    /// DYNAMIC probe missed → actor's home bank.
-    DynamicHome = 3,
-    /// DYNAMIC + EXCLUSIVE with a remote owner → the owner's L2 engine.
-    DynamicOwner = 4,
-    /// The 1/32 migrate-local policy overrode a remote placement.
-    MigrateLocal = 5,
-}
+use crate::trace::{TraceEvent, TraceKind};
 
 impl TimedHost<'_> {
-    /// Records one invoke-lifecycle stage event in the `span` trace
-    /// category, carrying the span id (plus up to two extra arguments)
-    /// so the Chrome export can flow-link the stages. Only reached when
-    /// spans are enabled, so span-disabled traced runs stay
-    /// byte-identical.
-    fn span_event(
-        &mut self,
-        id: SpanId,
-        name: &'static str,
-        at: u64,
-        track: Track,
-        extra: &[(&'static str, u64)],
-    ) {
-        debug_assert!(extra.len() <= 2, "span id plus at most two extras");
-        let mut args = [("span", id.0 as u64), ("", 0), ("", 0)];
-        let n = 1 + extra.len();
-        args[1..n].copy_from_slice(extra);
-        self.hw
-            .stats
-            .trace
-            .record(|| TraceEvent::instant(at, TraceCategory::Span, name, track, &args[..n]));
-    }
-
     /// Picks the engine an invoke should run on (Sec. VI-B1).
     fn schedule_invoke(&mut self, req: &NdcRequest) -> EngineId {
         let line = req.actor >> crate::config::LINE_SHIFT;
@@ -73,28 +34,24 @@ impl TimedHost<'_> {
             tile: self.tile,
             level: EngineLevel::L2,
         };
-        let (target, mut placement) = match req.loc {
-            Location::Local => (local_l2, Placement::Local),
-            Location::Remote => (
-                EngineId {
-                    tile: self.hw.bank_of(req.actor),
-                    level: EngineLevel::Llc,
-                },
-                Placement::Remote,
-            ),
+        let target = match req.loc {
+            Location::Local => local_l2,
+            Location::Remote => EngineId {
+                tile: self.hw.bank_of(req.actor),
+                level: EngineLevel::Llc,
+            },
             Location::Dynamic => {
                 if self.is_core
                     && (self.hw.l1[self.tile as usize].contains(line)
                         || self.hw.l2[self.tile as usize].contains(line))
                 {
-                    (local_l2, Placement::DynamicCached)
+                    local_l2
                 } else {
                     let bank = self.hw.bank_of(req.actor);
                     let mut t = EngineId {
                         tile: bank,
                         level: EngineLevel::Llc,
                     };
-                    let mut p = Placement::DynamicHome;
                     if req.exclusive {
                         if let Some(l) = self.hw.llc[bank as usize].peek(line) {
                             if let Some(o) = l.owner {
@@ -103,52 +60,22 @@ impl TimedHost<'_> {
                                         tile: o as u32,
                                         level: EngineLevel::L2,
                                     };
-                                    p = Placement::DynamicOwner;
                                 }
                             }
                         }
                     }
-                    (t, p)
+                    t
                 }
             }
         };
         // 1/32 migrate-local policy: occasionally execute a would-be
         // remote DYNAMIC task locally to let hot data settle upward.
-        let mut target = target;
         if req.loc == Location::Dynamic && target.tile != self.tile {
             *self.invoke_count += 1;
             if (*self.invoke_count).is_multiple_of(32) {
                 self.hw.stats.invoke_migrations += 1;
-                if self.hw.cfg.trace_sched {
-                    let (now, track) = (self.now, self.track());
-                    let from = target.tile as u64;
-                    self.hw.stats.trace.record(|| {
-                        TraceEvent::instant(
-                            now,
-                            TraceCategory::Sched,
-                            "sched.migrate_local",
-                            track,
-                            &[("from", from), ("actor_addr", req.actor)],
-                        )
-                    });
-                }
-                target = local_l2;
-                placement = Placement::MigrateLocal;
+                return local_l2;
             }
-        }
-        if self.hw.cfg.trace_sched {
-            let (now, track) = (self.now, self.track());
-            let t_tile = target.tile as u64;
-            let p = placement as u64;
-            self.hw.stats.trace.record(|| {
-                TraceEvent::instant(
-                    now,
-                    TraceCategory::Sched,
-                    "sched.place",
-                    track,
-                    &[("target", t_tile), ("policy", p), ("actor_addr", req.actor)],
-                )
-            });
         }
         target
     }
@@ -187,10 +114,9 @@ impl TimedHost<'_> {
                     self.hw.stats.trace.record(|| {
                         TraceEvent::instant(
                             now,
-                            TraceCategory::Fault,
-                            "fault.invoke_squeeze",
+                            TraceKind::FaultInvokeSqueeze,
                             track,
-                            &[("limit", limit as u64), ("wait", wait)],
+                            &[limit as u64, wait],
                         )
                     });
                 }
@@ -225,53 +151,36 @@ impl TimedHost<'_> {
                 self.hw.stats.fault_nack_retries += 1;
                 self.hw.stats.fault_degraded_cycles += delay;
                 self.hw.stats.fault_backoff.record(delay);
+                let span = *self.pending_span;
                 self.hw.stats.trace.record(|| {
                     TraceEvent::instant(
                         now,
-                        TraceCategory::Fault,
-                        "fault.invoke_backoff",
+                        TraceKind::FaultInvokeBackoff,
                         track,
-                        &[
-                            ("target", target.tile as u64),
-                            ("retry", retries as u64),
-                            ("delay", delay),
-                        ],
+                        &[target.tile as u64, retries as u64, delay],
                     )
+                    .with_span(span)
                 });
-                if let Some(id) = *self.pending_span {
+                if let Some(id) = span {
                     self.hw.stats.spans.note_retry(id);
-                    self.span_event(
-                        id,
-                        "span.retried",
-                        now,
-                        track,
-                        &[("retry", retries as u64), ("delay", delay)],
-                    );
                 }
                 self.backoff_until = Some(now + delay);
                 return Poll::Pending;
             }
             *self.invoke_retries = 0;
             self.hw.stats.fault_fallbacks += 1;
+            let span = self.pending_span.take();
             self.hw.stats.trace.record(|| {
                 TraceEvent::instant(
                     now,
-                    TraceCategory::Fault,
-                    "fault.core_fallback",
+                    TraceKind::FaultCoreFallback,
                     track,
-                    &[("target", target.tile as u64), ("actor_addr", req.actor)],
+                    &[target.tile as u64, req.actor],
                 )
+                .with_span(span)
             });
-            let span = self.pending_span.take();
             if let Some(id) = span {
                 self.hw.stats.spans.note_issue(id, now, target, true);
-                self.span_event(
-                    id,
-                    "span.issued",
-                    now,
-                    track,
-                    &[("target", target.tile as u64), ("fallback", 1)],
-                );
             }
             let mut args = Vec::with_capacity(1 + req.args.len());
             args.push(req.actor);
@@ -299,66 +208,15 @@ impl TimedHost<'_> {
         if let Some(tm) = &self.hw.tenants {
             let in_use = self.hw.engines[target.index()].ctxs_in_use();
             if tm.quota_blocks(self.tile, target, in_use) {
-                self.hw.stats.invoke_nacks += 1;
                 self.hw.stats.tenant_quota_nacks += 1;
-                let (now, track) = (self.now, self.track());
-                self.hw.stats.trace.record(|| {
-                    TraceEvent::instant(
-                        now,
-                        TraceCategory::Invoke,
-                        "invoke.quota_nack",
-                        track,
-                        &[("target", target.tile as u64)],
-                    )
-                });
-                if let Some(id) = *self.pending_span {
-                    self.hw.stats.spans.note_nack(id);
-                    self.span_event(
-                        id,
-                        "span.nacked",
-                        now,
-                        track,
-                        &[("target", target.tile as u64)],
-                    );
-                }
+                self.note_nack(TraceKind::InvokeQuotaNack, target);
                 self.block = Some(WaitCond::EngineCtx(target));
                 return Poll::Pending;
             }
         }
 
         if !self.hw.engines[target.index()].try_reserve_ctx() {
-            self.hw.stats.invoke_nacks += 1;
-            let (now, track) = (self.now, self.track());
-            self.hw.stats.trace.record(|| {
-                TraceEvent::instant(
-                    now,
-                    TraceCategory::Invoke,
-                    "invoke.nack",
-                    track,
-                    &[("target", target.tile as u64)],
-                )
-            });
-            if self.hw.cfg.trace_sched {
-                self.hw.stats.trace.record(|| {
-                    TraceEvent::instant(
-                        now,
-                        TraceCategory::Sched,
-                        "sched.nack",
-                        track,
-                        &[("target", target.tile as u64), ("actor_addr", req.actor)],
-                    )
-                });
-            }
-            if let Some(id) = *self.pending_span {
-                self.hw.stats.spans.note_nack(id);
-                self.span_event(
-                    id,
-                    "span.nacked",
-                    now,
-                    track,
-                    &[("target", target.tile as u64)],
-                );
-            }
+            self.note_nack(TraceKind::InvokeNack, target);
             self.block = Some(WaitCond::EngineCtx(target));
             return Poll::Pending;
         }
@@ -370,25 +228,18 @@ impl TimedHost<'_> {
             }
         }
         let (now, track) = (self.now, self.track());
+        let span = self.pending_span.take();
         self.hw.stats.trace.record(|| {
             TraceEvent::instant(
                 now,
-                TraceCategory::Invoke,
-                "invoke.issue",
+                TraceKind::InvokeIssue,
                 track,
-                &[("target", target.tile as u64), ("actor_addr", req.actor)],
+                &[target.tile as u64, req.actor],
             )
+            .with_span(span)
         });
-        let span = self.pending_span.take();
         if let Some(id) = span {
             self.hw.stats.spans.note_issue(id, now, target, false);
-            self.span_event(
-                id,
-                "span.issued",
-                now,
-                track,
-                &[("target", target.tile as u64)],
-            );
         }
 
         // Invoke packet: header + actor + action + args (+ future).
@@ -403,7 +254,6 @@ impl TimedHost<'_> {
         );
         if let Some(id) = span {
             self.hw.stats.spans.note_arrival(id, arrival);
-            self.span_event(id, "span.enqueued", arrival, Track::Engine(target), &[]);
         }
 
         let mut args = Vec::with_capacity(1 + req.args.len());
@@ -434,11 +284,24 @@ impl TimedHost<'_> {
                 .record(ack.saturating_sub(self.now));
             if let Some(id) = span {
                 self.hw.stats.spans.note_ack(id, ack);
-                self.span_event(id, "span.responded", ack, Track::Core(self.tile), &[]);
             }
             self.invoke_acks.push_back(ack);
         }
         self.op_done = self.now + 1;
         Poll::Ready(())
+    }
+
+    /// Counts a NACK of kind `kind` from `target`'s engine and records it
+    /// against the pending invoke, in the tracer and in its span; the
+    /// caller parks.
+    fn note_nack(&mut self, kind: TraceKind, target: EngineId) {
+        self.hw.stats.invoke_nacks += 1;
+        let (now, track, span) = (self.now, self.track(), *self.pending_span);
+        self.hw.stats.trace.record(|| {
+            TraceEvent::instant(now, kind, track, &[target.tile as u64]).with_span(span)
+        });
+        if let Some(id) = span {
+            self.hw.stats.spans.note_nack(id);
+        }
     }
 }

@@ -73,7 +73,7 @@ pub mod xlat;
 pub use config::{CacheConfig, EnergyConfig, MachineConfig, Replacement, LINE_SIZE};
 pub use energy::EnergyBreakdown;
 pub use engine::{EngineId, EngineLevel};
-pub use error::SimError;
+pub use error::{InlineFault, SimError};
 pub use fault::{
     CycleWindow, DramFault, EngineFault, FaultPlan, FaultState, InvokeSqueeze, LinkFault,
     LinkFaultKind,
@@ -87,5 +87,5 @@ pub use snapshot::{config_digest, fnv1a, Snapshot, SnapshotError};
 pub use span::{CriticalPath, InvokeSpan, SlowInvoke, SpanId, SpanTable, StageCycles};
 pub use stats::{Sample, Stats, TimeSeries, TOP_SLOW_INVOKES};
 pub use telemetry::{Telemetry, TELEMETRY_VERSION};
-pub use trace::{TraceCategory, TraceEvent, Tracer, Track};
+pub use trace::{TraceCategory, TraceEvent, TraceKind, Tracer, Track};
 pub use xlat::{TenantConfig, TenantMap, TenantPolicy, XlatConfig, XlatState};

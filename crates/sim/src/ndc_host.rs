@@ -19,7 +19,7 @@ use levi_isa::{Addr, FuncId, Memory, NdcHost, NdcRequest, Poll, Program};
 use crate::engine::EngineId;
 use crate::hw::{AccessKind, Hw, Walk, CTRL_MSG};
 use crate::ndc::{StreamId, StreamMode, WaitCond};
-use crate::trace::{TraceCategory, TraceEvent, Track};
+use crate::trace::{TraceEvent, TraceKind, Track};
 
 /// ACK message size for invoke backpressure.
 pub(crate) const INVOKE_ACK: u32 = 8;
@@ -175,10 +175,9 @@ impl NdcHost for TimedHost<'_> {
         self.hw.stats.trace.record(|| {
             TraceEvent::instant(
                 done,
-                TraceCategory::Stream,
-                "stream.push",
+                TraceKind::StreamPush,
                 Track::Engine(eng),
-                &[("sid", sid.0 as u64), ("depth", depth)],
+                &[sid.0 as u64, depth],
             )
         });
         self.wakes.push((WaitCond::StreamData(sid), done));
@@ -200,13 +199,7 @@ impl NdcHost for TimedHost<'_> {
         let depth = self.hw.ndc.stream(sid).len();
         let (now, track) = (self.now, self.track());
         self.hw.stats.trace.record(|| {
-            TraceEvent::instant(
-                now,
-                TraceCategory::Stream,
-                "stream.pop",
-                track,
-                &[("sid", sid.0 as u64), ("depth", depth)],
-            )
+            TraceEvent::instant(now, TraceKind::StreamPop, track, &[sid.0 as u64, depth])
         });
         let run_ahead = matches!(self.hw.ndc.stream(sid).mode, StreamMode::RunAhead);
         let old_line = old_addr >> crate::config::LINE_SHIFT;

@@ -8,7 +8,7 @@
 use crate::config::NocConfig;
 use crate::fault::{LinkFault, LinkFaultKind};
 use crate::stats::Stats;
-use crate::trace::{TraceCategory, TraceEvent, Track};
+use crate::trace::{TraceEvent, TraceKind, Track};
 
 /// Directions out of a router.
 const DIRS: usize = 4; // east, west, north, south
@@ -124,7 +124,7 @@ impl Noc {
         self.send_tagged(from, to, bytes, now, stats, None)
     }
 
-    /// Like [`Noc::send`], but tags the recorded `noc.msg` trace event
+    /// Like [`Noc::send`], but tags the recorded NoC-message trace event
     /// with the invoke-lifecycle span the message belongs to, so the
     /// Perfetto export links the packet's transit into the span's flow.
     /// Timing is identical to `send`; `span` only affects trace output.
@@ -184,30 +184,21 @@ impl Noc {
             stats.trace.record(|| {
                 TraceEvent::instant(
                     now,
-                    TraceCategory::Fault,
-                    "fault.noc_degraded",
+                    TraceKind::FaultNocDegraded,
                     Track::Noc(from),
-                    &[("to", to as u64), ("extra", degraded)],
+                    &[to as u64, degraded],
                 )
             });
         }
         stats.trace.record(|| {
-            let mut args = [("to", to as u64), ("flits", flits), ("span", 0)];
-            let nargs = match span {
-                Some(id) => {
-                    args[2].1 = id.0 as u64;
-                    3
-                }
-                None => 2,
-            };
-            TraceEvent::span(
+            TraceEvent::lasting(
                 now,
                 arrive - now,
-                TraceCategory::Noc,
-                "noc.msg",
+                TraceKind::NocMsg,
                 Track::Noc(from),
-                &args[..nargs],
+                &[to as u64, flits],
             )
+            .with_span(span)
         });
         arrive
     }

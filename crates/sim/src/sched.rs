@@ -52,7 +52,7 @@ use crate::error::SimError;
 use crate::machine::Machine;
 use crate::ndc::{StreamId, StreamMode, WaitCond};
 use crate::ndc_host::SpawnReq;
-use crate::trace::{TraceCategory, TraceEvent, Track};
+use crate::trace::{TraceEvent, TraceKind, Track};
 
 /// Identifies an execution context (a core thread or an engine task).
 pub type ActorId = u32;
@@ -344,13 +344,12 @@ impl Machine {
                     };
                     let parked_at = a.parked_at;
                     self.hw.stats.trace.record(|| {
-                        TraceEvent::span(
+                        TraceEvent::lasting(
                             parked_at,
                             stall,
-                            TraceCategory::Stream,
-                            "stream.stall",
+                            TraceKind::StreamStall,
                             track,
-                            &[("sid", sid.0 as u64)],
+                            &[sid.0 as u64],
                         )
                     });
                 }
@@ -693,24 +692,15 @@ impl Machine {
                     self.hw.stats.trace.record(|| {
                         TraceEvent::instant(
                             start,
-                            TraceCategory::Fault,
-                            "fault.core_fallback_task",
+                            TraceKind::FaultCoreFallbackTask,
                             Track::Core(core),
-                            &[("actor", id as u64)],
+                            &[id as u64],
                         )
+                        .with_span(s.span)
                     });
                     if let Some(sp) = s.span {
                         self.actors[id as usize].span = s.span;
                         self.hw.stats.spans.note_dispatch(sp, start);
-                        self.hw.stats.trace.record(|| {
-                            TraceEvent::instant(
-                                start,
-                                TraceCategory::Span,
-                                "span.executing",
-                                Track::Core(core),
-                                &[("span", sp.0 as u64), ("actor", id as u64)],
-                            )
-                        });
                     }
                     self.enqueue(id, start);
                     continue;
@@ -720,11 +710,11 @@ impl Machine {
                 self.hw.stats.trace.record(|| {
                     TraceEvent::instant(
                         start,
-                        TraceCategory::Invoke,
-                        "task.dispatch",
+                        TraceKind::TaskDispatch,
                         Track::Engine(target),
-                        &[("actor", id as u64)],
+                        &[id as u64],
                     )
+                    .with_span(s.span)
                 });
                 let a = &mut self.actors[id as usize];
                 a.clock = start;
@@ -735,15 +725,6 @@ impl Machine {
                 }
                 if let Some(sp) = s.span {
                     self.hw.stats.spans.note_dispatch(sp, start);
-                    self.hw.stats.trace.record(|| {
-                        TraceEvent::instant(
-                            start,
-                            TraceCategory::Span,
-                            "span.executing",
-                            Track::Engine(target),
-                            &[("span", sp.0 as u64), ("actor", id as u64)],
-                        )
-                    });
                 }
                 self.enqueue(id, start);
             }
@@ -792,18 +773,17 @@ impl Machine {
     fn finish_actor(&mut self, aid: ActorId) {
         let clock = self.actors[aid as usize].clock;
         let span = self.actors[aid as usize].span.take();
-        let (core_tile, engine_task, engine_release, stream, track) = {
+        let (core_tile, engine_release, stream, track) = {
             let a = &mut self.actors[aid as usize];
             a.state = ActorState::Done;
             match a.kind {
-                ActorKind::CoreThread { core } => (Some(core), None, None, None, Track::Core(core)),
+                ActorKind::CoreThread { core } => (Some(core), None, None, Track::Core(core)),
                 ActorKind::EngineTask {
                     engine,
                     reserved_ctx,
                     stream,
                 } => (
                     None,
-                    Some(engine),
                     reserved_ctx.then_some(engine),
                     stream,
                     Track::Engine(engine),
@@ -822,28 +802,16 @@ impl Machine {
                 }
             }
         }
-        if let Some(engine) = engine_task {
+        // Every engine task retires in the trace; a core thread does only
+        // when it is an invoke's fallback handler (it carries a span).
+        if !is_core || span.is_some() {
             self.hw.stats.trace.record(|| {
-                TraceEvent::instant(
-                    clock,
-                    TraceCategory::Invoke,
-                    "task.retire",
-                    Track::Engine(engine),
-                    &[("actor", aid as u64)],
-                )
+                TraceEvent::instant(clock, TraceKind::TaskRetire, track, &[aid as u64])
+                    .with_span(span)
             });
         }
         if let Some(sp) = span {
             self.hw.stats.spans.note_retire(sp, clock);
-            self.hw.stats.trace.record(|| {
-                TraceEvent::instant(
-                    clock,
-                    TraceCategory::Span,
-                    "span.retired",
-                    track,
-                    &[("span", sp.0 as u64), ("actor", aid as u64)],
-                )
-            });
         }
         if let Some(engine) = engine_release {
             self.hw.engines[engine.index()].release_ctx();
@@ -908,6 +876,10 @@ mod tests {
             cfg = cfg.faulted(FaultPlan::new(0).add_engine_fault(engine, never));
         }
         let mut m = Machine::try_new(cfg).expect("valid config");
+        // Span ids number first attempts in host order, which the replay
+        // changes (it runs the winner before the refused sleepers); only
+        // the events and counters are compared.
+        m.hw.stats.spans = crate::span::SpanTable::default();
         m.hw.ndc.actions.register(ActionId(0), prog.clone(), action);
         for (core, &issue) in cursors.iter().enumerate() {
             let aid = m.spawn_core_actor(core as u32, prog.clone(), main, &[0x4040], 0);

@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic: b"LEVISNAP"
-//! 8       4     version (little-endian u32, currently 1)
+//! 8       4     version (little-endian u32, currently 2)
 //! 12      8     config digest (FNV-1a over the canonical config encoding)
 //! 20      8     payload length in bytes
 //! 28      n     payload (see `encode_machine`)
@@ -52,8 +52,10 @@ use crate::span::SpanId;
 /// Snapshot container magic.
 pub const MAGIC: [u8; 8] = *b"LEVISNAP";
 
-/// Current snapshot format version.
-pub const VERSION: u32 = 1;
+/// Current snapshot format version. Version 2 stores a trace event as a
+/// kind tag, an optional span id and its argument values; version 1
+/// stored its name and argument names as strings.
+pub const VERSION: u32 = 2;
 
 /// Why a snapshot could not be restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -242,9 +244,6 @@ pub fn config_digest(cfg: &MachineConfig) -> u64 {
     w.u32(cfg.prefetch_degree);
     w.u64(cfg.quantum);
     w.bool(cfg.trace);
-    w.u64(cfg.trace_capacity as u64);
-    w.bool(cfg.trace_sched);
-    w.bool(cfg.trace_spans);
     w.u64(cfg.sample_interval);
     w.u64(cfg.max_cycles);
     match cfg.xlat {
@@ -404,7 +403,7 @@ fn r_wait_cond(r: &mut Reader) -> Result<WaitCond, CodecError> {
     })
 }
 
-fn w_opt_span(w: &mut Writer, s: Option<SpanId>) {
+pub(crate) fn w_opt_span(w: &mut Writer, s: Option<SpanId>) {
     match s {
         Some(SpanId(v)) => {
             w.bool(true);
@@ -414,7 +413,7 @@ fn w_opt_span(w: &mut Writer, s: Option<SpanId>) {
     }
 }
 
-fn r_opt_span(r: &mut Reader) -> Result<Option<SpanId>, CodecError> {
+pub(crate) fn r_opt_span(r: &mut Reader) -> Result<Option<SpanId>, CodecError> {
     Ok(if r.bool()? {
         Some(SpanId(r.u32()?))
     } else {

@@ -6,9 +6,12 @@
 //! issue, engine arrival, task dispatch, task retire, ACK return — plus
 //! the NACKs/retries it absorbed along the way. A monotonically
 //! increasing [`SpanId`] is threaded through the invoke path
-//! (`invoke.rs` → `noc.rs` → `sched.rs`), so one invoke's stage events
-//! in the [`Tracer`](crate::trace::Tracer) are parent-linked by id and
-//! exported as Perfetto flow arrows.
+//! (`invoke.rs` → `noc.rs` → `sched.rs`). The table holds the stage
+//! marks; the [`Tracer`](crate::trace::Tracer) records no stage events of
+//! its own. Instead the events that already mark a stage's cycle (invoke
+//! issue, NACK, fault backoff and fallback, the packet's and the ACK's
+//! NoC messages, task dispatch and retire) carry the span id, and the
+//! Perfetto export joins them with flow arrows.
 //!
 //! After a run, [`SpanTable::critical_path`] decomposes each completed
 //! invoke's end-to-end latency into per-stage cycles:
@@ -22,10 +25,10 @@
 //! ```
 //!
 //! and reports stage totals plus the top-k slowest invokes. Recording is
-//! observational only and off by default
-//! ([`MachineConfig::trace_spans`](crate::MachineConfig::trace_spans)):
-//! disabled, every hook is a single branch and outputs are byte-identical
-//! to an uninstrumented build.
+//! observational only and off by default; it is on exactly when the tracer
+//! is ([`MachineConfig::trace`](crate::MachineConfig::trace)). Disabled,
+//! every hook is a single branch and outputs are byte-identical to an
+//! uninstrumented build.
 
 use std::fmt;
 

@@ -348,8 +348,7 @@ stats_table! {
             /// [`crate::config::MachineConfig::trace`]).
             pub trace: Tracer,
             /// Causal invoke-lifecycle spans for the critical-path analyzer (off
-            /// by default; see
-            /// [`crate::config::MachineConfig::trace_spans`]).
+            /// by default; see [`crate::config::MachineConfig::trace`]).
             pub spans: SpanTable,
             /// Periodic time-series sampler (off by default; see
             /// [`crate::config::MachineConfig::sample_interval`]).

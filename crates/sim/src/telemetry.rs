@@ -14,7 +14,7 @@
 //!   (`levi_*` families), ready for a scrape endpoint.
 //! * The Chrome/Perfetto trace export stays on
 //!   [`Tracer::to_chrome_json`](crate::trace::Tracer::to_chrome_json),
-//!   which flow-links span stage events; the registry deliberately does
+//!   which flow-links each invoke's span-linked events; the registry does
 //!   not duplicate the event buffer into the metrics dump.
 //!
 //! Everything here reads a finished [`Stats`] — building a `Telemetry`

@@ -1,12 +1,24 @@
 //! Structured event tracing with Chrome trace-event / Perfetto export.
 //!
-//! The [`Tracer`] is a categorized, ring-buffered recorder for the
-//! simulator's microarchitectural events: the invoke lifecycle
-//! (issue → NACK/dispatch → retire), coherence activity (invalidations,
-//! ownership transfers), stream push/pop/stall, DRAM queueing, and NoC
-//! messages. Recording is observational only — it never changes simulated
+//! The [`Tracer`] is a ring-buffered recorder for the simulator's
+//! microarchitectural events: the invoke lifecycle (issue → NACK/dispatch
+//! → retire), coherence activity (invalidations, ownership transfers),
+//! stream push/pop/stall, DRAM queueing, NoC messages, and injected-fault
+//! activity. Recording is observational only — it never changes simulated
 //! timing — and is branch-cheap when disabled: every hook passes a closure
 //! that is not evaluated unless tracing is on.
+//!
+//! Every event kind is declared once, in the `trace_events!` table below:
+//! its [`TraceKind`] variant, its exported name, its [`TraceCategory`], and
+//! the names of its arguments. An event stores only the kind and the
+//! argument values; the Chrome export and the snapshot codec read names
+//! from the table.
+//!
+//! Each fact is recorded once. Invoke-lifecycle events that belong to one
+//! invoke carry its [`SpanId`] (see [`crate::span`]), which
+//! [`Tracer::to_chrome_json`] turns into Perfetto flow arrows; the span
+//! table keeps the per-stage cycle marks, so no separate stage events are
+//! recorded.
 //!
 //! [`Tracer::to_chrome_json`] exports the buffer in the Chrome
 //! trace-event JSON format, loadable in Perfetto (<https://ui.perfetto.dev>)
@@ -17,10 +29,16 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
-use crate::engine::{EngineId, EngineLevel};
+use levi_isa::codec::{CodecError, Reader, Writer};
 
-/// Default ring-buffer capacity (events retained) when tracing is enabled.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+use crate::engine::{EngineId, EngineLevel};
+use crate::span::SpanId;
+
+/// Ring-buffer capacity (events retained) when tracing is enabled.
+pub const TRACE_CAPACITY: usize = 1 << 16;
+
+/// Maximum arguments per event (the longest argument list in the table).
+pub const MAX_ARGS: usize = 3;
 
 /// Event category, mapped to the Chrome trace `cat` field so Perfetto can
 /// filter tracks by subsystem.
@@ -39,19 +57,6 @@ pub enum TraceCategory {
     /// Injected-fault activity: refusals, backoff retries, squeezes,
     /// degradation, core fallback.
     Fault,
-    /// Invoke-scheduler decisions: placement, NACKs, migrate-local.
-    /// Opt-in via [`MachineConfig::trace_sched`](crate::MachineConfig)
-    /// — off by default so traced runs stay byte-identical across
-    /// versions.
-    Sched,
-    /// Causal invoke-lifecycle stage transitions (`span.issued`,
-    /// `span.nacked`, `span.retried`, `span.enqueued`, `span.executing`,
-    /// `span.responded`, `span.retired`), parent-linked by a `"span"`
-    /// argument carrying the [`SpanId`](crate::span::SpanId). Opt-in via
-    /// [`MachineConfig::trace_spans`](crate::MachineConfig) — gated
-    /// separately from `trace` so default traced runs stay
-    /// byte-identical across versions.
-    Span,
 }
 
 impl TraceCategory {
@@ -64,10 +69,99 @@ impl TraceCategory {
             TraceCategory::Dram => "dram",
             TraceCategory::Noc => "noc",
             TraceCategory::Fault => "fault",
-            TraceCategory::Sched => "sched",
-            TraceCategory::Span => "span",
         }
     }
+}
+
+/// Declares [`TraceKind`], [`TraceKind::ALL`], and each kind's name,
+/// category and argument names from one list of
+/// `Variant => "name", Category, ["arg", ...];` entries, in tag order
+/// (the snapshot codec stores a kind as its index in [`TraceKind::ALL`]).
+macro_rules! trace_events {
+    ($( $(#[$doc:meta])* $kind:ident => $name:literal, $cat:ident, [$($arg:literal),*]; )*) => {
+        /// What a [`TraceEvent`] records.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum TraceKind {
+            $( $(#[$doc])* $kind, )*
+        }
+
+        impl TraceKind {
+            /// Every kind, in declaration (tag) order.
+            pub const ALL: &'static [TraceKind] = &[$(TraceKind::$kind),*];
+
+            /// The event's name in exported traces.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( TraceKind::$kind => $name, )*
+                }
+            }
+
+            /// The event's subsystem category.
+            pub fn category(self) -> TraceCategory {
+                match self {
+                    $( TraceKind::$kind => TraceCategory::$cat, )*
+                }
+            }
+
+            /// The names of the event's arguments, in recording order.
+            pub fn arg_names(self) -> &'static [&'static str] {
+                match self {
+                    $( TraceKind::$kind => &[$($arg),*], )*
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
+    /// A core or engine issued an invoke packet to `target`'s engine.
+    /// Carries the invoke's span.
+    InvokeIssue => "invoke.issue", Invoke, ["target", "actor_addr"];
+    /// The target engine had no free context; the issuer parks. Carries
+    /// the invoke's span.
+    InvokeNack => "invoke.nack", Invoke, ["target"];
+    /// A tenant hit its engine-slot quota on a foreign engine; the issuer
+    /// parks. Carries the invoke's span.
+    InvokeQuotaNack => "invoke.quota_nack", Invoke, ["target"];
+    /// An engine dispatched an invoked task into a context. Carries the
+    /// invoke's span.
+    TaskDispatch => "task.dispatch", Invoke, ["actor"];
+    /// An engine task, or a core-fallback task that carries a span,
+    /// retired. Carries the invoke's span.
+    TaskRetire => "task.retire", Invoke, ["actor"];
+    /// A private copy of `line` was invalidated (`dirty` = it held
+    /// modified data).
+    CohInval => "coh.inval", Coherence, ["line", "dirty"];
+    /// Ownership of `line` moved away from tile `from`.
+    CohXfer => "coh.xfer", Coherence, ["line", "from"];
+    /// A producer pushed a stream entry.
+    StreamPush => "stream.push", Stream, ["sid", "depth"];
+    /// A consumer popped a stream entry.
+    StreamPop => "stream.pop", Stream, ["sid", "depth"];
+    /// A consumer waited on an empty stream (a duration event).
+    StreamStall => "stream.stall", Stream, ["sid"];
+    /// A DRAM read hit the memory controller's FIFO cache.
+    DramFifoHit => "dram.fifo_hit", Dram, ["line"];
+    /// A DRAM access, queueing included (a duration event).
+    DramAccess => "dram.access", Dram, ["line", "queued"];
+    /// A NoC message in flight (a duration event). Invoke packets and
+    /// their ACKs carry the invoke's span.
+    NocMsg => "noc.msg", Noc, ["to", "flits"];
+    /// A faulted link delayed a NoC message by `extra` cycles.
+    FaultNocDegraded => "fault.noc_degraded", Fault, ["to", "extra"];
+    /// A throttled memory controller slowed an access by `extra` cycles.
+    FaultDramThrottled => "fault.dram_throttled", Fault, ["line", "extra"];
+    /// A squeezed invoke buffer stalled the core for `wait` cycles.
+    FaultInvokeSqueeze => "fault.invoke_squeeze", Fault, ["limit", "wait"];
+    /// A refusing engine made the issuer back off. Carries the invoke's
+    /// span.
+    FaultInvokeBackoff => "fault.invoke_backoff", Fault, ["target", "retry", "delay"];
+    /// Past the retry budget, the invoke falls back to its issuing core.
+    /// Carries the invoke's span.
+    FaultCoreFallback => "fault.core_fallback", Fault, ["target", "actor_addr"];
+    /// The fallback software handler started on the issuing core.
+    /// Carries the invoke's span.
+    FaultCoreFallbackTask => "fault.core_fallback_task", Fault, ["actor"];
 }
 
 /// The hardware unit an event is attributed to (its track in the viewer).
@@ -124,9 +218,6 @@ impl Track {
 /// Synthetic process id for DRAM controller tracks.
 const DRAM_PID: u32 = 9999;
 
-/// Maximum key/value argument pairs per event.
-pub const MAX_ARGS: usize = 3;
-
 /// One recorded event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -134,93 +225,82 @@ pub struct TraceEvent {
     pub cycle: u64,
     /// Duration in cycles; 0 renders as an instant event.
     pub dur: u64,
-    /// Subsystem category.
-    pub category: TraceCategory,
-    /// Event name (static, e.g. `"invoke.issue"`).
-    pub name: &'static str,
+    /// What the event records (its name, category and argument names).
+    pub kind: TraceKind,
     /// The track the event belongs to.
     pub track: Track,
-    /// Up to [`MAX_ARGS`] named arguments.
-    args: [(&'static str, u64); MAX_ARGS],
-    nargs: u8,
+    /// The invoke this event belongs to, if any. Span-linked events are
+    /// joined by flow arrows in [`Tracer::to_chrome_json`].
+    pub span: Option<SpanId>,
+    /// Argument values, named by [`TraceKind::arg_names`].
+    args: [u64; MAX_ARGS],
 }
 
 impl TraceEvent {
     /// Builds an instant event.
     ///
     /// # Panics
-    /// Panics if more than [`MAX_ARGS`] arguments are given.
-    pub fn instant(
-        cycle: u64,
-        category: TraceCategory,
-        name: &'static str,
-        track: Track,
-        args: &[(&'static str, u64)],
-    ) -> Self {
-        Self::span(cycle, 0, category, name, track, args)
+    /// Panics unless `args` holds exactly one value per name in
+    /// [`TraceKind::arg_names`].
+    pub fn instant(cycle: u64, kind: TraceKind, track: Track, args: &[u64]) -> Self {
+        Self::lasting(cycle, 0, kind, track, args)
     }
 
-    /// Builds a duration (span) event covering `[cycle, cycle + dur)`.
+    /// Builds a duration event covering `[cycle, cycle + dur)`.
     ///
     /// # Panics
-    /// Panics if more than [`MAX_ARGS`] arguments are given.
-    pub fn span(
-        cycle: u64,
-        dur: u64,
-        category: TraceCategory,
-        name: &'static str,
-        track: Track,
-        args: &[(&'static str, u64)],
-    ) -> Self {
-        assert!(args.len() <= MAX_ARGS, "too many trace args");
-        let mut a = [("", 0u64); MAX_ARGS];
+    /// Panics unless `args` holds exactly one value per name in
+    /// [`TraceKind::arg_names`].
+    pub fn lasting(cycle: u64, dur: u64, kind: TraceKind, track: Track, args: &[u64]) -> Self {
+        assert_eq!(
+            args.len(),
+            kind.arg_names().len(),
+            "{} takes {:?}",
+            kind.name(),
+            kind.arg_names()
+        );
+        let mut a = [0u64; MAX_ARGS];
         a[..args.len()].copy_from_slice(args);
         TraceEvent {
             cycle,
             dur,
-            category,
-            name,
+            kind,
             track,
+            span: None,
             args: a,
-            nargs: args.len() as u8,
         }
     }
 
-    /// The event's named arguments.
-    pub fn args(&self) -> &[(&'static str, u64)] {
-        &self.args[..self.nargs as usize]
+    /// Links the event to an invoke's span.
+    pub fn with_span(mut self, span: Option<SpanId>) -> Self {
+        self.span = span;
+        self
     }
 
-    /// The invoke span this event belongs to (its `"span"` argument), if
-    /// any. Span-linked events are joined by flow arrows in
-    /// [`Tracer::to_chrome_json`].
-    pub fn span_arg(&self) -> Option<u64> {
-        self.args()
-            .iter()
-            .find(|(k, _)| *k == "span")
-            .map(|&(_, v)| v)
+    /// The event's named arguments.
+    pub fn args(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.kind.arg_names().iter().copied().zip(self.args)
     }
 }
 
-/// The ring-buffered event recorder.
+/// The ring-buffered event recorder, retaining the last
+/// [`TRACE_CAPACITY`] events.
 ///
 /// Disabled by default; when disabled, [`Tracer::record`] is a single
 /// branch and the event-building closure is never evaluated.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     enabled: bool,
-    capacity: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
 }
 
 impl Tracer {
-    /// Creates a tracer. `capacity` bounds retained events; older events
-    /// are dropped (and counted) once the ring is full.
-    pub fn new(enabled: bool, capacity: usize) -> Self {
+    /// Creates a tracer. Once [`TRACE_CAPACITY`] events are buffered,
+    /// older events are dropped (and counted).
+    pub fn new(enabled: bool) -> Self {
         Tracer {
             enabled,
-            capacity: capacity.max(1),
             events: VecDeque::new(),
             dropped: 0,
         }
@@ -238,7 +318,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        if self.events.len() >= self.capacity {
+        if self.events.len() >= TRACE_CAPACITY {
             self.events.pop_front();
             self.dropped += 1;
         }
@@ -273,17 +353,17 @@ impl Tracer {
 
     /// Exports the buffer as Chrome trace-event JSON (Perfetto-loadable).
     ///
-    /// Instant events use phase `"i"` (thread scope), spans use complete
-    /// events (`"X"`). Timestamps are simulated cycles interpreted as
-    /// microseconds. Process/thread metadata names every tile and unit, so
-    /// the viewer shows one group per tile with per-unit tracks.
+    /// Instant events use phase `"i"` (thread scope), duration events use
+    /// complete events (`"X"`). Timestamps are simulated cycles
+    /// interpreted as microseconds. Process/thread metadata names every
+    /// tile and unit, so the viewer shows one group per tile with per-unit
+    /// tracks.
     ///
-    /// Events sharing a `"span"` argument (the invoke-lifecycle stage
-    /// events; see [`crate::span`]) are additionally joined by flow
-    /// events (`ph` `"s"`/`"t"`/`"f"` with `id` = span id), which
-    /// Perfetto renders as arrows following each invoke from the issuing
-    /// core across the NoC to its engine and back. Buffers with no
-    /// span-linked events export exactly as before.
+    /// A span-linked event also carries its span id as a `"span"`
+    /// argument, and the events sharing a span are joined by flow events
+    /// (`ph` `"s"`/`"t"`/`"f"` with `id` = span id), which Perfetto
+    /// renders as arrows following each invoke from the issuing core
+    /// across the NoC to its engine and back.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.events.len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",");
@@ -327,15 +407,17 @@ impl Tracer {
         // Flow arrows need a start, zero or more steps, and an end: count
         // how many events carry each span id so the per-event pass knows
         // which flow phase to emit. Ids seen once get no flow events.
-        let mut flow_total: levi_isa::fx::FxHashMap<u64, u32> = levi_isa::fx::FxHashMap::default();
+        let mut flow_total: levi_isa::fx::FxHashMap<SpanId, u32> =
+            levi_isa::fx::FxHashMap::default();
         for e in &self.events {
-            if let Some(id) = e.span_arg() {
+            if let Some(id) = e.span {
                 *flow_total.entry(id).or_insert(0) += 1;
             }
         }
         // Lookup-only (never iterated for output), so hash order is
         // unobservable and the fast hasher is safe here.
-        let mut flow_seen: levi_isa::fx::FxHashMap<u64, u32> = levi_isa::fx::FxHashMap::default();
+        let mut flow_seen: levi_isa::fx::FxHashMap<SpanId, u32> =
+            levi_isa::fx::FxHashMap::default();
 
         for e in &self.events {
             let (pid, tid) = e.track.pid_tid();
@@ -344,8 +426,8 @@ impl Tracer {
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{pid},\"tid\":{tid},\
                  \"ts\":{}",
-                e.name,
-                e.category.as_str(),
+                e.kind.name(),
+                e.kind.category().as_str(),
                 e.cycle
             );
             if e.dur > 0 {
@@ -353,9 +435,11 @@ impl Tracer {
             } else {
                 out.push_str(",\"ph\":\"i\",\"s\":\"t\"");
             }
-            if e.nargs > 0 {
+            let span = e.span.map(|id| ("span", id.0 as u64));
+            let mut args = e.args().chain(span).peekable();
+            if args.peek().is_some() {
                 out.push_str(",\"args\":{");
-                for (i, (k, v)) in e.args().iter().enumerate() {
+                for (i, (k, v)) in args.enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -368,7 +452,7 @@ impl Tracer {
             // Attach this event to its span's flow at the same (pid, tid,
             // ts): "s" starts the flow, "t" continues it, "f" (binding to
             // the enclosing slice) ends it.
-            if let Some(id) = e.span_arg() {
+            if let Some(id) = e.span {
                 let total = flow_total[&id];
                 if total >= 2 {
                     let seen = flow_seen.entry(id).or_insert(0);
@@ -384,8 +468,8 @@ impl Tracer {
                     let _ = write!(
                         out,
                         "{{\"ph\":\"{ph}\",\"cat\":\"span.flow\",\"name\":\"invoke\",\
-                         \"id\":{id},\"pid\":{pid},\"tid\":{tid},\"ts\":{}",
-                        e.cycle
+                         \"id\":{},\"pid\":{pid},\"tid\":{tid},\"ts\":{}",
+                        id.0, e.cycle
                     );
                     if ph == "f" {
                         out.push_str(",\"bp\":\"e\"");
@@ -397,70 +481,19 @@ impl Tracer {
         out.push_str("]}");
         out
     }
-}
 
-/// Interns a deserialized event name, returning a `&'static str`.
-///
-/// Trace events carry `&'static str` names for zero-cost recording; a
-/// snapshot round-trip has to rebuild them from owned strings. Distinct
-/// names are leaked exactly once into a process-global registry, so the
-/// leak is bounded by the (small, fixed) vocabulary of event names no
-/// matter how many snapshots are restored.
-fn intern(s: &str) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut names = NAMES
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("name registry poisoned");
-    if let Some(existing) = names.iter().find(|n| **n == s) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    names.push(leaked);
-    leaked
-}
-
-fn category_tag(c: TraceCategory) -> u8 {
-    match c {
-        TraceCategory::Invoke => 0,
-        TraceCategory::Coherence => 1,
-        TraceCategory::Stream => 2,
-        TraceCategory::Dram => 3,
-        TraceCategory::Noc => 4,
-        TraceCategory::Fault => 5,
-        TraceCategory::Sched => 6,
-        TraceCategory::Span => 7,
-    }
-}
-
-fn category_from(tag: u8) -> Result<TraceCategory, levi_isa::codec::CodecError> {
-    Ok(match tag {
-        0 => TraceCategory::Invoke,
-        1 => TraceCategory::Coherence,
-        2 => TraceCategory::Stream,
-        3 => TraceCategory::Dram,
-        4 => TraceCategory::Noc,
-        5 => TraceCategory::Fault,
-        6 => TraceCategory::Sched,
-        7 => TraceCategory::Span,
-        _ => return Err(levi_isa::codec::CodecError::Invalid("trace category")),
-    })
-}
-
-impl Tracer {
-    /// Serializes the event ring (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        use crate::snapshot::w_engine_id;
+    /// Serializes the event ring (see [`crate::snapshot`]). An untraced
+    /// tracer writes only the `enabled/capacity/dropped/count` prefix.
+    pub(crate) fn snap_write(&self, w: &mut Writer) {
+        use crate::snapshot::{w_engine_id, w_opt_span};
         w.bool(self.enabled);
-        w.u64(self.capacity as u64);
+        w.u64(TRACE_CAPACITY as u64);
         w.u64(self.dropped);
         w.u32(self.events.len() as u32);
         for e in &self.events {
             w.u64(e.cycle);
             w.u64(e.dur);
-            w.u8(category_tag(e.category));
-            w.str(e.name);
+            w.u8(e.kind as u8);
             match e.track {
                 Track::Core(t) => {
                     w.u8(0);
@@ -479,30 +512,30 @@ impl Tracer {
                     w.u32(mc);
                 }
             }
-            w.u8(e.nargs);
-            for (name, val) in &e.args[..e.nargs as usize] {
-                w.str(name);
-                w.u64(*val);
+            w_opt_span(w, e.span);
+            for (_, v) in e.args() {
+                w.u64(v);
             }
         }
     }
 
     /// Restores a tracer written by [`Tracer::snap_write`].
-    pub(crate) fn snap_read(
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<Self, levi_isa::codec::CodecError> {
-        use crate::snapshot::r_engine_id;
-        use levi_isa::codec::CodecError;
+    pub(crate) fn snap_read(r: &mut Reader) -> Result<Self, CodecError> {
+        use crate::snapshot::{r_engine_id, r_opt_span};
         let enabled = r.bool()?;
-        let capacity = (r.u64()? as usize).max(1);
+        if r.u64()? != TRACE_CAPACITY as u64 {
+            return Err(CodecError::Invalid("trace capacity"));
+        }
         let dropped = r.u64()?;
-        let n = r.count(20)?;
+        // cycle, dur, kind, track tag + tile, span tag.
+        let n = r.count(23)?;
         let mut events = VecDeque::with_capacity(n);
         for _ in 0..n {
             let cycle = r.u64()?;
             let dur = r.u64()?;
-            let category = category_from(r.u8()?)?;
-            let name = intern(r.str()?);
+            let kind = *TraceKind::ALL
+                .get(r.u8()? as usize)
+                .ok_or(CodecError::Invalid("trace kind"))?;
             let track = match r.u8()? {
                 0 => Track::Core(r.u32()?),
                 1 => Track::Engine(r_engine_id(r)?),
@@ -510,27 +543,22 @@ impl Tracer {
                 3 => Track::Dram(r.u32()?),
                 _ => return Err(CodecError::Invalid("trace track")),
             };
-            let nargs = r.u8()?;
-            if nargs as usize > MAX_ARGS {
-                return Err(CodecError::Invalid("trace arg count"));
-            }
-            let mut args = [("", 0u64); MAX_ARGS];
-            for a in args.iter_mut().take(nargs as usize) {
-                *a = (intern(r.str()?), r.u64()?);
+            let span = r_opt_span(r)?;
+            let mut args = [0u64; MAX_ARGS];
+            for a in args.iter_mut().take(kind.arg_names().len()) {
+                *a = r.u64()?;
             }
             events.push_back(TraceEvent {
                 cycle,
                 dur,
-                category,
-                name,
+                kind,
                 track,
+                span,
                 args,
-                nargs,
             });
         }
         Ok(Tracer {
             enabled,
-            capacity,
             events,
             dropped,
         })
@@ -541,8 +569,37 @@ impl Tracer {
 mod tests {
     use super::*;
 
-    fn ev(cycle: u64, name: &'static str) -> TraceEvent {
-        TraceEvent::instant(cycle, TraceCategory::Invoke, name, Track::Core(0), &[])
+    fn ev(cycle: u64, kind: TraceKind) -> TraceEvent {
+        let args = [0; MAX_ARGS];
+        TraceEvent::instant(cycle, kind, Track::Core(0), &args[..kind.arg_names().len()])
+    }
+
+    fn named(kind: TraceKind) -> String {
+        format!("\"name\":\"{}\"", kind.name())
+    }
+
+    const LLC2: Track = Track::Engine(EngineId {
+        tile: 2,
+        level: EngineLevel::Llc,
+    });
+
+    #[test]
+    fn kind_table_is_consistent() {
+        let mut names = BTreeSet::new();
+        for (tag, &kind) in TraceKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, tag, "ALL is in tag order");
+            assert!(names.insert(kind.name()), "duplicate {}", kind.name());
+            assert!(kind.arg_names().len() <= MAX_ARGS, "{}", kind.name());
+            // Names are `<category-ish prefix>.<event>`, safe to embed in
+            // JSON without escaping.
+            assert!(
+                kind.name()
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b == b'.' || b == b'_'),
+                "{}",
+                kind.name()
+            );
+        }
     }
 
     #[test]
@@ -555,60 +612,49 @@ mod tests {
 
     #[test]
     fn enabled_tracer_buffers_events() {
-        let mut t = Tracer::new(true, 16);
-        t.record(|| ev(10, "a"));
-        t.record(|| {
-            TraceEvent::span(
-                20,
-                5,
-                TraceCategory::Stream,
-                "b",
-                Track::Engine(EngineId {
-                    tile: 2,
-                    level: EngineLevel::Llc,
-                }),
-                &[("sid", 1), ("depth", 3)],
-            )
-        });
+        let mut t = Tracer::new(true);
+        t.record(|| ev(10, TraceKind::InvokeIssue));
+        t.record(|| TraceEvent::lasting(20, 5, TraceKind::StreamPush, LLC2, &[1, 3]));
         assert_eq!(t.len(), 2);
         let evs: Vec<_> = t.events().collect();
         assert_eq!(evs[0].cycle, 10);
         assert_eq!(evs[1].dur, 5);
-        assert_eq!(evs[1].args(), &[("sid", 1), ("depth", 3)]);
+        assert_eq!(
+            evs[1].args().collect::<Vec<_>>(),
+            [("sid", 1), ("depth", 3)]
+        );
+        assert_eq!(evs[1].kind.category(), TraceCategory::Stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes")]
+    fn wrong_argument_count_is_rejected() {
+        TraceEvent::instant(0, TraceKind::NocMsg, Track::Noc(0), &[1]);
     }
 
     #[test]
     fn ring_drops_oldest() {
-        let mut t = Tracer::new(true, 4);
-        for i in 0..10 {
-            t.record(|| ev(i, "e"));
+        let mut t = Tracer::new(true);
+        for i in 0..TRACE_CAPACITY as u64 + 6 {
+            t.record(|| ev(i, TraceKind::StreamPop));
         }
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.len(), TRACE_CAPACITY);
         assert_eq!(t.dropped(), 6);
         assert_eq!(t.events().next().unwrap().cycle, 6);
     }
 
     #[test]
     fn chrome_json_shape() {
-        let mut t = Tracer::new(true, 16);
-        t.record(|| ev(1, "invoke.issue"));
-        t.record(|| {
-            TraceEvent::span(
-                2,
-                7,
-                TraceCategory::Dram,
-                "dram.access",
-                Track::Dram(1),
-                &[("line", 42)],
-            )
-        });
+        let mut t = Tracer::new(true);
+        t.record(|| ev(1, TraceKind::InvokeIssue));
+        t.record(|| TraceEvent::lasting(2, 7, TraceKind::DramAccess, Track::Dram(1), &[42, 0]));
         let json = t.to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"invoke.issue\""));
+        assert!(json.contains(&named(TraceKind::InvokeIssue)));
         assert!(json.contains("\"cat\":\"invoke\""));
         assert!(json.contains("\"ph\":\"X\",\"dur\":7"));
-        assert!(json.contains("\"args\":{\"line\":42}"));
+        assert!(json.contains("\"args\":{\"line\":42,\"queued\":0}"));
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("tile0"));
@@ -623,32 +669,17 @@ mod tests {
 
     #[test]
     fn span_linked_events_emit_flow_arrows() {
-        let mut t = Tracer::new(true, 16);
-        let span_ev = |cycle, name: &'static str, track| {
-            TraceEvent::instant(cycle, TraceCategory::Span, name, track, &[("span", 7)])
+        let mut t = Tracer::new(true);
+        let linked = |cycle, kind: TraceKind, track, id| {
+            let args = [0; MAX_ARGS];
+            TraceEvent::instant(cycle, kind, track, &args[..kind.arg_names().len()])
+                .with_span(Some(SpanId(id)))
         };
-        t.record(|| span_ev(10, "span.issued", Track::Core(0)));
-        t.record(|| {
-            span_ev(
-                19,
-                "span.executing",
-                Track::Engine(EngineId {
-                    tile: 2,
-                    level: EngineLevel::Llc,
-                }),
-            )
-        });
-        t.record(|| span_ev(40, "span.responded", Track::Core(0)));
+        t.record(|| linked(10, TraceKind::InvokeIssue, Track::Core(0), 7));
+        t.record(|| linked(19, TraceKind::TaskDispatch, LLC2, 7));
+        t.record(|| linked(40, TraceKind::TaskRetire, LLC2, 7));
         // An unrelated singleton span id gets no flow events.
-        t.record(|| {
-            TraceEvent::instant(
-                50,
-                TraceCategory::Span,
-                "span.issued",
-                Track::Core(1),
-                &[("span", 9)],
-            )
-        });
+        t.record(|| linked(50, TraceKind::InvokeIssue, Track::Core(1), 9));
         let json = t.to_chrome_json();
         assert!(
             json.contains("\"ph\":\"s\",\"cat\":\"span.flow\""),
@@ -660,30 +691,63 @@ mod tests {
         );
         assert!(json.contains("\"bp\":\"e\""), "{json}");
         assert_eq!(json.matches("span.flow").count(), 3, "singleton skipped");
+        assert!(json.contains("\"args\":{\"actor\":0,\"span\":7}"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn spanless_export_has_no_flow_events() {
-        let mut t = Tracer::new(true, 16);
-        t.record(|| ev(1, "invoke.issue"));
-        t.record(|| ev(2, "invoke.nack"));
-        assert!(!t.to_chrome_json().contains("span.flow"));
+        let mut t = Tracer::new(true);
+        t.record(|| ev(1, TraceKind::InvokeIssue));
+        t.record(|| ev(2, TraceKind::InvokeNack));
+        let json = t.to_chrome_json();
+        assert!(!json.contains("span.flow"));
+        assert!(!json.contains("\"span\""));
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_kind() {
+        let mut t = Tracer::new(true);
+        for (i, &kind) in TraceKind::ALL.iter().enumerate() {
+            let args: Vec<u64> = (0..kind.arg_names().len() as u64)
+                .map(|a| 100 * i as u64 + a)
+                .collect();
+            let span = (i % 2 == 0).then_some(SpanId(i as u32));
+            t.record(|| TraceEvent::lasting(i as u64, 3, kind, LLC2, &args).with_span(span));
+        }
+        let mut w = Writer::new();
+        t.snap_write(&mut w);
+        let bytes = w.into_bytes();
+        let back = Tracer::snap_read(&mut Reader::new(&bytes)).unwrap();
+        assert!(back.enabled());
+        assert_eq!(
+            back.events().copied().collect::<Vec<_>>(),
+            t.events().copied().collect::<Vec<_>>()
+        );
+
+        // An out-of-table kind tag is a typed error, not a panic.
+        let mut bad = bytes.clone();
+        let kind_at = 1 + 8 + 8 + 4 + 8 + 8;
+        bad[kind_at] = TraceKind::ALL.len() as u8;
+        assert!(matches!(
+            Tracer::snap_read(&mut Reader::new(&bad)),
+            Err(CodecError::Invalid("trace kind"))
+        ));
     }
 
     #[test]
     fn empty_trace_is_valid_json_skeleton() {
-        let t = Tracer::new(true, 4);
+        let t = Tracer::new(true);
         let json = t.to_chrome_json();
         assert!(json.contains("\"traceEvents\":[]"));
     }
 
     #[test]
     fn clear_resets() {
-        let mut t = Tracer::new(true, 2);
-        t.record(|| ev(0, "a"));
-        t.record(|| ev(1, "a"));
-        t.record(|| ev(2, "a"));
+        let mut t = Tracer::new(true);
+        for i in 0..TRACE_CAPACITY as u64 + 1 {
+            t.record(|| ev(i, TraceKind::StreamPop));
+        }
         assert_eq!(t.dropped(), 1);
         t.clear();
         assert!(t.is_empty());

@@ -13,7 +13,8 @@ use levi_sim::{
     EnergyConfig, EngineFault, EngineId, EngineLevel, FaultPlan, FaultState, Histogram, Hw,
     InvokeSqueeze, LinkFault, LinkFaultKind, Machine, MachineConfig, MorphLevel, MorphRegion,
     ParkOwner, ParkedActor, Replacement, RunError, RunResult, Sample, SimError, Stats, StreamId,
-    StreamMode, StreamState, TimeSeries, TraceCategory, TraceEvent, Tracer, Track, Walk, LINE_SIZE,
+    StreamMode, StreamState, TimeSeries, TraceCategory, TraceEvent, TraceKind, Tracer, Track, Walk,
+    LINE_SIZE,
 };
 
 // Machine-associated types flow through the facade's re-export path too.
@@ -51,7 +52,8 @@ fn public_api_names_resolve() {
     let _: fn(MachineConfig) -> Result<Machine, SimError> = Machine::try_new;
 
     assert_eq!(LINE_SIZE, 64);
-    assert_eq!(TraceCategory::Sched.as_str(), "sched");
+    assert_eq!(TraceCategory::Fault.as_str(), "fault");
+    assert_eq!(TraceKind::InvokeIssue.category(), TraceCategory::Invoke);
     assert!(matches!(Track::Core(0), Track::Core(0)));
     assert!(matches!(AccessKind::Read, AccessKind::Read));
     assert!(matches!(Walk::Done { at: 3 }, Walk::Done { at: 3 }));

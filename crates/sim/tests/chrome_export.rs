@@ -1,14 +1,17 @@
 //! Golden validation of the span-linked Chrome/Perfetto export and the
 //! telemetry JSON-lines dump.
 //!
-//! A seeded invoke workload runs with span tracing on; both exports are
+//! A seeded invoke workload runs with tracing on; both exports are
 //! then parsed with the bench harness's strict JSON parser (`levi-bench`
 //! rejects duplicate keys and trailing garbage), and the span flow
 //! arrows are checked for well-formedness: every multi-event span opens
 //! with exactly one `"s"` and closes with exactly one `"f"` (carrying
-//! `"bp":"e"`), with one flow step per span-linked event.
+//! `"bp":"e"`), with one flow step per span-linked event. Each invoke's
+//! linked events are recorded once: the issue, the packet's and the ACK's
+//! NoC messages, the dispatch and the retire, no two on the same
+//! `(ts, track)`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use levi_bench::json::{parse, Json};
@@ -17,7 +20,7 @@ use levi_sim::{Machine, MachineConfig, Stats, Telemetry};
 
 const INVOKES: u64 = 64;
 
-/// Runs the standard 64-invoke counter-bump workload with span tracing.
+/// Runs the standard 64-invoke counter-bump workload with tracing on.
 fn run_traced() -> Stats {
     let mut pb = ProgramBuilder::new();
     {
@@ -50,7 +53,7 @@ fn run_traced() -> Stats {
         f.finish()
     };
     let prog = Arc::new(pb.finish().unwrap());
-    let mut cfg = MachineConfig::with_tiles(4).span_traced();
+    let mut cfg = MachineConfig::with_tiles(4).traced();
     cfg.prefetcher = false;
     let mut m = Machine::try_new(cfg).unwrap();
     let action_fn = prog.func_by_name("bump").unwrap();
@@ -76,9 +79,11 @@ fn chrome_export_is_wellformed_and_flow_linked() {
         .expect("traceEvents array");
     assert!(!events.is_empty());
 
-    // Per flow id: (opens, steps, closes). Per span id: linked events.
+    // Per flow id: (opens, steps, closes). Per span id: the names of its
+    // linked events, in export order, and the (ts, pid, tid) they sit at.
     let mut flow: BTreeMap<u64, (u32, u32, u32)> = BTreeMap::new();
-    let mut linked: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut linked: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    let mut places = BTreeSet::new();
     for e in events {
         let ph = e
             .get("ph")
@@ -109,13 +114,20 @@ fn chrome_export_is_wellformed_and_flow_linked() {
                 }
             }
             "X" | "i" => {
-                assert!(e.get("ts").and_then(Json::as_num).is_some());
+                let ts = e.get("ts").and_then(Json::as_num).expect("timestamp");
                 if let Some(span) = e
                     .get("args")
                     .and_then(|a| a.get("span"))
                     .and_then(Json::as_num)
                 {
-                    *linked.entry(span as u64).or_default() += 1;
+                    let num = |k| e.get(k).and_then(Json::as_num).expect(k) as u64;
+                    let place = (span as u64, ts as u64, num("pid"), num("tid"));
+                    assert!(places.insert(place), "two span events at {place:?}");
+                    let name = e.get("name").and_then(Json::as_str).unwrap();
+                    linked
+                        .entry(span as u64)
+                        .or_default()
+                        .push(name.to_string());
                 }
             }
             other => panic!("unexpected event phase {other:?}"),
@@ -129,7 +141,7 @@ fn chrome_export_is_wellformed_and_flow_linked() {
             (1, 1),
             "span {id}: flow must open and close exactly once"
         );
-        let total = linked.get(id).copied().unwrap_or(0);
+        let total = linked.get(id).map_or(0, |names| names.len() as u32);
         assert!(total >= 2, "span {id}: arrows need at least two events");
         assert_eq!(
             opens + steps + closes,
@@ -137,18 +149,27 @@ fn chrome_export_is_wellformed_and_flow_linked() {
             "span {id}: one flow step per span-linked event"
         );
     }
-    for (id, n) in &linked {
-        if *n < 2 {
-            assert!(
-                !flow.contains_key(id),
-                "span {id}: singletons must not emit arrows"
-            );
-        }
+    // Every invoke targets the same remote bank and is ACKed, so each
+    // span links zero or more NACKs (the bank's engine runs out of
+    // contexts), then exactly these five events, in this order.
+    assert_eq!(linked.len() as u64, INVOKES);
+    let mut nacked = 0;
+    for (id, names) in &linked {
+        let nacks = names.iter().take_while(|n| *n == "invoke.nack").count();
+        nacked += nacks;
+        assert_eq!(
+            names[nacks..],
+            [
+                "invoke.issue",
+                "noc.msg",
+                "noc.msg",
+                "task.dispatch",
+                "task.retire"
+            ],
+            "span {id}"
+        );
     }
-    assert!(
-        text.contains("\"name\":\"span.issued\""),
-        "issued stage events present"
-    );
+    assert_eq!(nacked as u64, stats.invoke_nacks);
 }
 
 #[test]

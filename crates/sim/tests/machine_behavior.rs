@@ -9,7 +9,8 @@ use std::sync::Arc;
 use levi_isa::{ActionId, FuncId, Location, Memory, Program, ProgramBuilder, Reg, RmwOp};
 use levi_sim::ndc::{MorphLevel, MorphRegion, WaitCond};
 use levi_sim::{
-    EngineId, EngineLevel, Machine, MachineConfig, ParkOwner, RunError, SimError, StreamMode,
+    EngineId, EngineLevel, InlineFault, Machine, MachineConfig, ParkOwner, RunError, SimError,
+    StreamMode,
 };
 
 fn small_cfg() -> MachineConfig {
@@ -427,6 +428,77 @@ fn unregistered_action_is_a_run_fault() {
     }
 }
 
+/// Runs one core load from an LLC Morph whose constructor `ctor` builds.
+fn load_through_morph_ctor(
+    ctor: impl FnOnce(&mut levi_isa::FunctionBuilder<'_>),
+) -> Result<levi_sim::RunResult, RunError> {
+    let mut pb = ProgramBuilder::new();
+    let ctor_fn = {
+        let mut f = pb.function("ctor");
+        ctor(&mut f);
+        f.finish()
+    };
+    let main = {
+        let mut f = pb.function("main");
+        f.imm(Reg(1), 0x20000).ld8(Reg(2), Reg(1), 0).halt();
+        f.finish()
+    };
+    let prog = Arc::new(pb.finish().unwrap());
+    let mut m = Machine::try_new(small_cfg()).unwrap();
+    m.hw.ndc
+        .actions
+        .register(ActionId(3), prog.clone(), ctor_fn);
+    m.hw.ndc.register_morph(MorphRegion {
+        base: 0x20000,
+        bound: 0x21000,
+        level: MorphLevel::Llc,
+        obj_size: 64,
+        ctor: Some(ActionId(3)),
+        dtor: None,
+        view: 0,
+        stream: None,
+    });
+    m.spawn_thread(0, prog, main, &[]).unwrap();
+    m.run()
+}
+
+#[test]
+fn a_morph_ctor_that_never_halts_is_a_run_fault() {
+    let r = load_through_morph_ctor(|f| {
+        let top = f.label();
+        f.bind(top);
+        f.jmp(top);
+    });
+    match r {
+        Err(RunError::Fault(SimError::InlineAction { func, fault })) => {
+            assert_eq!(func, "ctor");
+            assert!(
+                matches!(fault, InlineFault::OutOfFuel(n) if n > 0),
+                "{fault:?}"
+            );
+        }
+        other => panic!("expected an inline-action fault, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_morph_ctor_that_invokes_is_a_run_fault() {
+    let r = load_through_morph_ctor(|f| {
+        f.invoke(Reg(0), ActionId(3), &[], Location::Remote);
+        f.halt();
+    });
+    match r {
+        Err(RunError::Fault(e)) => assert_eq!(
+            e,
+            SimError::InlineAction {
+                func: "ctor".into(),
+                fault: InlineFault::NdcOp("invoke"),
+            }
+        ),
+        other => panic!("expected an inline-action fault, got {other:?}"),
+    }
+}
+
 #[test]
 fn faulted_engine_backs_off_then_falls_back() {
     use levi_sim::{CycleWindow, FaultPlan};
@@ -460,7 +532,7 @@ fn faulted_engine_backs_off_then_falls_back() {
             plan = plan.add_engine_fault(EngineId { tile, level }, CycleWindow::new(0, u64::MAX));
         }
     }
-    let mut m = Machine::try_new(small_cfg().faulted(plan)).unwrap();
+    let mut m = Machine::try_new(small_cfg().faulted(plan).traced()).unwrap();
     m.mem_mut().write_u64(0x4000, 37);
     m.hw.ndc.actions.register(ActionId(0), prog.clone(), action);
     m.spawn_thread(0, prog, main, &[]).unwrap();
@@ -473,6 +545,10 @@ fn faulted_engine_backs_off_then_falls_back() {
     assert_eq!(s.invokes, 0, "nothing was offloaded");
     assert_eq!(s.fault_backoff.count(), 3);
     assert!(s.fault_degraded_cycles >= 8 + 16 + 32);
+    // Three backoffs, the fallback, its core task and its retire, all
+    // linked to the one span.
+    assert_eq!(check_span_lifecycles(s), (0, 0, 1));
+    assert_eq!(s.spans.spans()[0].retries, 3);
 }
 
 #[test]
@@ -518,11 +594,118 @@ fn determinism_same_seed_same_cycles() {
     assert_eq!(run(), run(), "simulation must be deterministic");
 }
 
+/// Checks the span-linked trace events of every recorded invoke against
+/// its span: failed attempts (NACKs, fault backoffs), then the issue (or
+/// the core fallback), then dispatch and retire, with the packet's and the
+/// ACK's NoC messages in between for remote invokes. Every event sits at
+/// the cycle the span marks for its stage, and no two span-linked events
+/// share a `(cycle, track, span)`. Returns `(remote, local, fallback)`
+/// invoke counts.
+fn check_span_lifecycles(stats: &levi_sim::Stats) -> (u32, u32, u32) {
+    use levi_sim::{SpanId, TraceEvent, TraceKind as K, Track};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    assert_eq!(stats.trace.dropped(), 0);
+    assert_eq!(stats.spans.dropped(), 0);
+    let mut by_span: BTreeMap<SpanId, Vec<&TraceEvent>> = BTreeMap::new();
+    let mut keys = BTreeSet::new();
+    for e in stats.trace.events() {
+        if let Some(id) = e.span {
+            assert!(
+                keys.insert((e.cycle, e.track, id)),
+                "two events of span {id} at cycle {} on {:?}",
+                e.cycle,
+                e.track
+            );
+            by_span.entry(id).or_default().push(e);
+        }
+    }
+    assert_eq!(by_span.len(), stats.spans.len(), "every span is traced");
+    let (mut remote, mut local, mut fallback) = (0, 0, 0);
+    for (id, evs) in &by_span {
+        let span = stats.spans.spans()[id.0 as usize];
+        let kinds: Vec<K> = evs.iter().map(|e| e.kind).collect();
+        assert!(
+            evs.windows(2).all(|w| w[0].cycle <= w[1].cycle),
+            "span {id}: {kinds:?} out of cycle order"
+        );
+        let at = kinds
+            .iter()
+            .position(|k| matches!(k, K::InvokeIssue | K::FaultCoreFallback))
+            .unwrap_or_else(|| panic!("span {id} never issued: {kinds:?}"));
+        let nacks = kinds[..at]
+            .iter()
+            .filter(|k| matches!(k, K::InvokeNack | K::InvokeQuotaNack))
+            .count();
+        let backoffs = kinds[..at]
+            .iter()
+            .filter(|k| **k == K::FaultInvokeBackoff)
+            .count();
+        assert_eq!(nacks + backoffs, at, "span {id}: {kinds:?}");
+        assert_eq!((nacks as u32, backoffs as u32), (span.nacks, span.retries));
+        assert_eq!(Some(evs[at].cycle), span.issued, "span {id}: issue");
+        let retire = evs.last().unwrap();
+        assert_eq!(retire.kind, K::TaskRetire, "span {id}: {kinds:?}");
+        assert_eq!(Some(retire.cycle), span.retired, "span {id}: retire");
+        let target = span.target.expect("issued spans have a target");
+        if span.fallback {
+            fallback += 1;
+            assert_eq!(
+                kinds[at..],
+                [
+                    K::FaultCoreFallback,
+                    K::FaultCoreFallbackTask,
+                    K::TaskRetire
+                ]
+            );
+            assert_eq!(retire.track, Track::Core(span.src_tile));
+            continue;
+        }
+        assert_eq!(kinds[at], K::InvokeIssue);
+        let dispatch = evs
+            .iter()
+            .find(|e| e.kind == K::TaskDispatch)
+            .unwrap_or_else(|| panic!("span {id} never dispatched: {kinds:?}"));
+        assert_eq!(Some(dispatch.cycle), span.dispatch);
+        assert_eq!(span.dispatch, span.arrival);
+        assert_eq!(dispatch.track, Track::Engine(target));
+        assert_eq!(retire.track, Track::Engine(target));
+        let msgs: Vec<_> = evs.iter().filter(|e| e.kind == K::NocMsg).collect();
+        assert_eq!(msgs.len() + 3, evs.len() - at, "span {id}: {kinds:?}");
+        if target.tile == span.src_tile {
+            local += 1;
+            assert!(msgs.is_empty(), "same-tile invokes cross no link");
+            continue;
+        }
+        remote += 1;
+        // The packet leaves at the issue and lands at dispatch; the ACK,
+        // if the invoke is ACKed, leaves then and lands at `ack`.
+        let packet = msgs[0];
+        assert_eq!(packet.track, Track::Noc(span.src_tile));
+        assert_eq!(
+            (packet.cycle, Some(packet.cycle + packet.dur)),
+            (evs[at].cycle, span.arrival)
+        );
+        match (msgs.get(1), span.ack) {
+            (Some(ack), Some(at_core)) => {
+                assert_eq!(ack.track, Track::Noc(target.tile));
+                assert_eq!(
+                    (Some(ack.cycle), ack.cycle + ack.dur),
+                    (span.arrival, at_core)
+                );
+            }
+            (None, None) => {}
+            other => panic!("span {id}: ACK event and mark disagree: {other:?}"),
+        }
+        assert!(msgs.len() <= 2, "span {id}: {kinds:?}");
+    }
+    (remote, local, fallback)
+}
+
 #[test]
-fn sched_trace_category_records_placement_decisions() {
-    // With trace_sched on, invoke-scheduler decisions appear in the
-    // `sched` category; with plain `traced()` they must not (default
-    // traced output stays byte-identical across simulator versions).
+fn span_linked_events_follow_the_invoke_lifecycle() {
+    // 40 DYNAMIC invokes on actors a page apart: most go to their home
+    // bank's LLC engine, every 32nd migrates to the local L2 engine.
     let build = || {
         let mut pb = ProgramBuilder::new();
         let action = {
@@ -552,19 +735,70 @@ fn sched_trace_category_records_placement_decisions() {
         let (prog, action, main) = build();
         let mut m = Machine::try_new(cfg).unwrap();
         m.hw.ndc.actions.register(ActionId(0), prog.clone(), action);
-        m.spawn_thread(0, prog, main, &[]).unwrap();
+        for core in 0..4 {
+            m.spawn_thread(core, prog.clone(), main, &[]).unwrap();
+        }
         m.run().unwrap();
-        (m.stats().invokes, m.stats().trace.to_chrome_json())
+        m.stats().clone()
     };
 
-    let (invokes, json) = run(small_cfg().sched_traced());
-    assert_eq!(invokes, 40);
-    assert!(json.contains("\"sched\""), "sched category exported");
-    assert!(json.contains("sched.place"), "placement events recorded");
+    let s = run(small_cfg().traced());
+    assert_eq!(s.invokes, 160);
+    assert_eq!(s.spans.len(), 160);
+    let (remote, local, fallback) = check_span_lifecycles(&s);
+    assert!(remote > 0 && local > 0, "{remote} remote, {local} local");
+    assert_eq!((remote + local, fallback), (160, 0));
 
-    let (_, plain) = run(small_cfg().traced());
-    assert!(
-        !plain.contains("sched.place"),
-        "plain traced() must not emit sched events"
-    );
+    // One context per engine: invokes NACK and park before they issue.
+    let mut cfg = small_cfg().traced();
+    cfg.engine.contexts = 1;
+    let s = run(cfg);
+    assert!(s.invoke_nacks > 0, "the squeeze must NACK");
+    check_span_lifecycles(&s);
+
+    // Untraced, the same run records neither events nor spans.
+    let s = run(small_cfg());
+    assert!(s.trace.is_empty() && s.spans.is_empty());
+}
+
+#[test]
+fn second_scan_of_an_l2_sized_array_hits_l2() {
+    // One core scans a 64 KiB array (1024 lines) twice with the
+    // prefetcher off. The array overflows the 32 KiB L1 but fits in the
+    // 128 KiB L2, so the first pass misses everywhere and the second hits L2 on
+    // every line: nothing is fetched from the LLC or DRAM twice.
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.function("scan2");
+    let (base, n, i, v, p, pass) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4), Reg(5));
+    let pass_top = f.label();
+    let top = f.label();
+    let out = f.label();
+    let done = f.label();
+    f.imm(pass, 0);
+    f.bind(pass_top);
+    f.imm(i, 0);
+    f.mov(p, base);
+    f.bind(top);
+    f.bge_u(i, n, out);
+    f.ld8(v, p, 0);
+    f.addi(p, p, 64);
+    f.addi(i, i, 1);
+    f.jmp(top);
+    f.bind(out);
+    f.addi(pass, pass, 1);
+    f.imm(v, 2);
+    f.bge_u(pass, v, done);
+    f.jmp(pass_top);
+    f.bind(done);
+    f.halt();
+    let func = f.finish();
+    let prog = Arc::new(pb.finish().unwrap());
+    let mut m = Machine::try_new(small_cfg()).unwrap();
+    m.spawn_thread(0, prog, func, &[0x100000, 1024]).unwrap();
+    m.run().unwrap();
+    let s = m.stats();
+    assert_eq!((s.l1.hits, s.l1.misses), (0, 2048));
+    assert_eq!((s.l2.hits, s.l2.misses), (1024, 1024));
+    assert_eq!((s.llc.hits, s.llc.misses), (0, 1024));
+    assert_eq!(s.dram_accesses, 1024);
 }

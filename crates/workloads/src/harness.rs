@@ -120,7 +120,6 @@ impl RunEnv {
         }
         if self.telemetry {
             cfg.machine.trace = true;
-            cfg.machine.trace_spans = true;
         }
         if self.checkpoint_every > 0 {
             cfg.machine.checkpoint_every = self.checkpoint_every;

@@ -5,19 +5,28 @@
 //! Checks the properties the tooling relies on:
 //! * the Chrome/Perfetto trace JSON is well-formed and carries the
 //!   invoke-lifecycle and stream events on per-tile tracks,
-//! * instrumentation is purely observational — recorded cycles are
-//!   identical with tracing on and off,
+//! * instrumentation is purely observational — every counter outside the
+//!   tracer's and span table's own is identical with tracing on and off,
+//!   at seeded configs,
 //! * two identical runs produce byte-identical traces, histogram buckets,
 //!   and time-series samples.
 
 use std::sync::Arc;
 
 use levi_isa::{ActionId, Location, MemWidth, ProgramBuilder, Reg, RmwOp};
+use levi_sim::Telemetry;
+use levi_workloads::harness::FaultSpec;
+use levi_workloads::SmallRng;
 use leviathan::{StreamSpec, System, SystemConfig};
 
 /// Builds and runs a 4-tile system: 50 remote invokes on a counter actor
 /// plus a 64-entry stream of which the main thread consumes 20.
 fn run_mixed(trace: bool, sample_interval: u64) -> System {
+    run_mixed_on(SystemConfig::small(), trace, sample_interval)
+}
+
+/// [`run_mixed`] on the given configuration.
+fn run_mixed_on(mut cfg: SystemConfig, trace: bool, sample_interval: u64) -> System {
     let mut pb = ProgramBuilder::new();
 
     let add_action = {
@@ -95,7 +104,6 @@ fn run_mixed(trace: bool, sample_interval: u64) -> System {
     };
     let prog = Arc::new(pb.finish().expect("program validates"));
 
-    let mut cfg = SystemConfig::small();
     if trace {
         cfg.machine = cfg.machine.traced();
     }
@@ -163,13 +171,47 @@ fn trace_json_is_perfetto_loadable_with_lifecycle_events() {
 
 #[test]
 fn tracing_does_not_perturb_timing() {
-    let traced = run_mixed(true, 0);
-    let plain = run_mixed(false, 0);
-    assert_eq!(traced.stats().cycles, plain.stats().cycles);
-    assert_eq!(traced.stats().invokes, plain.stats().invokes);
-    assert_eq!(traced.stats().noc_flit_hops, plain.stats().noc_flit_hops);
-    assert!(plain.stats().trace.is_empty(), "tracing is opt-in");
-    assert!(!traced.stats().trace.is_empty());
+    // Every registry counter except the tracer's and the span table's own
+    // must match with tracing on and off, at seeded engine-context,
+    // invoke-buffer and quantum settings, half of them under a seeded
+    // fault plan.
+    let untraced_counters = |sys: &System| -> Vec<(&'static str, u64)> {
+        Telemetry::new(sys.stats())
+            .counters()
+            .into_iter()
+            .filter(|(name, _)| !name.starts_with("trace_") && !name.starts_with("spans_"))
+            .collect()
+    };
+    let mut rng = SmallRng::seed_from_u64(0x7ace);
+    for round in 0..4 {
+        let mut cfg = SystemConfig::small();
+        cfg.machine.engine.contexts = 1 + rng.gen_range(0u32..4);
+        cfg.machine.core.invoke_buffer = 1 + rng.gen_range(0u32..8);
+        cfg.machine.quantum = [16, 64, 256][rng.gen_range(0usize..3)];
+        if round % 2 == 1 {
+            let spec = FaultSpec {
+                seed: rng.next_u64(),
+                horizon: 1_000,
+            };
+            let plan = spec.plan_for(&cfg);
+            cfg = cfg.with_fault_plan(plan);
+        }
+        let traced = run_mixed_on(cfg.clone(), true, 0);
+        let plain = run_mixed_on(cfg.clone(), false, 0);
+        if round % 2 == 1 {
+            assert!(plain.stats().fault_degraded_cycles > 0, "the plan bites");
+        }
+        assert_eq!(
+            untraced_counters(&traced),
+            untraced_counters(&plain),
+            "{cfg:?}"
+        );
+        assert!(plain.stats().trace.is_empty(), "tracing is opt-in");
+        assert!(plain.stats().spans.is_empty());
+        assert!(!traced.stats().trace.is_empty());
+        let s = traced.stats();
+        assert_eq!(s.spans.len() as u64, s.invokes + s.fault_fallbacks);
+    }
 }
 
 #[test]
