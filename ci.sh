@@ -99,9 +99,10 @@ cargo run --release --quiet -p levi-bench -- run fig05 --quick \
 diff "$tmp/fig05-plain.txt" "$tmp/fig05-verified.txt"
 echo "== alloc smoke =="
 # The data-oriented substrate's core claim: once warm, neither the
-# per-instruction hot path nor an LLC eviction that runs Morph destructors
-# inline performs a heap allocation. A counting global allocator (release
-# build, so the measured path is the shipped one) enforces both.
+# per-instruction hot path, nor an LLC eviction that runs Morph destructors
+# inline, nor an offloaded invoke (with arguments, or carrying a future)
+# performs a heap allocation. A counting global allocator (release build,
+# so the measured path is the shipped one) enforces all three.
 cargo test --release -q -p levi-sim --test alloc_smoke
 echo "== benchmark smoke =="
 # The simulator-speed benchmark at test scale: builds its untraced and

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::inst::{AluOp, BrCond, Inst, Label, Location, MemOrder, MemWidth, Reg, RmwOp, NUM_REGS};
+use crate::inst::{AluOp, BrCond, Inst, Label, Location, MemOrder, MemWidth, Reg, RmwOp};
 use crate::program::{ActionId, FuncId, Function, Program, ProgramError};
 
 /// Builds a [`Program`] out of one or more functions.
@@ -85,60 +85,7 @@ impl ProgramBuilder {
             })
             .collect();
 
-        let nfuncs = funcs.len() as u32;
-        for func in &funcs {
-            let len = func.len() as u32;
-            // A function must not fall off its end.
-            match func.insts().last() {
-                Some(Inst::Ret) | Some(Inst::Jmp { .. }) | Some(Inst::Halt) => {}
-                _ => {
-                    return Err(ProgramError::FallsOffEnd {
-                        func: func.name().to_string(),
-                    })
-                }
-            }
-            for inst in func.insts() {
-                let mut bad_reg = None;
-                inst.for_each_use(|r| {
-                    if r.index() >= NUM_REGS {
-                        bad_reg = Some(r.0);
-                    }
-                });
-                if let Some(rd) = inst.def() {
-                    if rd.index() >= NUM_REGS {
-                        bad_reg = Some(rd.0);
-                    }
-                }
-                if let Some(reg) = bad_reg {
-                    return Err(ProgramError::BadRegister {
-                        func: func.name().to_string(),
-                        reg,
-                    });
-                }
-                match inst {
-                    Inst::Br { target, .. } | Inst::Jmp { target } if target.0 >= len => {
-                        return Err(ProgramError::LabelOutOfRange {
-                            func: func.name().to_string(),
-                            label: target.0,
-                        });
-                    }
-                    Inst::Call { func: callee } if callee.0 >= nfuncs => {
-                        return Err(ProgramError::UnknownCallee {
-                            func: func.name().to_string(),
-                            callee: callee.0,
-                        });
-                    }
-                    Inst::Invoke { args, .. } if args.len() > 4 => {
-                        return Err(ProgramError::TooManyInvokeArgs {
-                            func: func.name().to_string(),
-                            count: args.len(),
-                        });
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(Program::from_functions(funcs))
+        Program::new(funcs)
     }
 }
 

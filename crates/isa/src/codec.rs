@@ -16,7 +16,7 @@
 use crate::exec::{ExecCtx, Pc};
 use crate::inst::{AluOp, BrCond, Inst, Label, Location, MemOrder, MemWidth, Reg, RmwOp, NUM_REGS};
 use crate::mem::{PagedMem, PAGE_SIZE};
-use crate::program::{ActionId, FuncId, Function, Program};
+use crate::program::{ActionId, FuncId, Function, Program, ProgramError};
 
 /// A decode failure. Encoding is infallible.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -654,6 +654,11 @@ pub fn write_program(w: &mut Writer, p: &Program) {
 }
 
 /// Decodes a program previously written by [`write_program`].
+///
+/// # Errors
+/// Returns [`CodecError::Truncated`] for short input and
+/// [`CodecError::Invalid`] for a bad tag or a program that fails
+/// validation (the checks [`crate::ProgramBuilder::finish`] makes).
 pub fn read_program(r: &mut Reader) -> Result<Program, CodecError> {
     let nfuncs = r.count(1)?;
     let mut funcs = Vec::with_capacity(nfuncs);
@@ -666,7 +671,16 @@ pub fn read_program(r: &mut Reader) -> Result<Program, CodecError> {
         }
         funcs.push(Function::new(name, insts));
     }
-    Ok(Program::from_functions(funcs))
+    Program::new(funcs).map_err(|e| {
+        CodecError::Invalid(match e {
+            ProgramError::UnboundLabel { .. } => "unbound label",
+            ProgramError::LabelOutOfRange { .. } => "branch target",
+            ProgramError::UnknownCallee { .. } => "callee",
+            ProgramError::FallsOffEnd { .. } => "function end",
+            ProgramError::BadRegister { .. } => "register index",
+            ProgramError::TooManyInvokeArgs { .. } => "invoke argument count",
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -818,6 +832,46 @@ mod tests {
         assert_eq!(m2.read_u64(0x12_3450), 42);
         assert_eq!(m2.read_u8(0xffff_f000), 7);
         assert_eq!(m2.resident_pages(), m.resident_pages());
+    }
+
+    /// Encodes `funcs` as [`write_program`] would, with no validation.
+    fn encode_unchecked(funcs: &[(&str, Vec<Inst>)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(funcs.len() as u32);
+        for (name, insts) in funcs {
+            w.str(name);
+            w.u32(insts.len() as u32);
+            for inst in insts {
+                write_inst(&mut w, inst);
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn invalid_programs_are_rejected_on_decode() {
+        let invoke5 = Inst::Invoke {
+            actor: Reg(0),
+            action: ActionId(0),
+            args: (1..6).map(Reg).collect(),
+            future: None,
+            loc: Location::Remote,
+            exclusive: false,
+        };
+        let cases: [(Vec<Inst>, &str); 4] = [
+            (vec![Inst::Call { func: FuncId(7) }, Inst::Halt], "callee"),
+            (vec![invoke5, Inst::Halt], "invoke argument count"),
+            (
+                vec![Inst::Jmp { target: Label(9) }, Inst::Halt],
+                "branch target",
+            ),
+            (vec![Inst::Nop], "function end"),
+        ];
+        for (insts, what) in cases {
+            let bytes = encode_unchecked(&[("main", insts)]);
+            let got = read_program(&mut Reader::new(&bytes));
+            assert_eq!(got.map(|_| ()), Err(CodecError::Invalid(what)));
+        }
     }
 
     #[test]

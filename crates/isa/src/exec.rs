@@ -21,6 +21,61 @@ use crate::program::{ActionId, FuncId, Program};
 /// Maximum call depth before [`ExecError::StackOverflow`].
 pub const MAX_CALL_DEPTH: usize = 1024;
 
+/// Most arguments an `invoke` passes besides its actor; program validation
+/// rejects more ([`crate::ProgramError::TooManyInvokeArgs`]).
+pub const MAX_INVOKE_ARGS: usize = 4;
+
+/// Most entry arguments a context takes (`r0..r7`).
+pub const MAX_ENTRY_ARGS: usize = 8;
+
+/// Up to `N` argument values held inline, so passing an invoke's
+/// arguments along never touches the heap. Reads as a `&[u64]`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct InlineArgs<const N: usize> {
+    vals: [u64; N],
+    len: u8,
+}
+
+impl<const N: usize> InlineArgs<N> {
+    /// An empty list.
+    pub fn new() -> Self {
+        InlineArgs {
+            vals: [0; N],
+            len: 0,
+        }
+    }
+
+    /// Appends `v`.
+    ///
+    /// # Panics
+    /// Panics if the list already holds `N` values.
+    #[inline]
+    pub fn push(&mut self, v: u64) {
+        self.vals[self.len as usize] = v;
+        self.len += 1;
+    }
+}
+
+impl<const N: usize> Default for InlineArgs<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> std::ops::Deref for InlineArgs<N> {
+    type Target = [u64];
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        &self.vals[..self.len as usize]
+    }
+}
+
+impl<const N: usize> fmt::Debug for InlineArgs<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Result of a potentially blocking NDC host operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Poll<T> {
@@ -37,8 +92,8 @@ pub struct NdcRequest {
     pub actor: Addr,
     /// Which action to execute.
     pub action: ActionId,
-    /// Evaluated argument values (at most 4).
-    pub args: Vec<u64>,
+    /// Evaluated argument values.
+    pub args: InlineArgs<MAX_INVOKE_ARGS>,
     /// Address of the future to fill with the action's return value, if any.
     pub future: Option<Addr>,
     /// Placement directive.
@@ -135,18 +190,39 @@ impl ExecCtx {
     /// into `r0..`.
     ///
     /// # Panics
-    /// Panics if more than 8 arguments are supplied.
+    /// Panics if more than [`MAX_ENTRY_ARGS`] arguments are supplied.
     pub fn new(func: FuncId, args: &[u64]) -> Self {
-        assert!(args.len() <= 8, "at most 8 arguments (r0..r7)");
-        let mut regs = [0u64; NUM_REGS];
-        regs[..args.len()].copy_from_slice(args);
-        ExecCtx {
-            regs,
+        let mut ctx = ExecCtx {
+            regs: [0; NUM_REGS],
             pc: Pc { func, idx: 0 },
             callstack: Vec::new(),
             halted: false,
             retired: 0,
+        };
+        ctx.enter(func, args);
+        ctx
+    }
+
+    /// Poises the context at the entry of `func` with `args` in `r0..r7`
+    /// (zero past the last argument), an empty call stack that keeps its
+    /// capacity, and no instructions retired. Registers from `r8` up keep
+    /// their values: a caller reusing a context clears them first or knows
+    /// them to be zero.
+    ///
+    /// # Panics
+    /// Panics if more than [`MAX_ENTRY_ARGS`] arguments are supplied.
+    #[inline]
+    pub fn enter(&mut self, func: FuncId, args: &[u64]) {
+        assert!(args.len() <= MAX_ENTRY_ARGS, "at most 8 arguments (r0..r7)");
+        // A fixed trip count: a variable-length copy compiles to a
+        // `memcpy` call.
+        for (i, r) in self.regs[..MAX_ENTRY_ARGS].iter_mut().enumerate() {
+            *r = args.get(i).copied().unwrap_or(0);
         }
+        self.pc = Pc { func, idx: 0 };
+        self.callstack.clear();
+        self.halted = false;
+        self.retired = 0;
     }
 
     /// Reads a register.
@@ -451,10 +527,14 @@ pub fn execute(
             loc,
             exclusive,
         } => {
+            let mut vals = InlineArgs::new();
+            for r in args {
+                vals.push(ctx.reg(*r));
+            }
             let req = NdcRequest {
                 actor: ctx.reg(*actor),
                 action: *action,
-                args: args.iter().map(|r| ctx.reg(*r)).collect(),
+                args: vals,
                 future: future.map(|rf| ctx.reg(rf)),
                 loc: *loc,
                 exclusive: *exclusive,

@@ -76,7 +76,8 @@ pub mod program;
 pub use asm::{assemble, AsmError};
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use exec::{
-    Control, ExecCtx, ExecError, MemEffect, NdcHost, NdcRequest, NoNdc, Poll, StepInfo,
+    Control, ExecCtx, ExecError, InlineArgs, MemEffect, NdcHost, NdcRequest, NoNdc, Poll, StepInfo,
+    MAX_INVOKE_ARGS,
 };
 pub use inst::{
     Addr, AluOp, BrCond, Inst, InstClass, InstMeta, Label, Location, MemOrder, MemWidth, Reg,

@@ -129,6 +129,20 @@ impl PagedMem {
     }
 }
 
+/// The `N` bytes of `page` at `off`, which the caller has checked fit.
+#[inline]
+fn load<const N: usize>(page: &[u8; PAGE_SIZE], off: usize) -> [u8; N] {
+    page[off..off + N]
+        .try_into()
+        .expect("access fits in its page")
+}
+
+/// Writes `bytes` into `page` at `off`, which the caller has checked fits.
+#[inline]
+fn store<const N: usize>(page: &mut [u8; PAGE_SIZE], off: usize, bytes: [u8; N]) {
+    page[off..off + N].copy_from_slice(&bytes);
+}
+
 impl Memory for PagedMem {
     #[inline]
     fn read_u8(&self, addr: Addr) -> u8 {
@@ -146,41 +160,46 @@ impl Memory for PagedMem {
     // Multi-byte accesses are the interpreter's hot path: one page-table
     // lookup per access (instead of one per byte) when the access does not
     // straddle a page boundary, which is the overwhelmingly common case.
+    // Each width is a fixed-size load or store: a variable-length
+    // `copy_from_slice` compiles to a `memcpy` call on every access.
 
     #[inline]
     fn read(&self, addr: Addr, width: MemWidth) -> u64 {
-        let n = width.bytes();
         let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + n as usize <= PAGE_SIZE {
-            match self.pages.get(&(addr >> PAGE_SHIFT)) {
-                Some(page) => {
-                    let mut buf = [0u8; 8];
-                    buf[..n as usize].copy_from_slice(&page[off..off + n as usize]);
-                    u64::from_le_bytes(buf)
-                }
-                None => 0,
-            }
-        } else {
-            // Page-straddling access: fall back to the per-byte path.
+        if off + width.bytes() as usize > PAGE_SIZE {
+            // Page-straddling access: the per-byte path.
             let mut v: u64 = 0;
-            for i in 0..n {
+            for i in 0..width.bytes() {
                 v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
             }
-            v
+            return v;
+        }
+        let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) else {
+            return 0;
+        };
+        match width {
+            MemWidth::B1 => page[off] as u64,
+            MemWidth::B2 => u16::from_le_bytes(load(page, off)) as u64,
+            MemWidth::B4 => u32::from_le_bytes(load(page, off)) as u64,
+            MemWidth::B8 => u64::from_le_bytes(load(page, off)),
         }
     }
 
     #[inline]
     fn write(&mut self, addr: Addr, val: u64, width: MemWidth) {
-        let n = width.bytes();
         let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + n as usize <= PAGE_SIZE {
-            self.page_mut(addr)[off..off + n as usize]
-                .copy_from_slice(&val.to_le_bytes()[..n as usize]);
-        } else {
-            for i in 0..n {
+        if off + width.bytes() as usize > PAGE_SIZE {
+            for i in 0..width.bytes() {
                 self.write_u8(addr.wrapping_add(i), (val >> (8 * i)) as u8);
             }
+            return;
+        }
+        let page = self.page_mut(addr);
+        match width {
+            MemWidth::B1 => page[off] = val as u8,
+            MemWidth::B2 => store(page, off, (val as u16).to_le_bytes()),
+            MemWidth::B4 => store(page, off, (val as u32).to_le_bytes()),
+            MemWidth::B8 => store(page, off, val.to_le_bytes()),
         }
     }
 
@@ -252,6 +271,62 @@ mod tests {
             }
             assert_eq!(paged.resident_pages(), bytes.resident_pages());
         }
+    }
+
+    /// The byte-wise reference: the trait's default multi-byte accesses,
+    /// one `read_u8`/`write_u8` per byte.
+    struct Bytewise(PagedMem);
+
+    impl Memory for Bytewise {
+        fn read_u8(&self, addr: Addr) -> u8 {
+            self.0.read_u8(addr)
+        }
+        fn write_u8(&mut self, addr: Addr, val: u8) {
+            self.0.write_u8(addr, val)
+        }
+    }
+
+    const WIDTHS: [MemWidth; 4] = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8];
+
+    fn assert_reads_match(paged: &PagedMem, bytes: &Bytewise, addrs: &[Addr]) {
+        for &a in addrs {
+            for w in WIDTHS {
+                assert_eq!(paged.read(a, w), bytes.read(a, w), "read {w:?} at {a:#x}");
+            }
+        }
+        assert_eq!(paged.resident_pages(), bytes.0.resident_pages());
+    }
+
+    #[test]
+    fn width_accesses_match_bytewise_reference_near_page_boundaries() {
+        let page = PAGE_SIZE as u64;
+        // Every offset within 8 bytes of three boundaries: both pages
+        // written; only the upper page written (straddling reads start in
+        // an unallocated page); neither page ever written.
+        let (both, upper, neither) = (page, 4 * page, 8 * page);
+        let addrs: Vec<Addr> = [both, upper, neither]
+            .iter()
+            .flat_map(|&b| b - 8..b + 8)
+            .collect();
+        let writable: Vec<Addr> = (both - 8..both + 8).chain(upper..upper + 8).collect();
+        let mut paged = PagedMem::new();
+        let mut bytes = Bytewise(PagedMem::new());
+        assert_reads_match(&paged, &bytes, &addrs);
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..1000 {
+            // xorshift64
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let w = WIDTHS[(x % 4) as usize];
+            let a = writable[((x >> 8) % writable.len() as u64) as usize];
+            paged.write(a, x, w);
+            bytes.write(a, x, w);
+            assert_reads_match(&paged, &bytes, &addrs);
+        }
+        // Pages 0, 1 and 4 only: page 3 (below `upper`) and pages 7 and 8
+        // were never allocated.
+        assert_eq!(paged.resident_pages(), 3);
     }
 
     #[test]

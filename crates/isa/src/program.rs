@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use crate::inst::{Inst, InstMeta};
+use crate::exec::MAX_INVOKE_ARGS;
+use crate::inst::{Inst, InstMeta, NUM_REGS};
 
 /// Identifies a function within a [`Program`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -147,7 +148,10 @@ impl fmt::Display for ProgramError {
                 write!(f, "function `{func}`: register r{reg} out of range")
             }
             ProgramError::TooManyInvokeArgs { func, count } => {
-                write!(f, "function `{func}`: invoke with {count} args (max 4)")
+                write!(
+                    f,
+                    "function `{func}`: invoke with {count} args (max {MAX_INVOKE_ARGS})"
+                )
             }
         }
     }
@@ -166,8 +170,68 @@ pub struct Program {
 }
 
 impl Program {
-    pub(crate) fn from_functions(funcs: Vec<Function>) -> Self {
-        Program { funcs }
+    /// Validates `funcs` into a program. Both ways to make one, the
+    /// [`crate::ProgramBuilder`] and the snapshot codec, come through
+    /// here, so every program the interpreters see has passed these
+    /// checks: each function ends in `ret`, `halt` or `jmp`, every
+    /// register is in range, every branch target lies inside its function,
+    /// every callee exists, and no `invoke` passes more than
+    /// [`MAX_INVOKE_ARGS`] arguments.
+    pub(crate) fn new(funcs: Vec<Function>) -> Result<Self, ProgramError> {
+        let nfuncs = funcs.len() as u32;
+        for func in &funcs {
+            let len = func.len() as u32;
+            // A function must not fall off its end.
+            if !matches!(
+                func.insts().last(),
+                Some(Inst::Ret | Inst::Jmp { .. } | Inst::Halt)
+            ) {
+                return Err(ProgramError::FallsOffEnd {
+                    func: func.name().to_string(),
+                });
+            }
+            for inst in func.insts() {
+                let mut bad_reg = None;
+                inst.for_each_use(|r| {
+                    if r.index() >= NUM_REGS {
+                        bad_reg = Some(r.0);
+                    }
+                });
+                if let Some(rd) = inst.def() {
+                    if rd.index() >= NUM_REGS {
+                        bad_reg = Some(rd.0);
+                    }
+                }
+                if let Some(reg) = bad_reg {
+                    return Err(ProgramError::BadRegister {
+                        func: func.name().to_string(),
+                        reg,
+                    });
+                }
+                match inst {
+                    Inst::Br { target, .. } | Inst::Jmp { target } if target.0 >= len => {
+                        return Err(ProgramError::LabelOutOfRange {
+                            func: func.name().to_string(),
+                            label: target.0,
+                        });
+                    }
+                    Inst::Call { func: callee } if callee.0 >= nfuncs => {
+                        return Err(ProgramError::UnknownCallee {
+                            func: func.name().to_string(),
+                            callee: callee.0,
+                        });
+                    }
+                    Inst::Invoke { args, .. } if args.len() > MAX_INVOKE_ARGS => {
+                        return Err(ProgramError::TooManyInvokeArgs {
+                            func: func.name().to_string(),
+                            count: args.len(),
+                        });
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(Program { funcs })
     }
 
     /// Looks up a function by id.

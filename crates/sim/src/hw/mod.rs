@@ -152,6 +152,9 @@ pub struct Hw {
     pins: Vec<u64>,
     /// Nesting depth of inline (data-triggered) action execution.
     inline_depth: u32,
+    /// The register state inline actions share, all zero between actions;
+    /// `None` only while one runs. Never serialized.
+    inline_regs: Option<Box<phantom::InlineRegs>>,
     /// Destructor work deferred from within inline actions (the engine's
     /// actor buffer): drained iteratively once the current action ends,
     /// preventing unbounded eviction cascades.
@@ -238,6 +241,7 @@ impl Hw {
             prefetchers: vec![StridePf::default(); tiles],
             pins: Vec::new(),
             inline_depth: 0,
+            inline_regs: Some(phantom::InlineRegs::new()),
             pending_dtors: Vec::new(),
             scratch_lines: Vec::new(),
             scratch_dirty: Vec::new(),

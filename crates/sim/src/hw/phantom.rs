@@ -15,7 +15,8 @@
 //! [`RunError::Fault`](crate::machine::RunError::Fault).
 
 use levi_isa::{
-    exec, ActionId, Addr, ExecCtx, InstClass, MemEffect, Memory, NdcHost, NdcRequest, Poll, Program,
+    exec, ActionId, Addr, ExecCtx, InstClass, MemEffect, Memory, NdcHost, NdcRequest, Poll,
+    Program, NUM_REGS,
 };
 
 use crate::cache::PrivState;
@@ -26,6 +27,29 @@ use crate::ndc::{ActionRef, WaitCond};
 
 /// Instructions an inline action may retire before it is declared hung.
 const INLINE_FUEL: u64 = 5_000_000;
+
+/// The register state every inline action runs in, owned by [`Hw`] and
+/// reused so that an action costs no set-up beyond loading its arguments.
+/// Every register and every `ready` entry is zero between actions, and a
+/// zero `ready` entry behaves like the action's start cycle, because
+/// [`levi_isa::InstMeta::ready`] takes the later of the two. One is enough:
+/// inline actions never nest (phantom fills are off inside one, and the
+/// destructors its evictions trigger are deferred until it ends).
+#[derive(Debug)]
+pub(super) struct InlineRegs {
+    ctx: ExecCtx,
+    /// The cycle each register's value is ready; 0 if not yet written.
+    ready: [u64; NUM_REGS],
+}
+
+impl InlineRegs {
+    pub(super) fn new() -> Box<Self> {
+        Box::new(InlineRegs {
+            ctx: ExecCtx::new(levi_isa::FuncId(0), &[]),
+            ready: [0; NUM_REGS],
+        })
+    }
+}
 
 /// The NDC host of an inline action. It runs inside a cache walk, so it
 /// can issue no NDC operation: each one is refused and remembered, and
@@ -261,6 +285,10 @@ impl Hw {
     ///
     /// An action that stops short of its `halt` sets `Hw::fatal` (see
     /// [`InlineFault`]); once it is set, later actions do not run.
+    ///
+    /// The action runs in the shared `InlineRegs`: it loads only its
+    /// arguments and entry state, and on the way out zeroes just the
+    /// registers it wrote.
     pub fn run_inline_action(
         &mut self,
         mem: &mut dyn levi_isa::Memory,
@@ -274,8 +302,15 @@ impl Hw {
             return start;
         }
         let prog: &Program = &aref.prog;
-        let mut ctx = ExecCtx::new(aref.func, args);
-        let mut reg_ready = [start; levi_isa::NUM_REGS];
+        let mut regs = self.inline_regs.take().expect("inline actions never nest");
+        let InlineRegs {
+            ctx,
+            ready: reg_ready,
+        } = &mut *regs;
+        ctx.enter(aref.func, args);
+        // The registers this action writes, its arguments first: the ones
+        // to zero again when it ends. Every write is an `InstMeta::def`.
+        let mut written: u64 = (1 << args.len()) - 1;
         let mut done_max = start;
         let mut host = InlineHost::default();
         let mut fuel = INLINE_FUEL;
@@ -286,14 +321,18 @@ impl Hw {
                 break;
             }
             fuel -= 1;
-            let (inst, meta) = match exec::fetch(prog, &ctx) {
+            let (inst, meta) = match exec::fetch(prog, ctx) {
                 Ok(fetched) => fetched,
                 Err(e) => {
                     self.inline_fault(aref, InlineFault::Exec(e));
                     break;
                 }
             };
-            let ready = meta.ready(&reg_ready, start);
+            if let Some(rd) = meta.def {
+                written |= 1 << rd.index();
+            }
+            // A zero entry (a register not yet written) is ready at `start`.
+            let ready = meta.ready(reg_ready, start);
 
             // Compute the memory address before stepping (the walk may run
             // nothing here — phantom is disabled — but must charge time).
@@ -302,7 +341,7 @@ impl Hw {
             } else {
                 self.engines[eid.index()].reserve_int(ready)
             };
-            let info = match exec::execute(&mut ctx, inst, meta.class, mem, &mut host) {
+            let info = match exec::execute(ctx, inst, meta.class, mem, &mut host) {
                 Ok(info) => info,
                 Err(e) => {
                     self.inline_fault(aref, InlineFault::Exec(e));
@@ -343,6 +382,14 @@ impl Hw {
             }
             done_max = done_max.max(complete);
         }
+        // Leave the scratch all zero for the next action, even after a fault.
+        while written != 0 {
+            let r = written.trailing_zeros() as usize;
+            ctx.regs[r] = 0;
+            reg_ready[r] = 0;
+            written &= written - 1;
+        }
+        self.inline_regs = Some(regs);
         self.inline_depth -= 1;
         if self.inline_depth == 0 {
             // Destructors deferred by this action's own evictions must run
@@ -374,5 +421,121 @@ impl Hw {
                 None
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use levi_isa::{ExecError, FuncId, PagedMem, ProgramBuilder, Reg};
+
+    use super::*;
+    use crate::config::MachineConfig;
+
+    /// The line the probe action stores its sum into (through the line
+    /// buffer: the store is local, so it walks nothing).
+    const OBJ: Addr = 0x8000;
+
+    /// Three actions over `(obj, view)`:
+    /// - `dirty` writes every register, the last four in a callee, late
+    ///   enough that each is ready long after cycle 0;
+    /// - `overflow` writes two registers per level of a recursion that
+    ///   overflows the call stack, faulting part-way;
+    /// - `probe` reads all 64 registers before writing any but `r2`, sums
+    ///   them into `r2` (so its timing waits on every `reg_ready` entry),
+    ///   stores the sum to `obj` and returns (halting only if its call
+    ///   stack starts empty).
+    fn actions() -> (Arc<Program>, [FuncId; 3]) {
+        let mut pb = ProgramBuilder::new();
+        let helper = {
+            let mut f = pb.function("helper");
+            for r in 60..64u8 {
+                f.imm(Reg(r), 0x100 + r as u64);
+            }
+            f.ret();
+            f.finish()
+        };
+        let dirty = {
+            let mut f = pb.function("dirty");
+            f.addi(Reg(0), Reg(0), 3).addi(Reg(1), Reg(1), 5);
+            for r in 2..60u8 {
+                f.imm(Reg(r), 0x9e37_79b9 * r as u64 + 1);
+            }
+            f.call(helper).halt();
+            f.finish()
+        };
+        let overflow = pb.declare("overflow");
+        {
+            let mut f = pb.define(overflow);
+            f.imm(Reg(9), 7).addi(Reg(10), Reg(10), 1).call(overflow);
+            // Never reached here; a probe that inherited this call stack
+            // would return into it and overwrite its sum.
+            f.imm(Reg(9), 0xdead).st8(Reg(0), 0, Reg(9)).halt();
+            f.finish();
+        }
+        let probe = {
+            let mut f = pb.function("probe");
+            for r in 3..64u8 {
+                f.add(Reg(2), Reg(2), Reg(r));
+            }
+            f.add(Reg(2), Reg(2), Reg(1)).st8(Reg(0), 0, Reg(2)).ret();
+            f.finish()
+        };
+        let prog = Arc::new(pb.finish().expect("test actions validate"));
+        (prog, [dirty, overflow, probe])
+    }
+
+    fn engine(tile: u32) -> EngineId {
+        EngineId {
+            tile,
+            level: EngineLevel::Llc,
+        }
+    }
+
+    /// Runs `probe` on tile 1's engine at cycle 0; returns its completion
+    /// cycle and the sum it stored.
+    fn run_probe(h: &mut Hw, mem: &mut PagedMem, aref: &ActionRef) -> (u64, u64) {
+        let local = Some((OBJ, OBJ + LINE_SIZE));
+        let done = h.run_inline_action(mem, engine(1), aref, &[OBJ, 11], 0, local);
+        (done, mem.read_u64(OBJ))
+    }
+
+    #[test]
+    fn inline_actions_leave_no_register_state_behind() {
+        let (prog, [dirty, overflow, probe]) = actions();
+        let aref = |func| ActionRef {
+            prog: prog.clone(),
+            func,
+        };
+        let mut fresh = Hw::new(MachineConfig::paper_default());
+        let expect = run_probe(&mut fresh, &mut PagedMem::new(), &aref(probe));
+        // The fresh probe sums zeros plus its view argument.
+        assert_eq!(expect.1, 11);
+
+        let mut h = Hw::new(MachineConfig::paper_default());
+        let mut mem = PagedMem::new();
+        let t = h.run_inline_action(&mut mem, engine(0), &aref(dirty), &[1, 2], 1_000_000, None);
+        assert!(t > 1_000_000 && h.fatal.is_none());
+        h.run_inline_action(
+            &mut mem,
+            engine(0),
+            &aref(overflow),
+            &[1, 2],
+            2_000_000,
+            None,
+        );
+        match h.fatal.take() {
+            Some(SimError::InlineAction {
+                fault: InlineFault::Exec(ExecError::StackOverflow(_)),
+                ..
+            }) => {}
+            other => panic!("the recursion must overflow: {other:?}"),
+        }
+        assert_eq!(
+            run_probe(&mut h, &mut mem, &aref(probe)),
+            expect,
+            "a probe after a full and a faulted action must match a fresh one"
+        );
     }
 }

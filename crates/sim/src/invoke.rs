@@ -19,12 +19,23 @@
 //! table only; the NoC events of the packet and the ACK carry the span.
 //! Migrate-local decisions are counted in `invoke_migrations`.
 
-use levi_isa::{Location, Memory, NdcRequest, Poll};
+use levi_isa::{InlineArgs, Location, Memory, NdcRequest, Poll, MAX_INVOKE_ARGS};
 
 use crate::engine::{EngineId, EngineLevel};
 use crate::ndc::WaitCond;
 use crate::ndc_host::{SpawnReq, TimedHost, INVOKE_ACK};
 use crate::trace::{TraceEvent, TraceKind};
+
+/// A task's entry arguments (action ABI: `r0` = actor, `r1..` = the
+/// invoke's arguments).
+fn task_args(req: &NdcRequest) -> InlineArgs<{ MAX_INVOKE_ARGS + 1 }> {
+    let mut args = InlineArgs::new();
+    args.push(req.actor);
+    for &v in req.args.iter() {
+        args.push(v);
+    }
+    args
+}
 
 impl TimedHost<'_> {
     /// Picks the engine an invoke should run on (Sec. VI-B1).
@@ -182,14 +193,11 @@ impl TimedHost<'_> {
             if let Some(id) = span {
                 self.hw.stats.spans.note_issue(id, now, target, true);
             }
-            let mut args = Vec::with_capacity(1 + req.args.len());
-            args.push(req.actor);
-            args.extend_from_slice(&req.args);
             self.spawns.push(SpawnReq {
                 engine: target,
                 func: aref.func,
                 prog: aref.prog,
-                args,
+                args: task_args(&req),
                 start: now + 1,
                 fallback_core: Some(self.tile),
                 span,
@@ -256,14 +264,11 @@ impl TimedHost<'_> {
             self.hw.stats.spans.note_arrival(id, arrival);
         }
 
-        let mut args = Vec::with_capacity(1 + req.args.len());
-        args.push(req.actor);
-        args.extend_from_slice(&req.args);
         self.spawns.push(SpawnReq {
             engine: target,
             func: aref.func,
             prog: aref.prog,
-            args,
+            args: task_args(&req),
             start: arrival,
             fallback_core: None,
             span,

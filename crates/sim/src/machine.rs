@@ -30,6 +30,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use levi_isa::exec::MAX_ENTRY_ARGS;
 use levi_isa::fx::FxHashMap;
 use levi_isa::{Addr, FuncId, PagedMem, Program};
 
@@ -39,7 +40,7 @@ use crate::engine::EngineId;
 use crate::error::SimError;
 use crate::hw::Hw;
 use crate::ndc::{StreamId, StreamMode, WaitCond};
-use crate::sched::Actor;
+use crate::sched::{Actor, ActorKind};
 use crate::stats::Stats;
 
 pub use crate::sched::{ActorId, ParkOwner, ParkedActor, RunError, RunResult};
@@ -221,10 +222,10 @@ impl Machine {
                 tiles: self.hw.cfg.tiles,
             });
         }
-        if args.len() > 8 {
+        if args.len() > MAX_ENTRY_ARGS {
             return Err(SimError::TooManyArgs {
                 given: args.len(),
-                max: 8,
+                max: MAX_ENTRY_ARGS,
             });
         }
         let aid = self.spawn_core_actor(core, prog, func, args, self.now);
@@ -242,8 +243,7 @@ impl Machine {
         args: &[u64],
         clock: u64,
     ) -> ActorId {
-        let cfg = self.hw.cfg.core;
-        let aid = self.install_actor(Actor::core_thread(core, cfg, prog, func, args, clock));
+        let aid = self.install_actor(ActorKind::CoreThread { core }, prog, func, args, clock);
         self.live_core_threads += 1;
         aid
     }
@@ -259,9 +259,12 @@ impl Machine {
         args: &[u64],
         stream: Option<StreamId>,
     ) -> ActorId {
-        let aid = self.install_actor(Actor::engine_task(
-            engine, prog, func, args, stream, self.now,
-        ));
+        let kind = ActorKind::EngineTask {
+            engine,
+            reserved_ctx: false,
+            stream,
+        };
+        let aid = self.install_actor(kind, prog, func, args, self.now);
         self.enqueue(aid, self.now);
         aid
     }

@@ -14,7 +14,9 @@
 use std::collections::VecDeque;
 
 use levi_isa::interp::future_layout;
-use levi_isa::{Addr, FuncId, Memory, NdcHost, NdcRequest, Poll, Program};
+use levi_isa::{
+    Addr, FuncId, InlineArgs, Memory, NdcHost, NdcRequest, Poll, Program, MAX_INVOKE_ARGS,
+};
 
 use crate::engine::EngineId;
 use crate::hw::{AccessKind, Hw, Walk, CTRL_MSG};
@@ -32,7 +34,8 @@ pub(crate) struct SpawnReq {
     pub(crate) engine: EngineId,
     pub(crate) func: FuncId,
     pub(crate) prog: std::sync::Arc<Program>,
-    pub(crate) args: Vec<u64>,
+    /// The task's entry arguments: the actor, then the invoke's arguments.
+    pub(crate) args: InlineArgs<{ MAX_INVOKE_ARGS + 1 }>,
     pub(crate) start: u64,
     /// When set, spawn as a software handler thread on this core instead
     /// of as an engine task (fault fallback).

@@ -40,10 +40,11 @@
 //! to 409,254.
 
 use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use levi_isa::{exec, ExecCtx, InstClass, Program, NUM_REGS};
+use levi_isa::{exec, ExecCtx, FuncId, InstClass, Program, NUM_REGS};
 
 use crate::branch::Gshare;
 use crate::core_pipe::{step_one, StepEnv, StepOutcome};
@@ -51,7 +52,6 @@ use crate::engine::{EngineId, FuCursor};
 use crate::error::SimError;
 use crate::machine::Machine;
 use crate::ndc::{StreamId, StreamMode, WaitCond};
-use crate::ndc_host::SpawnReq;
 use crate::trace::{TraceEvent, TraceKind, Track};
 
 /// Identifies an execution context (a core thread or an engine task).
@@ -94,7 +94,7 @@ pub(crate) struct Actor {
     /// Branch predictor (cores only).
     pub(crate) predictor: Option<Gshare>,
     /// In-flight invoke ACK times (cores' invoke buffer).
-    pub(crate) invoke_acks: std::collections::VecDeque<u64>,
+    pub(crate) invoke_acks: VecDeque<u64>,
     /// Deterministic counter for the 1/32 DYNAMIC migrate-local policy.
     pub(crate) invoke_count: u32,
     /// Consecutive fault-induced NACK retries on the current invoke
@@ -113,66 +113,79 @@ pub(crate) struct Actor {
 }
 
 impl Actor {
-    /// Builds a core-thread actor starting at `clock`.
-    pub(crate) fn core_thread(
-        core: u32,
-        cfg: crate::config::CoreConfig,
-        prog: Arc<Program>,
-        func: levi_isa::FuncId,
-        args: &[u64],
-        clock: u64,
-    ) -> Self {
+    /// A new slot for [`Actor::reset`] to fill; none of these values is
+    /// ever seen.
+    fn vacant(prog: Arc<Program>) -> Self {
         Actor {
-            kind: ActorKind::CoreThread { core },
+            kind: ActorKind::CoreThread { core: 0 },
             prog,
-            ctx: ExecCtx::new(func, args),
-            clock,
-            reg_ready: [clock; NUM_REGS],
+            ctx: ExecCtx::new(FuncId(0), &[]),
+            clock: 0,
+            reg_ready: [0; NUM_REGS],
             pending_mem: Vec::new(),
-            issue: FuCursor::new(cfg.issue_width),
-            predictor: Some(Gshare::new(cfg.predictor_bits)),
-            invoke_acks: std::collections::VecDeque::new(),
+            issue: FuCursor::new(1),
+            predictor: None,
+            invoke_acks: VecDeque::new(),
             invoke_count: 0,
             invoke_retries: 0,
             pending_span: None,
             span: None,
-            state: ActorState::Runnable,
+            state: ActorState::Done,
             sched_seq: 0,
             parked_at: 0,
         }
     }
 
-    /// Builds an engine-task actor starting at `clock`.
-    pub(crate) fn engine_task(
-        engine: EngineId,
+    /// Gives every field its starting value for a context of `kind`
+    /// entering `func(args…)` at `clock`. New and recycled slots both come
+    /// through here; a recycled slot is reset in place and keeps its
+    /// buffers' capacity, so offloading a task allocates nothing.
+    fn reset(
+        &mut self,
+        kind: ActorKind,
+        core_cfg: crate::config::CoreConfig,
         prog: Arc<Program>,
-        func: levi_isa::FuncId,
+        func: FuncId,
         args: &[u64],
-        stream: Option<StreamId>,
         clock: u64,
-    ) -> Self {
-        Actor {
-            kind: ActorKind::EngineTask {
-                engine,
-                reserved_ctx: false,
-                stream,
-            },
-            prog,
-            ctx: ExecCtx::new(func, args),
-            clock,
-            reg_ready: [clock; NUM_REGS],
-            pending_mem: Vec::new(),
-            issue: FuCursor::new(64),
-            predictor: None,
-            invoke_acks: std::collections::VecDeque::new(),
-            invoke_count: 0,
-            invoke_retries: 0,
-            pending_span: None,
-            span: None,
-            state: ActorState::Runnable,
-            sched_seq: 0,
-            parked_at: 0,
-        }
+    ) {
+        // Destructured so that a new field cannot be left out.
+        let Actor {
+            kind: slot_kind,
+            prog: slot_prog,
+            ctx,
+            clock: slot_clock,
+            reg_ready,
+            pending_mem,
+            issue,
+            predictor,
+            invoke_acks,
+            invoke_count,
+            invoke_retries,
+            pending_span,
+            span,
+            state,
+            sched_seq,
+            parked_at,
+        } = self;
+        let is_core = matches!(kind, ActorKind::CoreThread { .. });
+        *issue = FuCursor::new(if is_core { core_cfg.issue_width } else { 64 });
+        *predictor = is_core.then(|| Gshare::new(core_cfg.predictor_bits));
+        *slot_kind = kind;
+        *slot_prog = prog;
+        ctx.regs = [0; NUM_REGS];
+        ctx.enter(func, args);
+        *slot_clock = clock;
+        *reg_ready = [clock; NUM_REGS];
+        pending_mem.clear();
+        invoke_acks.clear();
+        *invoke_count = 0;
+        *invoke_retries = 0;
+        *pending_span = None;
+        *span = None;
+        *state = ActorState::Runnable;
+        *sched_seq = 0;
+        *parked_at = 0;
     }
 }
 
@@ -305,18 +318,26 @@ impl std::error::Error for RunError {}
 
 impl Machine {
     /// Installs `actor` into a recycled slot or appends a new one.
-    pub(crate) fn install_actor(&mut self, actor: Actor) -> ActorId {
-        match self.free_slots.pop() {
-            Some(aid) => {
-                self.actors[aid as usize] = actor;
-                aid
-            }
+    /// Installs a context of `kind` entering `func(args…)` at `clock`, in
+    /// a recycled slot when one is free. The caller enqueues it.
+    pub(crate) fn install_actor(
+        &mut self,
+        kind: ActorKind,
+        prog: Arc<Program>,
+        func: FuncId,
+        args: &[u64],
+        clock: u64,
+    ) -> ActorId {
+        let aid = match self.free_slots.pop() {
+            Some(aid) => aid,
             None => {
-                let aid = self.actors.len() as ActorId;
-                self.actors.push(actor);
-                aid
+                self.actors.push(Actor::vacant(prog.clone()));
+                (self.actors.len() - 1) as ActorId
             }
-        }
+        };
+        let core_cfg = self.hw.cfg.core;
+        self.actors[aid as usize].reset(kind, core_cfg, prog, func, args, clock);
+        aid
     }
 
     pub(crate) fn enqueue(&mut self, aid: ActorId, at: u64) {
@@ -615,19 +636,17 @@ impl Machine {
 
         loop {
             // -------- per-instruction outcome, gathered under a scoped
-            // borrow of the actor --------
+            // borrow of the actor; spawns and wakes collect in the
+            // machine's scratch buffers, which are empty between steps --------
             use StepOutcome as Outcome;
-            // Scratch buffers reused across iterations (and actors): taken
-            // from the machine, drained below, and put back empty.
-            let mut spawns: Vec<SpawnReq> = std::mem::take(&mut self.scratch_spawns);
-            let mut wakes: Vec<(WaitCond, u64)> = std::mem::take(&mut self.scratch_wakes);
-
             let outcome = {
                 let Machine {
                     actors,
                     hw,
                     mem,
                     traces,
+                    scratch_spawns,
+                    scratch_wakes,
                     ..
                 } = self;
                 let a = &mut actors[aid as usize];
@@ -676,63 +695,14 @@ impl Machine {
                         inst,
                         meta,
                         slot,
-                        &mut spawns,
-                        &mut wakes,
+                        scratch_spawns,
+                        scratch_wakes,
                     )
                 }
             };
-
-            // -------- apply side effects gathered during the step --------
-            for s in spawns.drain(..) {
-                let start = s.start;
-                if let Some(core) = s.fallback_core {
-                    // Fault fallback: run the action as a software handler
-                    // thread on the issuing core instead of an engine task.
-                    let id = self.spawn_core_actor(core, s.prog, s.func, &s.args, start);
-                    self.hw.stats.trace.record(|| {
-                        TraceEvent::instant(
-                            start,
-                            TraceKind::FaultCoreFallbackTask,
-                            Track::Core(core),
-                            &[id as u64],
-                        )
-                        .with_span(s.span)
-                    });
-                    if let Some(sp) = s.span {
-                        self.actors[id as usize].span = s.span;
-                        self.hw.stats.spans.note_dispatch(sp, start);
-                    }
-                    self.enqueue(id, start);
-                    continue;
-                }
-                let target = s.engine;
-                let id = self.spawn_engine_task(s.engine, s.prog, s.func, &s.args, None);
-                self.hw.stats.trace.record(|| {
-                    TraceEvent::instant(
-                        start,
-                        TraceKind::TaskDispatch,
-                        Track::Engine(target),
-                        &[id as u64],
-                    )
-                    .with_span(s.span)
-                });
-                let a = &mut self.actors[id as usize];
-                a.clock = start;
-                a.span = s.span;
-                // Mark that this task holds a reserved context.
-                if let ActorKind::EngineTask { reserved_ctx, .. } = &mut a.kind {
-                    *reserved_ctx = true;
-                }
-                if let Some(sp) = s.span {
-                    self.hw.stats.spans.note_dispatch(sp, start);
-                }
-                self.enqueue(id, start);
+            if !self.scratch_spawns.is_empty() || !self.scratch_wakes.is_empty() {
+                self.apply_side_effects();
             }
-            for (cond, at) in wakes.drain(..) {
-                self.wake(cond, at);
-            }
-            self.scratch_spawns = spawns;
-            self.scratch_wakes = wakes;
 
             match outcome {
                 Outcome::Continue => {}
@@ -768,6 +738,67 @@ impl Machine {
                 }
             }
         }
+    }
+
+    /// Applies the spawns and wakes one step produced, in order, and
+    /// leaves the scratch buffers empty.
+    fn apply_side_effects(&mut self) {
+        let mut spawns = std::mem::take(&mut self.scratch_spawns);
+        for s in spawns.drain(..) {
+            let start = s.start;
+            if let Some(core) = s.fallback_core {
+                // Fault fallback: run the action as a software handler
+                // thread on the issuing core instead of an engine task.
+                let id = self.spawn_core_actor(core, s.prog, s.func, &s.args, start);
+                self.hw.stats.trace.record(|| {
+                    TraceEvent::instant(
+                        start,
+                        TraceKind::FaultCoreFallbackTask,
+                        Track::Core(core),
+                        &[id as u64],
+                    )
+                    .with_span(s.span)
+                });
+                if let Some(sp) = s.span {
+                    self.actors[id as usize].span = s.span;
+                    self.hw.stats.spans.note_dispatch(sp, start);
+                }
+                self.enqueue(id, start);
+                continue;
+            }
+            let target = s.engine;
+            // The task holds the engine context its invoke reserved.
+            let kind = ActorKind::EngineTask {
+                engine: target,
+                reserved_ctx: true,
+                stream: None,
+            };
+            // The task's registers are ready from the machine clock at the
+            // spawn, which a task finishing ahead of the others can have
+            // pushed past `start`; the timing model depends on this.
+            let id = self.install_actor(kind, s.prog, s.func, &s.args, self.now);
+            self.actors[id as usize].clock = start;
+            self.hw.stats.trace.record(|| {
+                TraceEvent::instant(
+                    start,
+                    TraceKind::TaskDispatch,
+                    Track::Engine(target),
+                    &[id as u64],
+                )
+                .with_span(s.span)
+            });
+            self.actors[id as usize].span = s.span;
+            if let Some(sp) = s.span {
+                self.hw.stats.spans.note_dispatch(sp, start);
+            }
+            self.enqueue(id, start);
+        }
+        self.scratch_spawns = spawns;
+        let mut wakes = std::mem::take(&mut self.scratch_wakes);
+        for (cond, at) in wakes.drain(..) {
+            self.wake(cond, at);
+        }
+        self.scratch_wakes = wakes;
     }
 
     fn finish_actor(&mut self, aid: ActorId) {

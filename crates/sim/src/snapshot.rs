@@ -1043,6 +1043,65 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_an_invalid_program() {
+        use levi_isa::{ActionId, FuncId, Inst, Label, Location, ProgramBuilder, Reg};
+
+        let prog = {
+            let mut pb = ProgramBuilder::new();
+            let mut f = pb.function("main");
+            f.halt();
+            f.finish();
+            Arc::new(pb.finish().expect("valid program"))
+        };
+        let cfg = MachineConfig::with_tiles(4);
+        let mut m = Machine::try_new(cfg.clone()).expect("valid config");
+        m.spawn_thread(0, prog.clone(), FuncId(0), &[])
+            .expect("spawn");
+        let digest = config_digest(&cfg);
+        let payload = open(&m.checkpoint(), digest).expect("opens").to_vec();
+        let mut w = Writer::new();
+        codec::write_program(&mut w, &prog);
+        let good = w.into_bytes();
+        let at = payload
+            .windows(good.len())
+            .position(|win| win == good)
+            .expect("the program is in the snapshot");
+
+        let invoke5 = Inst::Invoke {
+            actor: Reg(0),
+            action: ActionId(0),
+            args: (1..6).map(Reg).collect(),
+            future: None,
+            loc: Location::Remote,
+            exclusive: false,
+        };
+        let cases: [(Vec<Inst>, &str); 4] = [
+            (vec![Inst::Call { func: FuncId(7) }, Inst::Halt], "callee"),
+            (vec![invoke5, Inst::Halt], "invoke argument count"),
+            (
+                vec![Inst::Jmp { target: Label(9) }, Inst::Halt],
+                "branch target",
+            ),
+            (vec![Inst::Nop], "function end"),
+        ];
+        for (insts, what) in cases {
+            // The same program table with the one function replaced.
+            let mut w = Writer::new();
+            w.u32(1);
+            w.str("main");
+            w.u32(insts.len() as u32);
+            for inst in &insts {
+                codec::write_inst(&mut w, inst);
+            }
+            let mut bad = payload[..at].to_vec();
+            bad.extend(w.into_bytes());
+            bad.extend(&payload[at + good.len()..]);
+            let got = Machine::restore(cfg.clone(), &seal(digest, bad));
+            assert_eq!(got.err(), Some(SnapshotError::Corrupted(what)));
+        }
+    }
+
+    #[test]
     fn config_digest_tracks_hardware_but_not_fault_plan() {
         let a = MachineConfig::paper_default();
         let mut b = a.clone();

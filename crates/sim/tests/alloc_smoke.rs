@@ -1,25 +1,28 @@
 //! Steady-state allocation smoke tests.
 //!
-//! The data-oriented substrate claims the simulator's per-instruction hot
-//! path — `run_actor`, cache probes/fills, waiter park/wake, DRAM and NoC
-//! queueing, and the inline interpreter that runs Morph constructors and
-//! destructors — performs **zero heap allocations** once warm: flat slabs
-//! are sized up front, scratch vectors are taken/restored, waiter lists
-//! are pooled, and guest memory pages are only allocated on first touch.
+//! The simulator's hot paths perform **zero heap allocations** once warm:
+//! the per-instruction path (`run_actor`, cache probes and fills, waiter
+//! park/wake, DRAM and NoC queueing), the inline interpreter that runs
+//! Morph constructors and destructors in one shared register state, and
+//! offloaded invokes, whose arguments travel inline and whose task reuses
+//! a recycled actor slot in place. Flat slabs are sized up front, scratch
+//! vectors are reused, waiter lists are pooled, and guest memory pages are
+//! only allocated on first touch.
 //!
 //! Verified with a counting global allocator and pairs of otherwise
 //! identical single-thread runs that differ only in trip count: the
-//! longer run does much more steady-state work (instructions, or LLC
-//! evictions that run destructors) over the *same* memory footprint, so
-//! any per-instruction or per-eviction allocation would show up as a
-//! large count delta. A small slack absorbs one-off amortized growth
-//! (e.g. a `Vec` capacity doubling inside stats sampling).
+//! longer run does much more steady-state work (instructions, LLC
+//! evictions that run destructors, or invokes) over the *same* memory
+//! footprint, so any per-instruction, per-eviction or per-invoke
+//! allocation would show up as a large count delta. A small slack absorbs
+//! one-off amortized growth (e.g. a `Vec` capacity doubling inside stats
+//! sampling).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use levi_isa::{ActionId, Memory, Reg};
+use levi_isa::{ActionId, Location, Memory, Reg};
 use levi_sim::ndc::{MorphLevel, MorphRegion};
 use levi_sim::{Machine, MachineConfig};
 
@@ -219,5 +222,103 @@ fn steady_state_evictions_allocate_nothing_per_destructor() {
         extra_allocs < 64,
         "steady-state evictions must not allocate: {extra_allocs} extra \
          allocation calls over {extra_evictions} extra evictions"
+    );
+}
+
+/// Actors the invoke test cycles through: a fixed footprint of 16 lines.
+const INVOKE_ACTORS: u64 = 16;
+
+/// A core issues `n` rounds of two offloads to the actors' home LLC
+/// engines: a REMOTE `add` invoke with two arguments, then a
+/// future-carrying `get` whose value the core waits for. Returns (alloc
+/// calls during run, invokes issued, the actors' total).
+fn measure_invokes(n: u64) -> (u64, u64, u64) {
+    let mut pb = levi_isa::ProgramBuilder::new();
+    // add(actor, a, b): *actor += a + b.
+    let add = {
+        let mut f = pb.function("add");
+        let (actor, a, b, x) = (Reg(0), Reg(1), Reg(2), Reg(3));
+        f.ld8(x, actor, 0)
+            .add(x, x, a)
+            .add(x, x, b)
+            .st8(actor, 0, x)
+            .halt();
+        f.finish()
+    };
+    // get(actor, fut): sends *actor to the future.
+    let get = {
+        let mut f = pb.function("get");
+        let (actor, fut, x) = (Reg(0), Reg(1), Reg(2));
+        f.ld8(x, actor, 0).future_send(fut, x).halt();
+        f.finish()
+    };
+    let main = {
+        let mut f = pb.function("main");
+        let (base, n, fut, i, actor, one, v, acc, zero) = (
+            Reg(0),
+            Reg(1),
+            Reg(2),
+            Reg(3),
+            Reg(4),
+            Reg(5),
+            Reg(6),
+            Reg(7),
+            Reg(8),
+        );
+        let (top, done) = (f.label(), f.label());
+        f.imm(i, 0).imm(one, 1).imm(acc, 0).imm(zero, 0);
+        f.bind(top);
+        f.bge_u(i, n, done);
+        f.andi(actor, i, INVOKE_ACTORS - 1)
+            .muli(actor, actor, 64)
+            .add(actor, actor, base);
+        f.invoke(actor, ActionId(0), &[i, one], Location::Remote);
+        f.st8(fut, 0, zero).st8(fut, 8, zero);
+        f.invoke_future(actor, ActionId(1), &[fut], fut, Location::Remote);
+        f.future_wait(v, fut);
+        f.add(acc, acc, v);
+        f.addi(i, i, 1);
+        f.jmp(top);
+        f.bind(done);
+        f.st8(fut, 8, acc).halt();
+        f.finish()
+    };
+    let prog = Arc::new(pb.finish().unwrap());
+    let mut cfg = MachineConfig::with_tiles(4);
+    cfg.prefetcher = false;
+    let mut m = Machine::try_new(cfg).unwrap();
+    m.hw.ndc.actions.register(ActionId(0), prog.clone(), add);
+    m.hw.ndc.actions.register(ActionId(1), prog.clone(), get);
+    let (base, fut) = (0x30_0000u64, 0x40_0000u64);
+    for k in 0..INVOKE_ACTORS {
+        m.mem_mut().write_u64(base + 64 * k, 0);
+    }
+    m.mem_mut().write_u64(fut, 0);
+    m.spawn_thread(0, prog, main, &[base, n, fut]).unwrap();
+    let before = alloc_calls();
+    m.run().unwrap();
+    let after = alloc_calls();
+    let total = (0..INVOKE_ACTORS)
+        .map(|k| m.mem().read_u64(base + 64 * k))
+        .sum();
+    (after - before, m.stats().invokes, total)
+}
+
+#[test]
+fn steady_state_invokes_allocate_nothing_per_invoke() {
+    let (allocs_short, invokes_short, total_short) = measure_invokes(100);
+    let (allocs_long, invokes_long, total_long) = measure_invokes(1100);
+    // Round i adds i + 1.
+    assert_eq!((invokes_short, total_short), (200, 100 * 101 / 2));
+    assert_eq!((invokes_long, total_long), (2200, 1100 * 1101 / 2));
+    let extra_invokes = invokes_long - invokes_short;
+    // Same footprint, so the same cold-start allocations (first-touch
+    // pages, engine task slots, waiter lists); 64 covers amortized growth,
+    // not one allocation per invoke (2,000 here).
+    let extra_allocs = allocs_long.saturating_sub(allocs_short);
+    assert!(
+        extra_allocs < 64,
+        "steady-state invokes must not allocate: {extra_allocs} extra \
+         allocation calls over {extra_invokes} extra invokes"
     );
 }
