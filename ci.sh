@@ -31,6 +31,18 @@ tmp="$(mktemp -d)"
 cargo run --release --quiet --example fault_demo -- 3 > "$tmp/a.txt"
 cargo run --release --quiet --example fault_demo -- 3 > "$tmp/b.txt"
 diff "$tmp/a.txt" "$tmp/b.txt"
+echo "== examples =="
+# Every example asserts its own results, so each must run to completion
+# (fault_demo ran above).
+for ex in examples/*.rs; do
+  name="$(basename "$ex" .rs)"
+  case "$name" in
+    fault_demo) ;;
+    trace_demo) cargo run --release --quiet --example trace_demo -- "$tmp/trace.json" > /dev/null ;;
+    *) cargo run --release --quiet --example "$name" > /dev/null ;;
+  esac
+done
+cargo run --release --quiet -p levi-workloads --example fault_replay > /dev/null
 echo "== bench runner =="
 # Every figure must run end-to-end at quick scale and the JSON report
 # must be complete (one line per figure + a manifest covering them all).

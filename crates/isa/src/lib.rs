@@ -14,8 +14,10 @@
 //!    fences, and flushes).
 //! 2. **Programs** ([`Program`], [`Function`]): validated containers of
 //!    functions with resolved labels.
-//! 3. **A builder** ([`ProgramBuilder`], [`FunctionBuilder`]): an
-//!    assembler-style API with labels used by all workloads and actions.
+//! 3. **A builder** ([`ProgramBuilder`], [`FunctionBuilder`]): the one way
+//!    to write LevIR, an API with labels used by all workloads, actions
+//!    and tests. Programs otherwise come only from the snapshot
+//!    [`codec`].
 //! 4. **Execution semantics** ([`exec::step`]): a single-step functional
 //!    semantics parameterized over a [`Memory`] and an [`NdcHost`]. The
 //!    timing simulator in `levi-sim` wraps this function with a cycle model;
@@ -63,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod asm;
 pub mod builder;
 pub mod codec;
 pub mod exec;
@@ -73,7 +74,6 @@ pub mod interp;
 pub mod mem;
 pub mod program;
 
-pub use asm::{assemble, AsmError};
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use exec::{
     Control, ExecCtx, ExecError, InlineArgs, MemEffect, NdcHost, NdcRequest, NoNdc, Poll, StepInfo,

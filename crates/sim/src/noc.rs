@@ -17,8 +17,6 @@ const DIRS: usize = 4; // east, west, north, south
 #[derive(Clone, Debug)]
 pub struct Noc {
     cols: u32,
-    #[allow(dead_code)] // kept for diagnostics/Display
-    rows: u32,
     cfg: NocConfig,
     /// `link_free[node * DIRS + dir]`: cycle at which that output link is
     /// next available.
@@ -37,7 +35,6 @@ impl Noc {
         let links = (cols * rows) as usize * DIRS;
         Noc {
             cols,
-            rows,
             cfg,
             link_free: vec![0; links],
             fault_start: vec![0; links + 1],

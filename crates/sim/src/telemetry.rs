@@ -10,8 +10,8 @@
 //!   line, first line a header naming the schema version and scope).
 //!   `levi-bench run --telemetry <path>` appends one block per run and
 //!   `levi-bench check-report` validates the result.
-//! * [`Telemetry::to_prometheus`] — Prometheus text exposition format
-//!   (`levi_*` families), ready for a scrape endpoint.
+//! * `Stats`' `Display` — the same counters and histograms as
+//!   `name value` rows, in the same order, then the critical-path summary.
 //! * The Chrome/Perfetto trace export stays on
 //!   [`Tracer::to_chrome_json`](crate::trace::Tracer::to_chrome_json),
 //!   which flow-links each invoke's span-linked events; the registry does
@@ -19,10 +19,11 @@
 //!
 //! Everything here reads a finished [`Stats`] — building a `Telemetry`
 //! has no effect on simulation and costs nothing unless an exporter is
-//! called. Wall-clock host phases are included only when populated (the
-//! `self-profile` feature), since their values are nondeterministic.
+//! called. Wall-clock host phases are nondeterministic: the JSONL carries
+//! them only when populated (the `self-profile` feature), and `Display`
+//! never prints them.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::hist::Histogram;
 use crate::perf::Phase;
@@ -36,10 +37,10 @@ pub struct Telemetry<'a> {
     stats: &'a Stats,
 }
 
-/// Appends `s` to `out` escaped for embedding in a JSON string or a
-/// Prometheus label value: `\` and `"` always, the common control
-/// characters as their short escapes, and any other control character as
-/// `\u00XX`. The bench harness's JSON writer escapes through it too.
+/// Appends `s` to `out` escaped for embedding in a JSON string: `\` and
+/// `"` always, the common control characters as their short escapes, and
+/// any other control character as `\u00XX`. The bench harness's JSON
+/// writer escapes through it too.
 pub fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -107,10 +108,7 @@ impl<'a> Telemetry<'a> {
                 "{{\"metric\":\"{name}\",\"type\":\"counter\",\"value\":{value}}}"
             );
         }
-        for (name, h) in self.histograms() {
-            if h.is_empty() {
-                continue;
-            }
+        for (name, h) in self.populated_histograms() {
             let _ = writeln!(
                 out,
                 "{{\"metric\":\"{name}\",\"type\":\"histogram\",\"count\":{},\"sum\":{},\
@@ -193,70 +191,55 @@ impl<'a> Telemetry<'a> {
         out
     }
 
-    /// Renders the registry in the Prometheus text exposition format
-    /// (`levi_*` metric families). `scope` becomes a `scope="..."` label
-    /// on every series when non-empty.
-    pub fn to_prometheus(&self, scope: &str) -> String {
-        let s = self.stats;
-        let mut scope_esc = String::new();
-        write_escaped(&mut scope_esc, scope);
-        let label = if scope.is_empty() {
-            String::new()
-        } else {
-            format!("{{scope=\"{scope_esc}\"}}")
-        };
-        let with = |extra: &str| {
-            if scope.is_empty() {
-                format!("{{{extra}}}")
-            } else {
-                format!("{{scope=\"{scope_esc}\",{extra}}}")
-            }
-        };
-        let mut out = String::with_capacity(4096);
-        for (name, value) in self.counters() {
-            let _ = writeln!(out, "# TYPE levi_{name} counter");
-            let _ = writeln!(out, "levi_{name}{label} {value}");
+    /// The populated latency histograms: empty ones are rendered by
+    /// neither the JSONL nor the `Display` report.
+    fn populated_histograms(&self) -> impl Iterator<Item = (&'static str, &'a Histogram)> {
+        self.histograms().into_iter().filter(|(_, h)| !h.is_empty())
+    }
+}
+
+/// The human-readable report, rendered from the registry: one
+/// `name value` line per counter and one `name <histogram>` line per
+/// populated histogram, in the JSONL's order, then the critical-path
+/// summary when spans were recorded. Host phases are never printed:
+/// wall-clock values must stay out of deterministic output.
+impl fmt::Display for Stats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = Telemetry::new(self);
+        for (name, value) in t.counters() {
+            writeln!(f, "{name:<21} {value}")?;
         }
-        for (name, h) in self.histograms() {
-            if h.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "# TYPE levi_{name} summary");
-            for (q, v) in [
-                ("0.5", h.percentile(0.50)),
-                ("0.9", h.percentile(0.90)),
-                ("0.99", h.percentile(0.99)),
-            ] {
-                let _ = writeln!(out, "levi_{name}{} {v}", with(&format!("quantile=\"{q}\"")));
-            }
-            let _ = writeln!(out, "levi_{name}_sum{label} {}", h.sum());
-            let _ = writeln!(out, "levi_{name}_count{label} {}", h.count());
+        for (name, h) in t.populated_histograms() {
+            writeln!(f, "{name:<21} {h}")?;
         }
-        if !s.host_phases.is_empty() {
-            let _ = writeln!(out, "# TYPE levi_host_ns gauge");
-            for p in Phase::ALL {
-                let _ = writeln!(
-                    out,
-                    "levi_host_ns{} {}",
-                    with(&format!("phase=\"{}\"", p.name())),
-                    s.host_phases.ns(p)
-                );
+        if !self.spans.is_empty() || self.spans.dropped() > 0 {
+            let cp = self.spans.critical_path(TOP_SLOW_INVOKES);
+            writeln!(
+                f,
+                "invoke spans:      {} recorded ({} complete, {} incomplete, {} dropped)",
+                self.spans.len(),
+                cp.completed,
+                cp.incomplete,
+                self.spans.dropped()
+            )?;
+            if cp.completed > 0 {
+                writeln!(
+                    f,
+                    "span stages:       {} (summed cycles; rtt {}, dominated by {})",
+                    cp.totals,
+                    cp.rtt_total,
+                    cp.dominant_stage().0
+                )?;
+                for s in &cp.slowest {
+                    write!(f, "  slow {}: rtt {} = {}", s.id, s.rtt, s.stages)?;
+                    match s.target {
+                        Some(t) => writeln!(f, " (tile {} -> {})", s.src_tile, t)?,
+                        None => writeln!(f, " (tile {})", s.src_tile)?,
+                    }
+                }
             }
         }
-        if !s.spans.is_empty() {
-            let cp = s.spans.critical_path(TOP_SLOW_INVOKES);
-            let _ = writeln!(out, "# TYPE levi_span_stage_cycles counter");
-            for (stage, cycles) in cp.totals.named() {
-                let _ = writeln!(
-                    out,
-                    "levi_span_stage_cycles{} {cycles}",
-                    with(&format!("stage=\"{stage}\""))
-                );
-            }
-            let _ = writeln!(out, "# TYPE levi_span_rtt_cycles_total counter");
-            let _ = writeln!(out, "levi_span_rtt_cycles_total{label} {}", cp.rtt_total);
-        }
-        out
+        Ok(())
     }
 }
 
@@ -317,20 +300,59 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_families_and_labels() {
-        let s = populated();
-        let text = Telemetry::new(&s).to_prometheus("fig05/Leviathan");
-        assert!(text.contains("# TYPE levi_cycles counter"));
-        assert!(text.contains("levi_cycles{scope=\"fig05/Leviathan\"} 1000"));
-        assert!(text.contains("levi_invoke_rtt{scope=\"fig05/Leviathan\",quantile=\"0.5\"} 32"));
-        assert!(text.contains("levi_invoke_rtt_count{scope=\"fig05/Leviathan\"} 2"));
-        assert!(
-            text.contains("levi_span_stage_cycles{scope=\"fig05/Leviathan\",stage=\"exec\"} 32")
-        );
+    fn display_rows_follow_the_jsonl_registry() {
+        let mut s = populated();
+        s.stream_stall.record(9);
+        s.tenant_llc_misses = vec![5, 6];
+        s.tenant_invokes = vec![1, 2];
+        s.tenant_finish = vec![900, 1000];
+        let text = s.to_string();
+        let dump = Telemetry::new(&s).to_jsonl("unit/test");
 
-        let unscoped = Telemetry::new(&s).to_prometheus("");
-        assert!(unscoped.contains("levi_cycles 1000"));
-        assert!(unscoped.contains("levi_invoke_rtt{quantile=\"0.5\"} 32"));
+        // JSONL `(metric, value)` pairs of one type, in dump order.
+        let jsonl = |ty: &str| -> Vec<(String, String)> {
+            let tag = format!("\"type\":\"{ty}\"");
+            dump.lines()
+                .filter(|l| l.contains(&tag))
+                .map(|l| {
+                    let name = l.split('"').nth(3).expect("metric name");
+                    let last = l.rsplit(':').next().expect("last field");
+                    (name.to_string(), last.trim_end_matches('}').to_string())
+                })
+                .collect()
+        };
+        let mut counters = Vec::new();
+        let mut histograms = Vec::new();
+        let mut other = Vec::new();
+        for line in text.lines() {
+            let (name, value) = line.split_once(' ').expect("name value");
+            let value = value.trim_start();
+            if value.parse::<u64>().is_ok() {
+                counters.push((name.to_string(), value.to_string()));
+            } else if value.starts_with("n=") {
+                histograms.push(name.to_string());
+            } else {
+                other.push(line);
+            }
+        }
+        assert_eq!(counters, jsonl("counter"));
+        let jsonl_histograms: Vec<String> = jsonl("histogram")
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(histograms, jsonl_histograms);
+        assert_eq!(histograms, ["invoke_rtt", "stream_stall"]);
+        assert!(counters.iter().any(|(n, _)| n == "tenant1_finish_cycles"));
+        // What is left is the critical-path block, last in the report.
+        assert!(
+            other[0].starts_with("invoke spans:      1 recorded"),
+            "{text}"
+        );
+        assert!(other[1].starts_with("span stages:"), "{text}");
+        assert!(other[2].starts_with("  slow #0: rtt 40 ="), "{text}");
+        assert_eq!(other.len(), 3, "{text}");
+        let rows = counters.len() + histograms.len();
+        assert_eq!(text.lines().skip(rows).collect::<Vec<_>>(), other);
     }
 
     #[test]

@@ -227,9 +227,14 @@ fn histograms_capture_invoke_rtt_and_stream_stall() {
         s.load_to_use.count() > 0,
         "loads record load-to-use latency"
     );
-    // Histograms render in the human-readable stats dump.
+    // Histograms render as rows of the human-readable stats dump.
     let dump = format!("{s}");
-    assert!(dump.contains("invoke RTT:"));
+    let rtt = s.invoke_rtt.to_string();
+    assert!(
+        dump.lines()
+            .any(|l| l.starts_with("invoke_rtt ") && l.ends_with(&rtt)),
+        "{dump}"
+    );
 }
 
 #[test]
