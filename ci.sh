@@ -62,15 +62,20 @@ cargo run --release --quiet -p levi-bench -- run all --quick --serial \
   > "$tmp/run-all-serial.txt" 2> /dev/null
 diff tests/golden/run_all_quick.txt "$tmp/run-all-serial.txt"
 echo "== telemetry smoke =="
-# --telemetry must be purely observational and cover every simulated run:
-# `run all --quick` with the flag must print the committed golden, its
-# dump must pass structural validation, and every figure that names a
-# workload in `levi-bench list` must have dumped at least one
+# --telemetry must be purely observational and cover every run, simulated
+# or reused from an earlier figure: `run all --quick` with the flag must
+# print the committed golden, its dump must pass structural validation and
+# hold one block per stderr progress line (68), and every figure that
+# names a workload in `levi-bench list` must have dumped at least one
 # `<figure>/<label>` block.
 cargo run --release --quiet -p levi-bench -- run all --quick \
-  --telemetry "$tmp/telemetry.jsonl" > "$tmp/run-all-telemetry.txt" 2> /dev/null
+  --telemetry "$tmp/telemetry.jsonl" > "$tmp/run-all-telemetry.txt" 2> "$tmp/run-all-telemetry.log"
 diff tests/golden/run_all_quick.txt "$tmp/run-all-telemetry.txt"
 cargo run --release --quiet -p levi-bench -- check-report "$tmp/telemetry.jsonl"
+runs=$(grep -c ' cycles' "$tmp/run-all-telemetry.log" || true)
+blocks=$(grep -c '^{"telemetry":' "$tmp/telemetry.jsonl" || true)
+[ "$runs" -eq 68 ] && [ "$blocks" -eq "$runs" ] \
+  || { echo "FAIL: $blocks telemetry blocks for $runs progress lines (want 68 of each)"; exit 1; }
 cargo run --release --quiet -p levi-bench -- list > "$tmp/figures.txt"
 for fig in $(awk 'NR > 1 && $2 != "-" { print $1 }' "$tmp/figures.txt"); do
   grep -q "\"scope\":\"$fig/" "$tmp/telemetry.jsonl" \

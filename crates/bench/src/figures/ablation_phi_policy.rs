@@ -9,7 +9,7 @@
 use levi_workloads::phi::{PhiPolicy, PhiVariant, PhiWorkload};
 use levi_workloads::Workload;
 
-use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::runner::{sweep_runs, Figure, RunCtx};
 use crate::{header, table_report};
 
 /// The figure descriptor.
@@ -27,7 +27,6 @@ fn run(ctx: &RunCtx) {
         "Ablation — PHI delta-eviction policy (in-place vs log)",
         "paper Sec. IV-A: PHI chooses the policy minimizing memory bandwidth",
     );
-    let graph = w.build_input(&scale);
     let jobs = [
         (
             "baseline (no PHI)",
@@ -46,13 +45,8 @@ fn run(ctx: &RunCtx) {
         s.policy = policy;
         (name, (variant, s))
     });
-    // The policy may only change timing, never results.
-    let runs = sweep_jobs(
-        ctx,
-        jobs,
-        |(v, s), env| w.run(*v, s, &graph, env),
-        |(v, s)| w.golden(*v, s, &graph),
-    );
+    // The policy changes neither the graph nor the results, only timing.
+    let runs = sweep_runs(ctx, w, &scale, jobs);
     let base = &runs["baseline (no PHI)"].metrics;
     let rows: Vec<Vec<String>> = runs
         .iter()

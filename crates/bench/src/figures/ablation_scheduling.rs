@@ -9,7 +9,7 @@
 use levi_workloads::hashtable::{HashtableWorkload, HtVariant};
 use levi_workloads::Workload;
 
-use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::runner::{sweep_runs, Figure, RunCtx};
 use crate::{header, table_report};
 
 /// The figure descriptor.
@@ -31,13 +31,9 @@ fn run(ctx: &RunCtx) {
         ("baseline (core walk)", HtVariant::Baseline),
         ("REMOTE placement", HtVariant::Leviathan),
         ("DYNAMIC placement", HtVariant::LeviathanDynamic),
-    ];
-    let runs = sweep_jobs(
-        ctx,
-        jobs,
-        |&v, env| w.run(v, &scale, &(), env),
-        |&v| w.golden(v, &scale, &()),
-    );
+    ]
+    .map(|(name, v)| (name, (v, scale.clone())));
+    let runs = sweep_runs(ctx, w, &scale, jobs);
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|(name, o)| {

@@ -6,7 +6,7 @@
 use levi_workloads::hashtable::{HashtableWorkload, HtScale, HtVariant};
 use levi_workloads::{RunMetrics, Workload};
 
-use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::runner::{sweep_runs, Figure, RunCtx};
 use crate::{header, table_report};
 
 /// The figure descriptor.
@@ -28,7 +28,7 @@ fn run(ctx: &RunCtx) {
     // Every (node size, variant) pair is an independent simulation, so
     // the whole figure fans out as one flat sweep.
     let w = &HashtableWorkload;
-    let mut jobs: Vec<(String, (HtScale, HtVariant))> = Vec::new();
+    let mut jobs: Vec<(String, (HtVariant, HtScale))> = Vec::new();
     for &(size, _, _) in paper {
         let s = if ctx.quick {
             HtScale::test(size)
@@ -40,18 +40,13 @@ fn run(ctx: &RunCtx) {
             ("lev", HtVariant::Leviathan),
             ("ideal", HtVariant::Ideal),
         ] {
-            jobs.push((format!("{size}B {name}"), (s.clone(), v)));
+            jobs.push((format!("{size}B {name}"), (v, s.clone())));
         }
         if let Some((name, v)) = ablation(size) {
-            jobs.push((name.into(), (s, v)));
+            jobs.push((name.into(), (v, s)));
         }
     }
-    let runs = sweep_jobs(
-        ctx,
-        jobs,
-        |(scale, v), env| w.run(*v, scale, &(), env),
-        |(scale, v)| w.golden(*v, scale, &()),
-    );
+    let runs = sweep_runs(ctx, w, &w.scale(ctx.kind()), jobs);
 
     let mut rows = Vec::new();
     for &(size, paper_lev, paper_ablation) in paper {

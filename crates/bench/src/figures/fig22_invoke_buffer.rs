@@ -6,7 +6,7 @@
 use levi_workloads::phi::{PhiVariant, PhiWorkload};
 use levi_workloads::Workload;
 
-use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::runner::{sweep_runs, Figure, RunCtx};
 use crate::{header, table_report};
 
 /// The figure descriptor.
@@ -25,19 +25,13 @@ fn run(ctx: &RunCtx) {
         "paper: slow at 1-2 entries, plateau at >= 4",
     );
     // One graph shared across the sweep: only the buffer size changes.
-    let graph = w.build_input(&scale);
     let entries = [1u32, 2, 4, 8, 16];
     let jobs = entries.iter().map(|&n| {
         let mut s = scale.clone();
         s.invoke_buffer = n;
-        (format!("buffer={n}"), s)
+        (format!("buffer={n}"), (PhiVariant::Leviathan, s))
     });
-    let runs = sweep_jobs(
-        ctx,
-        jobs,
-        |s, env| w.run(PhiVariant::Leviathan, s, &graph, env),
-        |s| w.golden(PhiVariant::Leviathan, s, &graph),
-    );
+    let runs = sweep_runs(ctx, w, &scale, jobs);
     let best = runs
         .iter()
         .map(|(_, o)| o.metrics.cycles)

@@ -6,7 +6,7 @@
 use levi_workloads::hats::{HatsVariant, HatsWorkload};
 use levi_workloads::Workload;
 
-use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::runner::{sweep_runs, Figure, RunCtx};
 use crate::{header, table_report};
 
 /// The figure descriptor.
@@ -25,19 +25,13 @@ fn run(ctx: &RunCtx) {
         "paper: plateau at 64 entries",
     );
     // One graph shared across the sweep: only the buffer capacity changes.
-    let graph = w.build_input(&scale);
     let capacities = [8u64, 16, 32, 64, 128, 256];
     let jobs = capacities.iter().map(|&cap| {
         let mut s = scale.clone();
         s.stream_capacity = cap;
-        (format!("capacity={cap}"), s)
+        (format!("capacity={cap}"), (HatsVariant::Leviathan, s))
     });
-    let runs = sweep_jobs(
-        ctx,
-        jobs,
-        |s, env| w.run(HatsVariant::Leviathan, s, &graph, env),
-        |s| w.golden(HatsVariant::Leviathan, s, &graph),
-    );
+    let runs = sweep_runs(ctx, w, &scale, jobs);
     let best = runs
         .iter()
         .map(|(_, o)| o.metrics.cycles)

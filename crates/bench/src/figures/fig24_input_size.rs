@@ -5,9 +5,8 @@
 //! advantage shrinks.
 
 use levi_workloads::hashtable::{HashtableWorkload, HtScale, HtVariant};
-use levi_workloads::Workload;
 
-use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::runner::{sweep_runs, Figure, RunCtx};
 use crate::{header, table_report};
 
 /// The figure descriptor.
@@ -35,20 +34,15 @@ fn run(ctx: &RunCtx) {
     } else {
         &[1, 2, 4, 8, 16, 32]
     };
-    let mut jobs: Vec<(String, (HtScale, HtVariant))> = Vec::new();
+    let mut jobs: Vec<(String, (HtVariant, HtScale))> = Vec::new();
     for &mb in sizes_mb {
         let scale = base_scale.clone().with_table_bytes(mb * 1024 * 1024);
-        jobs.push((format!("base {mb}MB"), (scale.clone(), HtVariant::Baseline)));
-        jobs.push((format!("lev {mb}MB"), (scale, HtVariant::Leviathan)));
+        jobs.push((format!("base {mb}MB"), (HtVariant::Baseline, scale.clone())));
+        jobs.push((format!("lev {mb}MB"), (HtVariant::Leviathan, scale)));
     }
     // Golden checksums depend on the node count, so each job is checked
     // against its own scale's model.
-    let runs = sweep_jobs(
-        ctx,
-        jobs,
-        |(scale, v), env| w.run(*v, scale, &(), env),
-        |(scale, v)| w.golden(*v, scale, &()),
-    );
+    let runs = sweep_runs(ctx, w, &base_scale, jobs);
     let rows: Vec<Vec<String>> = sizes_mb
         .iter()
         .map(|mb| {

@@ -7,7 +7,7 @@
 use levi_workloads::hashtable::{HashtableWorkload, HtScale, HtVariant};
 use levi_workloads::Workload;
 
-use crate::runner::{sweep_jobs, Figure, RunCtx};
+use crate::runner::{sweep_runs, Figure, RunCtx};
 use crate::{header, table_report};
 
 /// The figure descriptor.
@@ -29,7 +29,7 @@ fn run(ctx: &RunCtx) {
     } else {
         &[4, 8, 16, 32, 64]
     };
-    let mut jobs: Vec<(String, (HtScale, HtVariant))> = Vec::new();
+    let mut jobs: Vec<(String, (HtVariant, HtScale))> = Vec::new();
     for &tiles in tiles_list {
         let mut scale = if ctx.quick {
             HtScale::test(64)
@@ -39,18 +39,13 @@ fn run(ctx: &RunCtx) {
         scale.tiles = tiles;
         jobs.push((
             format!("base x{tiles}"),
-            (scale.clone(), HtVariant::Baseline),
+            (HtVariant::Baseline, scale.clone()),
         ));
-        jobs.push((format!("lev x{tiles}"), (scale, HtVariant::Leviathan)));
+        jobs.push((format!("lev x{tiles}"), (HtVariant::Leviathan, scale)));
     }
     // Golden checksums depend on the tile count (lookups are per-thread),
     // so each job is checked against its own scale's model.
-    let runs = sweep_jobs(
-        ctx,
-        jobs,
-        |(scale, v), env| w.run(*v, scale, &(), env),
-        |(scale, v)| w.golden(*v, scale, &()),
-    );
+    let runs = sweep_runs(ctx, w, &w.scale(ctx.kind()), jobs);
     let rows: Vec<Vec<String>> = tiles_list
         .iter()
         .map(|tiles| {

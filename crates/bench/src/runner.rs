@@ -1,5 +1,5 @@
 //! The unified figure runner: a registry of figure descriptors and the
-//! one run path that drives their simulations, [`sweep_jobs`].
+//! one run path that drives their simulations.
 //!
 //! Each figure of the paper's evaluation is one [`Figure`] descriptor in
 //! [`crate::figures::ALL`]: a static id, a one-line summary, the registry
@@ -12,20 +12,37 @@
 //! * [`RunCtx`] — every switch of one invocation: scale selection
 //!   (`--quick`), variant filtering (`--filter`), `--serial`, the
 //!   [`RunEnv`] injected into every run (`--fault-plan`, ...), the
-//!   `--json` and `--telemetry` sinks, the `--resume` journal, and the id
-//!   of the figure being run. Nothing else carries run state.
-//! * [`sweep_jobs`] — every simulated run of every figure goes through
-//!   it: labelled jobs run in parallel, each is golden-checked, journaled
-//!   (`--resume`), reported on stderr and dumped as one telemetry block
+//!   `--json` and `--telemetry` sinks, the `--resume` journal, the id of
+//!   the figure being run, and the [`RunMemo`] of the runs simulated so
+//!   far. Nothing else carries run state.
+//! * [`sweep_runs`] — a typed workload's runs, each named by its
+//!   `(variant, scale)`. The runner makes the [`Workload::run`] call
+//!   itself, so it can key each run and reuse the outcome of an identical
+//!   run an earlier figure simulated: one invocation simulates each
+//!   distinct run once. [`sweep_variants`] adapts it to "a workload's
+//!   (filtered) variants at one scale".
+//! * [`sweep_jobs`] — labelled jobs run by a closure, for runs a key
+//!   cannot name (config overrides); these are never reused.
+//!   [`sweep_prepared`] adapts it to workloads known by registry name.
+//!
+//!   Both take one path: every job is resumed from the journal
+//!   (`--resume`), reused from the memo, or simulated on a pool of
+//!   `available_parallelism()` workers; each is golden-checked,
+//!   journaled, reported on stderr and dumped as one telemetry block
 //!   (`--telemetry`). It is the only place that spawns threads or
-//!   contains panics. [`sweep_variants`] / [`sweep_prepared`] adapt it
-//!   to "a workload's (filtered) variants at one scale".
+//!   contains panics.
 //! * [`report_figure`] — join measured outcomes with the paper's numbers
 //!   by label and emit the standard speedup/energy report.
 
+use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use levi_sim::telemetry::write_escaped;
+use levi_sim::{Telemetry, TELEMETRY_VERSION};
 use levi_workloads::harness::{
     DynWorkload, PreparedRun, RunEnv, RunOutcome, RunStatus, ScaleKind, Workload,
 };
@@ -61,6 +78,9 @@ pub struct RunCtx {
     pub telemetry: Option<Sink>,
     /// The `--resume` journal, shared by a sweep's parallel jobs.
     pub journal: Option<Arc<Mutex<Journal>>>,
+    /// The runs [`sweep_runs`] has simulated or resumed so far, shared by
+    /// every clone of this context.
+    pub memo: RunMemo,
 }
 
 impl RunCtx {
@@ -81,6 +101,59 @@ impl RunCtx {
                 Some(f) => label.to_ascii_lowercase().contains(&f.to_ascii_lowercase()),
             }
     }
+}
+
+/// The outcomes of the runs one invocation has simulated, keyed by what
+/// determines a run (see [`sweep_runs`]), so a later sweep of an
+/// identical run reuses its outcome. Clones share one table.
+#[derive(Clone, Default)]
+pub struct RunMemo(Arc<Mutex<HashMap<String, Arc<Memoized>>>>);
+
+/// One run kept for reuse.
+struct Memoized {
+    /// The `figure/label` scope of the sweep job that produced it.
+    origin: String,
+    /// Its outcome without the trace ring, the span table and the host
+    /// phases: the recorders are the bulk of a traced run's memory, and a
+    /// reused run spends no host time. Its `trace.dropped()` reads 0.
+    outcome: RunOutcome,
+    /// Its telemetry block after the header line, without the wall-clock
+    /// `host_ns_*` gauges (`--telemetry` only).
+    telemetry: Option<String>,
+}
+
+impl RunMemo {
+    fn get(&self, key: &str) -> Option<Arc<Memoized>> {
+        self.0.lock().expect("run memo poisoned").get(key).cloned()
+    }
+
+    fn keep(&self, key: &str, entry: impl FnOnce() -> Memoized) {
+        let mut memo = self.0.lock().expect("run memo poisoned");
+        if !memo.contains_key(key) {
+            memo.insert(key.to_string(), Arc::new(entry()));
+        }
+    }
+}
+
+/// A copy of `o` without its trace ring, span table and host phases.
+fn without_recorders(o: &mut RunOutcome) -> RunOutcome {
+    let stats = &mut o.metrics.stats;
+    let trace = std::mem::take(&mut stats.trace);
+    let spans = std::mem::take(&mut stats.spans);
+    let host_phases = std::mem::take(&mut stats.host_phases);
+    let copy = o.clone();
+    let stats = &mut o.metrics.stats;
+    (stats.trace, stats.spans, stats.host_phases) = (trace, spans, host_phases);
+    copy
+}
+
+/// The header line of the telemetry block scoped `scope`, as
+/// [`Telemetry::to_jsonl`] writes it.
+fn telemetry_header(scope: &str) -> String {
+    let mut out = format!("{{\"telemetry\":{{\"version\":{TELEMETRY_VERSION},\"scope\":\"");
+    write_escaped(&mut out, scope);
+    out.push_str("\"}}\n");
+    out
 }
 
 /// Labelled outcomes of one sweep, in job order. Unsupported jobs are
@@ -117,23 +190,32 @@ impl std::ops::Index<&str> for Outcomes {
     }
 }
 
-/// Runs labelled jobs as one sweep of `ctx`'s figure: the one run path
-/// every simulated figure takes.
+/// Runs labelled jobs as one sweep of `ctx`'s figure, each as
+/// `run(job, &ctx.env)`. Use it for runs that [`sweep_runs`] cannot key,
+/// such as runs with a system-config override; its jobs are never
+/// reused. Otherwise it takes the same path:
 ///
-/// Each job is either loaded from the ctx's journal (`--resume`) or run
-/// as `run(job, &ctx.env)`, on its own thread unless `ctx.serial` is set.
-/// Every simulated run is a pure function of its configuration and seed
-/// (the simulator shares no global state), so the parallel sweep returns
-/// what the serial one does, in job order. A panicking job is contained
-/// so it cannot abort its siblings' (possibly hours of) completed work.
+/// Each job is loaded from the ctx's journal (`--resume`), reused from
+/// its memo ([`sweep_runs`] jobs only), or simulated. Simulated jobs run
+/// on `min(available_parallelism(), jobs)` scoped workers that take them
+/// in job order, or one after another on the calling thread if
+/// `ctx.serial` is set. Every simulated run is a pure function of its
+/// configuration and seed (the simulator shares no global state), so the
+/// parallel sweep returns what the serial one does, in job order. A
+/// sweep's own jobs run concurrently, so a run listed twice in one sweep
+/// is simulated twice. A panicking job is contained so it cannot abort
+/// its siblings' (possibly hours of) completed work.
 ///
 /// Every outcome is checked against `golden(job)`: a fresh one inside its
 /// job, a resumed one here (which also catches a stale journal from an
-/// older build). A fresh outcome is
-/// recorded in the journal inside its job, right after its golden check,
-/// so a kill or a panic later in the sweep cannot lose finished work.
-/// Progress goes to stderr, `UNSUPPORTED` notices to stdout, and one
-/// telemetry block per run, in job order, to the `--telemetry` dump.
+/// older build); a reused one was checked when it was simulated. A fresh
+/// outcome is recorded in the journal inside its job, right after its
+/// golden check, so a kill or a panic later in the sweep cannot lose
+/// finished work; a reused one is recorded before the simulated jobs
+/// start. Progress goes to stderr (one line per outcome: `ran`, `journal
+/// … (resumed)` or `reused … (figure/label)` naming the run it reuses),
+/// `UNSUPPORTED` notices to stdout, and one telemetry block per outcome,
+/// in job order, to the `--telemetry` dump.
 ///
 /// Applies no `--filter`: knob sweeps run every job.
 ///
@@ -154,35 +236,124 @@ where
     F: Fn(&J, &RunEnv) -> RunStatus + Sync,
     G: Fn(&J) -> u64 + Sync,
 {
+    let jobs = jobs.into_iter().map(|(l, j)| (l.into(), j, None)).collect();
+    sweep(ctx, jobs, run, golden)
+}
+
+/// Runs labelled `(variant, scale)` jobs of a typed workload as one sweep
+/// of `ctx`'s figure, on the path [`sweep_jobs`] describes, reusing the
+/// outcome of every identical run an earlier sweep on `ctx`'s memo
+/// simulated or resumed.
+///
+/// A run's key is the workload's name and the `{:?}` of its variant, its
+/// scale and `ctx.env`. The runner makes each [`Workload::run`] call
+/// itself, on the input `w.build_input(input_scale)`; the key is sound
+/// because that input is what `build_input` returns for each job's own
+/// scale (the contract on [`Workload::run`]'s `input`). The input is
+/// built once, lazily: a sweep whose jobs are all reused builds none.
+///
+/// # Panics
+/// As [`sweep_jobs`].
+pub fn sweep_runs<W, L>(
+    ctx: &RunCtx,
+    w: &W,
+    input_scale: &W::Scale,
+    jobs: impl IntoIterator<Item = (L, (W::Variant, W::Scale))>,
+) -> Outcomes
+where
+    W: Workload,
+    W::Variant: Debug,
+    W::Scale: Debug,
+    L: Into<String>,
+{
+    let input = OnceLock::new();
+    let input = || input.get_or_init(|| w.build_input(input_scale));
+    let name = Workload::name(w);
+    let jobs = jobs
+        .into_iter()
+        .map(|(label, (v, scale))| {
+            let key = format!("{name}|{v:?}|{scale:?}|{:?}", ctx.env);
+            (label.into(), (v, scale), Some(key))
+        })
+        .collect();
+    sweep(
+        ctx,
+        jobs,
+        |(v, scale), env| w.run(*v, scale, input(), env),
+        |(v, scale)| w.golden(*v, scale, input()),
+    )
+}
+
+/// Where one sweep job's outcome comes from.
+enum Source {
+    /// The journal's record of this job (`--resume`).
+    Resumed(Box<RunOutcome>),
+    /// An identical run an earlier sweep kept in the memo.
+    Reused(Arc<Memoized>),
+    /// A fresh simulation.
+    Run,
+}
+
+/// The path of [`sweep_jobs`] and [`sweep_runs`]: `(label, job, memo
+/// key)` triples, where only keyed jobs are reused and kept.
+fn sweep<J, F, G>(
+    ctx: &RunCtx,
+    jobs: Vec<(String, J, Option<String>)>,
+    run: F,
+    golden: G,
+) -> Outcomes
+where
+    J: Sync,
+    F: Fn(&J, &RunEnv) -> RunStatus + Sync,
+    G: Fn(&J) -> u64 + Sync,
+{
     let figure = ctx.figure;
-    let jobs: Vec<(String, J)> = jobs.into_iter().map(|(l, j)| (l.into(), j)).collect();
-    let mut seen = std::collections::HashSet::new();
-    for (label, _) in &jobs {
+    let mut seen = HashSet::new();
+    for (label, _, _) in &jobs {
         assert!(
             seen.insert(label.as_str()),
             "duplicate sweep label {label:?} in figure {figure:?}"
         );
     }
 
-    let (sweep, resumed): (Option<u32>, Vec<Option<RunOutcome>>) = match &ctx.journal {
-        Some(journal) => {
-            let mut journal = journal.lock().expect("journal poisoned");
-            let sweep = journal.begin_sweep(figure);
-            let resumed = jobs
-                .iter()
-                .map(|(label, _)| journal.lookup(figure, sweep, label))
-                .collect();
-            (Some(sweep), resumed)
-        }
-        None => (None, jobs.iter().map(|_| None).collect()),
-    };
+    let mut journal = ctx
+        .journal
+        .as_ref()
+        .map(|j| j.lock().expect("journal poisoned"));
+    let sweep = journal.as_mut().map(|j| j.begin_sweep(figure));
+    let mut sources = Vec::with_capacity(jobs.len());
+    for (label, _, key) in &jobs {
+        let resumed = journal
+            .as_ref()
+            .zip(sweep)
+            .and_then(|(j, s)| j.lookup(figure, s, label));
+        let source = if let Some(o) = resumed {
+            Source::Resumed(Box::new(o))
+        } else if let Some(entry) = key.as_deref().and_then(|k| ctx.memo.get(k)) {
+            if let (Some(j), Some(s)) = (journal.as_mut(), sweep) {
+                let appended = j.record(figure, s, label, &entry.outcome);
+                appended.unwrap_or_else(|e| panic!("journal append failed: {e}"));
+            }
+            Source::Reused(entry)
+        } else {
+            Source::Run
+        };
+        sources.push(source);
+    }
+    drop(journal);
+
     let pending: Vec<(&str, &J)> = jobs
         .iter()
-        .zip(&resumed)
-        .filter(|(_, r)| r.is_none())
-        .map(|((label, job), _)| (label.as_str(), job))
+        .zip(&sources)
+        .filter(|(_, source)| matches!(source, Source::Run))
+        .map(|((label, job, _), _)| (label.as_str(), job))
         .collect();
-    let mut fresh = fan_out(ctx.serial, &pending, |label, &job| {
+    let workers = if ctx.serial {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    };
+    let mut fresh = fan_out(workers, &pending, |label, &job| {
         let status = run(job, &ctx.env);
         if let RunStatus::Done(o) = &status {
             assert_eq!(
@@ -204,9 +375,14 @@ where
 
     let mut entries = Vec::new();
     let mut failed = Vec::new();
-    for ((label, job), resumed) in jobs.iter().zip(resumed) {
-        let o = match resumed {
-            Some(o) => {
+    for ((label, job, key), source) in jobs.iter().zip(sources) {
+        let scope = if figure.is_empty() {
+            label.to_string()
+        } else {
+            format!("{figure}/{label}")
+        };
+        let mut o = match source {
+            Source::Resumed(o) => {
                 assert_eq!(
                     o.checksum,
                     golden(job),
@@ -216,9 +392,20 @@ where
                     "  journal {:<14} {:>12} cycles (resumed)",
                     label, o.metrics.cycles
                 );
-                o
+                *o
             }
-            None => match fresh.next().expect("one result per pending job") {
+            Source::Reused(entry) => {
+                eprintln!(
+                    "  reused {:<15} {:>12} cycles ({})",
+                    label, entry.outcome.metrics.cycles, entry.origin
+                );
+                if let (Some(dump), Some(body)) = (&ctx.telemetry, &entry.telemetry) {
+                    dump.write(&(telemetry_header(&scope) + body));
+                }
+                entries.push((label.clone(), entry.outcome.clone()));
+                continue;
+            }
+            Source::Run => match fresh.next().expect("one result per pending job") {
                 Ok(RunStatus::Done(o)) => {
                     eprintln!("  ran {:<18} {:>12} cycles", label, o.metrics.cycles);
                     *o
@@ -233,13 +420,24 @@ where
                 }
             },
         };
-        if let Some(dump) = &ctx.telemetry {
-            let scope = if figure.is_empty() {
-                label.to_string()
-            } else {
-                format!("{figure}/{label}")
-            };
-            dump.write(&levi_sim::Telemetry::new(&o.metrics.stats).to_jsonl(&scope));
+        let block = ctx.telemetry.as_ref().map(|dump| {
+            let block = Telemetry::new(&o.metrics.stats).to_jsonl(&scope);
+            dump.write(&block);
+            block
+        });
+        if let Some(key) = key {
+            ctx.memo.keep(key, || Memoized {
+                origin: scope,
+                outcome: without_recorders(&mut o),
+                telemetry: block.map(|block| {
+                    block
+                        .lines()
+                        .skip(1)
+                        .filter(|line| !line.contains("\"type\":\"gauge\""))
+                        .map(|line| format!("{line}\n"))
+                        .collect()
+                }),
+            });
         }
         entries.push((label.clone(), o));
     }
@@ -253,38 +451,54 @@ where
     Outcomes { entries }
 }
 
-/// Runs `f(label, item)` for every labelled item, on scoped threads unless
-/// `serial` is set or there is at most one item, and returns the results
-/// in declaration order. A panicking item becomes an `Err` holding its
-/// panic message; the other items still run to completion.
-fn fan_out<T, R, F>(serial: bool, items: &[(&str, T)], f: F) -> Vec<Result<R, String>>
+/// Runs `f(label, item)` for every labelled item on `min(workers, items)`
+/// scoped worker threads that take the items in declaration order (on
+/// the calling thread when that is one), and returns the results in
+/// declaration order. A panicking item becomes an `Err` holding its panic
+/// message; the other items still run to completion.
+fn fan_out<T, R, F>(workers: usize, items: &[(&str, T)], f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
     F: Fn(&str, &T) -> R + Sync,
 {
-    let guarded = |label: &str, item: &T| {
+    let guarded = |(label, item): &(&str, T)| {
         catch_unwind(AssertUnwindSafe(|| f(label, item))).map_err(|p| panic_message(p.as_ref()))
     };
-    if serial || items.len() < 2 {
-        return items
-            .iter()
-            .map(|(label, item)| guarded(label, item))
-            .collect();
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(guarded).collect();
     }
-    let guarded = &guarded;
+    let (guarded, next) = (&guarded, &AtomicUsize::new(0));
+    let mut results: Vec<Option<Result<R, String>>> = items.iter().map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .iter()
-            .map(|(label, item)| s.spawn(move || guarded(label, item)))
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter publishes nothing; `items`
+                        // predates the spawn and results return by `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break done;
+                        };
+                        done.push((i, guarded(item)));
+                    }
+                })
+            })
             .collect();
-        // The closure catches its own panics; a join error would mean the
-        // thread died some other way.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))))
-            .collect()
-    })
+        // `guarded` catches every job's panic, so a worker only returns.
+        for h in handles {
+            for (i, r) in h.join().expect("pool worker died outside a job") {
+                results[i] = Some(r);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every item ran"))
+        .collect()
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -298,26 +512,26 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs the (filtered) variants of a typed workload at `scale` through
-/// [`sweep_jobs`]; the first variant always runs.
-pub fn sweep_variants<W: Workload>(w: &W, scale: &W::Scale, ctx: &RunCtx) -> Outcomes {
-    let input = w.build_input(scale);
+/// [`sweep_runs`]; the first variant always runs.
+pub fn sweep_variants<W>(w: &W, scale: &W::Scale, ctx: &RunCtx) -> Outcomes
+where
+    W: Workload,
+    W::Variant: Debug,
+    W::Scale: Debug,
+{
     let variants = w
         .variants()
         .into_iter()
         .enumerate()
         .filter(|&(i, (label, _))| ctx.keeps(i, label))
-        .map(|(_, pair)| pair);
-    sweep_jobs(
-        ctx,
-        variants,
-        |&v, env| w.run(v, scale, &input, env),
-        |&v| w.golden(v, scale, &input),
-    )
+        .map(|(_, (label, v))| (label, (v, scale.clone())));
+    sweep_runs(ctx, w, scale, variants)
 }
 
 /// Registry-path counterpart of [`sweep_variants`]: runs a
-/// [`PreparedRun`]'s (filtered) variants by label. This is how figures
-/// drive workloads they only know by registry name.
+/// [`PreparedRun`]'s (filtered) variants by label through
+/// [`sweep_jobs`]. This is how figures drive workloads they only know by
+/// registry name.
 pub fn sweep_prepared(w: &dyn DynWorkload, prepared: &dyn PreparedRun, ctx: &RunCtx) -> Outcomes {
     let labels = w
         .variant_labels()
@@ -549,5 +763,264 @@ mod tests {
         assert!(ctx.keeps(4, "Leviathan (DYNAMIC)"));
         assert!(!ctx.keeps(2, "tako Relax"));
         assert!(RunCtx::default().keeps(2, "tako Relax"));
+    }
+
+    /// A workload whose run `v` at scale `s` takes `100 * v + s.knob`
+    /// cycles, counting its `run` and `build_input` calls.
+    #[derive(Default)]
+    struct Counting {
+        runs: AtomicUsize,
+        inputs: AtomicUsize,
+    }
+
+    #[derive(Clone, Debug)]
+    struct TestScale {
+        size: u64,
+        knob: u64,
+    }
+
+    const SCALE: TestScale = TestScale { size: 10, knob: 0 };
+
+    impl Workload for Counting {
+        type Variant = u32;
+        type Scale = TestScale;
+        type Input = u64;
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn variants(&self) -> Vec<(&'static str, u32)> {
+            vec![("a", 1), ("b", 2)]
+        }
+
+        fn scale(&self, _: ScaleKind) -> TestScale {
+            SCALE
+        }
+
+        fn build_input(&self, scale: &TestScale) -> u64 {
+            self.inputs.fetch_add(1, Ordering::SeqCst);
+            scale.size
+        }
+
+        fn describe(&self, _: &TestScale) -> String {
+            String::new()
+        }
+
+        fn run(&self, v: u32, scale: &TestScale, input: &u64, _: &RunEnv) -> RunStatus {
+            use levi_workloads::metrics::RunMetrics;
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            let metrics = RunMetrics {
+                label: format!("v{v}"),
+                cycles: 100 * u64::from(v) + scale.knob,
+                energy: levi_sim::EnergyBreakdown::default(),
+                stats: levi_sim::Stats::default(),
+            };
+            let checksum = self.golden(v, scale, input);
+            RunStatus::Done(Box::new(RunOutcome::new(metrics, checksum)))
+        }
+
+        fn golden(&self, v: u32, _: &TestScale, input: &u64) -> u64 {
+            u64::from(v) + input
+        }
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The `figure/label` scope and body of every block of a dump.
+    fn blocks(dump: &str) -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = Vec::new();
+        for line in dump.lines() {
+            if line.starts_with("{\"telemetry\":") {
+                let doc = crate::json::parse(line).unwrap();
+                let scope = doc.get("telemetry").and_then(|t| t.get("scope"));
+                let scope = scope.and_then(crate::json::Json::as_str).unwrap();
+                out.push((scope.to_string(), String::new()));
+            } else {
+                out.last_mut().unwrap().1 += line;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn an_identical_run_of_a_later_figure_is_simulated_once() {
+        use crate::journal::{Journal, RunParams};
+
+        let dir = scratch_dir("levi-runner-test-memo");
+        let dump = dir.join("t.jsonl");
+        let journal = dir.join("j.journal");
+        let (dump, journal) = (dump.to_str().unwrap(), journal.to_str().unwrap());
+        let params = RunParams {
+            quick: true,
+            fault: None,
+        };
+        let ctx = RunCtx {
+            telemetry: Some(Sink::open(dump, true).unwrap()),
+            journal: Some(Arc::new(Mutex::new(
+                Journal::open(journal, params).unwrap(),
+            ))),
+            ..RunCtx::default()
+        };
+        let w = Counting::default();
+        let first = sweep_variants(
+            &w,
+            &SCALE,
+            &RunCtx {
+                figure: "fig_a",
+                ..ctx.clone()
+            },
+        );
+        let second = sweep_runs(
+            &RunCtx {
+                figure: "fig_b",
+                ..ctx.clone()
+            },
+            &w,
+            &SCALE,
+            [("again", (2, SCALE)), ("other", (3, SCALE))],
+        );
+        assert_eq!(w.runs.load(Ordering::SeqCst), 3, "b ran once");
+        let (a, b) = (&first["b"], &second["again"]);
+        assert_eq!(
+            (a.metrics.cycles, a.checksum, &a.metrics.label),
+            (b.metrics.cycles, b.checksum, &b.metrics.label)
+        );
+        assert_eq!(second["other"].metrics.cycles, 300);
+
+        // A figure whose every run is reused builds no input.
+        let inputs = w.inputs.load(Ordering::SeqCst);
+        sweep_runs(
+            &RunCtx {
+                figure: "fig_c",
+                ..ctx.clone()
+            },
+            &w,
+            &SCALE,
+            [("once more", (3, SCALE))],
+        );
+        assert_eq!(w.runs.load(Ordering::SeqCst), 3);
+        assert_eq!(w.inputs.load(Ordering::SeqCst), inputs, "no input built");
+
+        // Every figure still dumps its own block and journals its record.
+        let blocks = blocks(&std::fs::read_to_string(dump).unwrap());
+        let scopes: Vec<&str> = blocks.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(
+            scopes,
+            [
+                "fig_a/a",
+                "fig_a/b",
+                "fig_b/again",
+                "fig_b/other",
+                "fig_c/once more"
+            ]
+        );
+        assert_eq!(
+            blocks[1].1, blocks[2].1,
+            "a reused block equals its origin's"
+        );
+        assert_eq!(blocks[3].1, blocks[4].1);
+        let on_disk = Journal::open(journal, params).unwrap();
+        assert_eq!(on_disk.len(), 5);
+        let again = on_disk.lookup("fig_b", 0, "again").expect("journaled");
+        assert_eq!(again.metrics.cycles, 200);
+        assert!(on_disk.lookup("fig_c", 0, "once more").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_run_that_differs_in_a_scale_field_or_the_fault_plan_is_not_reused() {
+        let w = Counting::default();
+        let ctx = RunCtx::default();
+        let sweep = |ctx: &RunCtx, label: &str, scale: TestScale| {
+            sweep_runs(ctx, &w, &SCALE, [(label, (1, scale))])[label]
+                .metrics
+                .cycles
+        };
+        assert_eq!(sweep(&ctx, "x", SCALE), 100);
+        assert_eq!(sweep(&ctx, "knob", TestScale { knob: 1, ..SCALE }), 101);
+        let faulted = RunCtx {
+            env: RunEnv {
+                fault: Some(levi_workloads::harness::FaultSpec::new(3)),
+                ..RunEnv::default()
+            },
+            ..ctx.clone()
+        };
+        sweep(&faulted, "fault", SCALE);
+        assert_eq!(w.runs.load(Ordering::SeqCst), 3, "three distinct runs");
+        sweep(&ctx, "same", SCALE);
+        sweep(&faulted, "same faulted", SCALE);
+        assert_eq!(w.runs.load(Ordering::SeqCst), 3, "both reused");
+        // A context with its own memo shares nothing.
+        sweep(&RunCtx::default(), "fresh memo", SCALE);
+        assert_eq!(w.runs.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn the_pool_runs_exactly_its_size_at_once() {
+        // Each job waits at a 3-party barrier, so the pool must run three
+        // jobs at once to finish, and the peak shows it never runs more.
+        let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let barrier = std::sync::Barrier::new(3);
+        let items: Vec<(&str, u64)> = (0..12).map(|i| ("job", i)).collect();
+        let results = fan_out(3, &items, |_, &i| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            barrier.wait();
+            running.fetch_sub(1, Ordering::SeqCst);
+            i
+        });
+        assert_eq!(results.len(), 12);
+        assert_eq!(peak.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn the_pool_returns_results_in_declaration_order() {
+        // The first job waits until the second has finished.
+        let (done, wait) = std::sync::mpsc::channel();
+        let wait = Mutex::new(wait);
+        let finished = Mutex::new(Vec::new());
+        let items = [("first", 0u64), ("second", 1)];
+        let results = fan_out(2, &items, |_, &i| {
+            if i == 0 {
+                wait.lock().unwrap().recv().unwrap();
+            }
+            finished.lock().unwrap().push(i);
+            if i == 1 {
+                done.send(()).unwrap();
+            }
+            i * 10
+        });
+        assert_eq!(*finished.lock().unwrap(), [1, 0]);
+        let results: Vec<u64> = results.into_iter().map(Result::unwrap).collect();
+        assert_eq!(results, [0, 10]);
+    }
+
+    #[test]
+    fn a_panicking_job_is_contained_while_its_siblings_finish() {
+        let finished = AtomicUsize::new(0);
+        let items: Vec<(&str, u64)> = (0..6).map(|i| ("job", i)).collect();
+        let results = fan_out(2, &items, |_, &i| {
+            assert_ne!(i, 1, "job 1 fails");
+            finished.fetch_add(1, Ordering::SeqCst);
+            i
+        });
+        assert_eq!(finished.load(Ordering::SeqCst), 5, "every sibling finished");
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(*v, i as u64),
+                Err(message) => {
+                    assert_eq!(i, 1);
+                    assert!(message.contains("job 1 fails"), "{message}");
+                }
+            }
+        }
+        assert!(results[1].is_err());
     }
 }

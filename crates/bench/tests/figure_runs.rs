@@ -3,10 +3,13 @@
 //! golden byte for byte. Every simulated run of a figure takes the
 //! runner's one sweep path, so `--telemetry` dumps one block per run and a
 //! second `--resume` of the same journal replays every run instead of
-//! simulating it again.
+//! simulating it again. One invocation simulates each distinct run once:
+//! `run all --quick` reuses exactly the runs that repeat an earlier
+//! figure's.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 use levi_bench::json::parse;
 
@@ -46,10 +49,15 @@ fn levi_bench(args: &[&str]) -> Output {
     out
 }
 
+/// The output of `run all --quick`, run once for every test that reads it.
+fn run_all_quick() -> &'static Output {
+    static OUT: OnceLock<Output> = OnceLock::new();
+    OUT.get_or_init(|| levi_bench(&["run", "all", "--quick"]))
+}
+
 #[test]
 fn run_all_quick_prints_the_golden_byte_for_byte() {
-    let out = levi_bench(&["run", "all", "--quick"]);
-    let stdout = String::from_utf8(out.stdout).expect("figure output is UTF-8");
+    let stdout = std::str::from_utf8(&run_all_quick().stdout).expect("figure output is UTF-8");
     for (i, (got, want)) in stdout.lines().zip(RUN_ALL_QUICK_GOLDEN.lines()).enumerate() {
         assert_eq!(got, want, "stdout line {} differs from the golden", i + 1);
     }
@@ -57,6 +65,39 @@ fn run_all_quick_prints_the_golden_byte_for_byte() {
         stdout, RUN_ALL_QUICK_GOLDEN,
         "stdout differs from the golden in length or line endings"
     );
+}
+
+#[test]
+fn run_all_quick_reuses_exactly_the_runs_an_earlier_figure_simulated() {
+    // (label, the `figure/label` of the run it repeats), in run order.
+    let want = [
+        ("Baseline", "fig20_hats/Baseline"),
+        ("SW BDFS", "fig20_hats/SW BDFS"),
+        ("tako", "fig20_hats/tako"),
+        ("Leviathan", "fig20_hats/Leviathan"),
+        ("Ideal", "fig20_hats/Ideal"),
+        ("buffer=4", "fig05_phi/Leviathan"),
+        ("capacity=64", "fig20_hats/Leviathan"),
+        ("base x4", "fig18_hashtable/64B base"),
+        ("lev x4", "fig18_hashtable/64B lev"),
+        ("baseline (core walk)", "fig18_hashtable/64B base"),
+        ("REMOTE placement", "fig18_hashtable/64B lev"),
+        ("baseline (no PHI)", "fig05_phi/Baseline"),
+        ("in-place (mem-side)", "fig05_phi/Leviathan"),
+    ];
+    let stderr = String::from_utf8_lossy(&run_all_quick().stderr);
+    let reused: Vec<(&str, &str)> = stderr
+        .lines()
+        .filter_map(|l| {
+            let rest = l.strip_prefix("  reused ")?;
+            let (label, origin) = rest.split_once(" cycles (")?;
+            let label = label.trim_end().rsplit_once(' ')?.0.trim_end();
+            Some((label, origin.strip_suffix(')')?))
+        })
+        .collect();
+    assert_eq!(reused, want, "reuses:\n{stderr}");
+    let progress = stderr.lines().filter(|l| l.contains(" cycles")).count();
+    assert_eq!(progress, 68, "one progress line per run:\n{stderr}");
 }
 
 #[test]

@@ -215,6 +215,12 @@ pub trait Workload: Sync {
     fn describe(&self, scale: &Self::Scale) -> String;
 
     /// Runs one variant on the timed simulator.
+    ///
+    /// `input` is what [`Workload::build_input`] returns for `scale`. A
+    /// driver may build it from another scale only if that scale differs
+    /// in knobs the input does not depend on (an invoke-buffer size, say).
+    /// Because the result is then a function of `(variant, scale, env)`,
+    /// `levi-bench` reuses it for every identical run of an invocation.
     fn run(
         &self,
         variant: Self::Variant,
