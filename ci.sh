@@ -61,6 +61,14 @@ echo "== serial golden =="
 cargo run --release --quiet -p levi-bench -- run all --quick --serial \
   > "$tmp/run-all-serial.txt" 2> /dev/null
 diff tests/golden/run_all_quick.txt "$tmp/run-all-serial.txt"
+echo "== paper-scale goldens =="
+# The quick golden never builds the paper-scale inputs. Fig. 5 (power-law
+# PHI graph) and Fig. 16 (Zipfian decompression accesses) run at paper
+# scale and must print their committed goldens byte for byte.
+cargo run --release --quiet -p levi-bench -- run fig05_phi > "$tmp/fig05-paper.txt" 2> /dev/null
+diff tests/golden/fig05_paper.txt "$tmp/fig05-paper.txt"
+cargo run --release --quiet -p levi-bench -- run fig16_decompress > "$tmp/fig16-paper.txt" 2> /dev/null
+diff tests/golden/fig16_paper.txt "$tmp/fig16-paper.txt"
 echo "== telemetry smoke =="
 # --telemetry must be purely observational and cover every run, simulated
 # or reused from an earlier figure: `run all --quick` with the flag must

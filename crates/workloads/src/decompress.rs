@@ -308,70 +308,73 @@ pub(crate) fn build_programs() -> Programs {
     }
 }
 
-/// The deterministic compressed content for one scale, generated
-/// host-side so the timed run and the golden model share one source.
-struct CompressedData {
+/// The deterministic input for one scale: the compressed pixels and the
+/// Zipfian access stream. [`DecompressWorkload`] builds it once per scale,
+/// and every run and golden check reads it.
+#[derive(Clone, Debug)]
+pub struct DecompressInput {
     /// Per-channel group bases (one per 8 pixels).
-    bases: [Vec<u16>; 3],
+    pub(crate) bases: [Vec<u16>; 3],
     /// Per-channel per-pixel deltas.
-    deltas: [Vec<u8>; 3],
+    pub(crate) deltas: [Vec<u8>; 3],
     /// The decompressed pixels (the golden reference).
-    pixels: Vec<[u16; 3]>,
+    pub(crate) pixels: Vec<[u16; 3]>,
+    /// The seeded Zipfian access stream: one pixel index per access.
+    pub(crate) indices: Vec<u32>,
 }
 
-fn gen_compressed(scale: &DecompressScale) -> CompressedData {
-    let n = scale.pixels;
-    let mut x = scale.seed | 1;
-    let mut step = || {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        x
-    };
-    let mut bases: [Vec<u16>; 3] = Default::default();
-    let mut deltas: [Vec<u8>; 3] = Default::default();
-    let mut pixels = vec![[0u16; 3]; n as usize];
-    for c in 0..3 {
-        for _ in 0..n.div_ceil(8) {
-            bases[c].push((step() >> 40) as u16 & 0x3FFF);
+impl DecompressInput {
+    /// Generates the input for `scale` from its seed.
+    pub fn new(scale: &DecompressScale) -> Self {
+        let n = scale.pixels;
+        let mut x = scale.seed | 1;
+        let mut step = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        let mut bases: [Vec<u16>; 3] = Default::default();
+        let mut deltas: [Vec<u8>; 3] = Default::default();
+        let mut pixels = vec![[0u16; 3]; n as usize];
+        for c in 0..3 {
+            for _ in 0..n.div_ceil(8) {
+                bases[c].push((step() >> 40) as u16 & 0x3FFF);
+            }
+            for i in 0..n {
+                let d = (step() >> 33) as u8;
+                deltas[c].push(d);
+                pixels[i as usize][c] = decompress_value(bases[c][(i / 8) as usize], d);
+            }
         }
-        for i in 0..n {
-            let d = (step() >> 33) as u8;
-            deltas[c].push(d);
-            pixels[i as usize][c] = decompress_value(bases[c][(i / 8) as usize], d);
+        let mut zipf = Zipf::new(scale.pixels, scale.theta, scale.seed);
+        let indices = (0..scale.accesses).map(|_| zipf.sample() as u32).collect();
+        DecompressInput {
+            bases,
+            deltas,
+            pixels,
+            indices,
         }
     }
-    CompressedData {
-        bases,
-        deltas,
-        pixels,
-    }
-}
 
-/// The seeded Zipfian access stream.
-fn gen_indices(scale: &DecompressScale) -> Vec<u32> {
-    let mut zipf = Zipf::new(scale.pixels, scale.theta, scale.seed);
-    (0..scale.accesses).map(|_| zipf.sample() as u32).collect()
+    /// The sum of decompressed channel values over the first `covered`
+    /// accesses.
+    fn covered_sum(&self, covered: u64) -> u64 {
+        self.indices[..covered as usize]
+            .iter()
+            .map(|&idx| {
+                let p = self.pixels[idx as usize];
+                p[0] as u64 + p[1] as u64 + p[2] as u64
+            })
+            .sum()
+    }
 }
 
 /// Host-side golden model: the sum of decompressed channel values over
 /// the covered prefix of the access stream (threads cover
 /// `accesses / tiles * tiles` accesses).
-pub fn golden_access_sum(scale: &DecompressScale) -> u64 {
-    let data = gen_compressed(scale);
-    let indices = gen_indices(scale);
-    let covered = (scale.accesses / scale.tiles as u64) * scale.tiles as u64;
-    covered_sum(&data, &indices, covered)
-}
-
-fn covered_sum(data: &CompressedData, indices: &[u32], covered: u64) -> u64 {
-    indices[..covered as usize]
-        .iter()
-        .map(|&idx| {
-            let p = data.pixels[idx as usize];
-            p[0] as u64 + p[1] as u64 + p[2] as u64
-        })
-        .sum()
+pub fn golden_access_sum(scale: &DecompressScale, input: &DecompressInput) -> u64 {
+    input.covered_sum((scale.accesses / scale.tiles as u64) * scale.tiles as u64)
 }
 
 /// Runs one variant. Returns `None` for unsupported configurations
@@ -380,16 +383,27 @@ pub fn run_decompress(
     variant: DecompressVariant,
     scale: &DecompressScale,
 ) -> Option<DecompressResult> {
-    run_decompress_with(variant, scale, |_| {})
+    run_decompress_with(variant, scale, &DecompressInput::new(scale), |_| {})
 }
 
-/// Runs one variant with arbitrary configuration customization (the
-/// unified harness injects fault plans and watchdogs through this hook).
+/// Runs one variant on a pre-built input with arbitrary configuration
+/// customization (the unified harness injects fault plans and watchdogs
+/// through this hook).
+///
+/// # Panics
+/// Panics if `input` does not have `scale`'s pixel and access counts.
 pub fn run_decompress_with(
     variant: DecompressVariant,
     scale: &DecompressScale,
+    input: &DecompressInput,
     customize: impl FnOnce(&mut SystemConfig),
 ) -> Option<DecompressResult> {
+    assert_eq!(input.pixels.len() as u64, scale.pixels, "input pixel count");
+    assert_eq!(
+        input.indices.len() as u64,
+        scale.accesses,
+        "input access count"
+    );
     if variant == DecompressVariant::NoPadding {
         // 6 B does not divide 64 B: lines would hold partial objects and
         // constructors cannot run (paper: "data-triggered actions do not
@@ -405,24 +419,22 @@ pub fn run_decompress_with(
     let n = scale.pixels;
 
     // ---- compressed data ----
-    let data = gen_compressed(scale);
     let mut bases = [0u64; 3];
     let mut deltas = [0u64; 3];
     for c in 0..3 {
         bases[c] = sys.alloc_raw(2 * n.div_ceil(8), 64);
         deltas[c] = sys.alloc_raw(n, 64);
-        for (g, &b) in data.bases[c].iter().enumerate() {
+        for (g, &b) in input.bases[c].iter().enumerate() {
             sys.write(bases[c] + 2 * g as u64, b as u64, MemWidth::B2);
         }
-        for (i, &d) in data.deltas[c].iter().enumerate() {
+        for (i, &d) in input.deltas[c].iter().enumerate() {
             sys.write(deltas[c] + i as u64, d as u64, MemWidth::B1);
         }
     }
 
     // ---- access pattern (shared index array) ----
-    let indices = gen_indices(scale);
     let idx_arr = sys.alloc_raw(4 * scale.accesses, 64);
-    for (i, &idx) in indices.iter().enumerate() {
+    for (i, &idx) in input.indices.iter().enumerate() {
         sys.write(idx_arr + 4 * i as u64, idx as u64, MemWidth::B4);
     }
 
@@ -492,7 +504,7 @@ pub fn run_decompress_with(
     }
     // Threads cover per*tiles accesses; recompute golden over that prefix.
     let covered = per * scale.tiles as u64;
-    let golden_covered = covered_sum(&data, &indices, covered);
+    let golden_covered = input.covered_sum(covered);
     assert_eq!(
         access_sum,
         golden_covered,
@@ -512,7 +524,7 @@ pub struct DecompressWorkload;
 impl Workload for DecompressWorkload {
     type Variant = DecompressVariant;
     type Scale = DecompressScale;
-    type Input = ();
+    type Input = DecompressInput;
 
     fn name(&self) -> &'static str {
         "decompress"
@@ -532,7 +544,9 @@ impl Workload for DecompressWorkload {
         }
     }
 
-    fn build_input(&self, _scale: &DecompressScale) {}
+    fn build_input(&self, scale: &DecompressScale) -> DecompressInput {
+        DecompressInput::new(scale)
+    }
 
     fn describe(&self, scale: &DecompressScale) -> String {
         format!(
@@ -545,10 +559,10 @@ impl Workload for DecompressWorkload {
         &self,
         variant: DecompressVariant,
         scale: &DecompressScale,
-        _input: &(),
+        input: &DecompressInput,
         env: &RunEnv,
     ) -> RunStatus {
-        match run_decompress_with(variant, scale, |cfg| env.customize(cfg)) {
+        match run_decompress_with(variant, scale, input, |cfg| env.customize(cfg)) {
             Some(r) => RunStatus::Done(Box::new(RunOutcome::new(r.metrics, r.access_sum))),
             None => RunStatus::Unsupported(
                 "6 B objects straddle cache lines without padding (as in the paper)",
@@ -556,8 +570,13 @@ impl Workload for DecompressWorkload {
         }
     }
 
-    fn golden(&self, _variant: DecompressVariant, scale: &DecompressScale, _input: &()) -> u64 {
-        golden_access_sum(scale)
+    fn golden(
+        &self,
+        _variant: DecompressVariant,
+        scale: &DecompressScale,
+        input: &DecompressInput,
+    ) -> u64 {
+        golden_access_sum(scale, input)
     }
 }
 

@@ -6,6 +6,26 @@
 //! partition) for HATS, whose locality is exactly what bounded-DFS
 //! traversal exploits. Key distributions (uniform and Zipfian) drive the
 //! hash-table and decompression studies.
+//!
+//! Every input is a pure function of its seed, and the two kernels that
+//! dominate set-up are written so they reproduce the plain algorithms'
+//! output bit for bit:
+//!
+//! * [`Zipf`] keeps a guide table next to its CDF. With `n` indices and
+//!   `bucket(x) = min(⌊x·n⌋, n)`, `guide[b]` is the first index `i` with
+//!   `bucket(cdf[i]) ≥ b`. A draw `u` starts at `guide[bucket(u)]` and
+//!   scans forward to the first `cdf[i] ≥ u`. `bucket` is monotone, so
+//!   every index before the guide entry has `bucket(cdf[i]) < bucket(u)`
+//!   and hence `cdf[i] < u`: the scan stops at the first index whose CDF
+//!   value reaches `u`, which is where a binary search over the sorted
+//!   CDF inserts `u`. Only an exact `cdf[i] == u` can tell the two apart
+//!   (a binary search may return any of several equal values), and that
+//!   case asks the binary search. There are as many buckets as indices,
+//!   so the scans are short on average.
+//! * [`Graph::from_edges`] counts each source's edges, places every edge
+//!   into its row from the row's end (the row's offset is its cursor),
+//!   then sorts and deduplicates each short row: the same rows a global
+//!   sort and dedup of the `(source, destination)` pairs gives.
 
 use crate::rng::SmallRng;
 
@@ -39,18 +59,53 @@ impl Graph {
         &self.neighbors[a..b]
     }
 
-    /// Builds a CSR graph from an edge list.
-    pub fn from_edges(num_vertices: u32, mut edges: Vec<(u32, u32)>) -> Self {
-        edges.sort_unstable();
-        edges.dedup();
-        let mut offsets = vec![0u32; num_vertices as usize + 1];
+    /// Builds a CSR graph from an edge list: each row holds its
+    /// source's distinct destinations in ascending order, exactly what
+    /// sorting and deduplicating the `(source, destination)` pairs gives.
+    ///
+    /// # Panics
+    /// Panics if an edge's source is not below `num_vertices`.
+    pub fn from_edges(num_vertices: u32, edges: Vec<(u32, u32)>) -> Self {
+        let nv = num_vertices as usize;
+        // `offsets[s]` counts row `s`, then (prefix sums) marks its end, and
+        // is the row's fill cursor: filling moves it down to the row start.
+        let mut offsets = vec![0u32; nv + 1];
+        let ends = &mut offsets[..nv];
         for &(s, _) in &edges {
-            offsets[s as usize + 1] += 1;
+            ends[s as usize] += 1;
         }
-        for i in 0..num_vertices as usize {
-            offsets[i + 1] += offsets[i];
+        let mut end = 0;
+        for o in ends.iter_mut() {
+            end += *o;
+            *o = end;
         }
-        let neighbors = edges.iter().map(|&(_, d)| d).collect();
+        offsets[nv] = end;
+        let mut neighbors = vec![0u32; edges.len()];
+        for &(s, d) in &edges {
+            let cursor = &mut offsets[s as usize];
+            *cursor -= 1;
+            neighbors[*cursor as usize] = d;
+        }
+        drop(edges);
+        // Sort each row and compact it down over the duplicates dropped
+        // so far; `offsets[s]` becomes the compacted row start.
+        let mut kept = 0;
+        for s in 0..nv {
+            let row = offsets[s] as usize..offsets[s + 1] as usize;
+            neighbors[row.clone()].sort_unstable();
+            offsets[s] = kept as u32;
+            let row_start = kept;
+            for i in row {
+                let d = neighbors[i];
+                if kept == row_start || neighbors[kept - 1] != d {
+                    neighbors[kept] = d;
+                    kept += 1;
+                }
+            }
+        }
+        offsets[nv] = kept as u32;
+        neighbors.truncate(kept);
+        neighbors.shrink_to_fit();
         Graph {
             num_vertices,
             offsets,
@@ -98,6 +153,8 @@ impl Graph {
             }
             edges.push((s, d));
         }
+        // The sampler and permutation are not needed for the CSR build.
+        drop((zipf, perm));
         Self::from_edges(num_vertices, edges)
     }
 
@@ -163,9 +220,11 @@ impl Graph {
 /// θ≈0.99 matches the paper's web-caching-style skew \[17\]).
 #[derive(Clone, Debug)]
 pub struct Zipf {
-    n: u64,
-    /// Cumulative probabilities scaled to u64::MAX for binary search.
+    /// Cumulative probabilities; the last is exactly 1.0.
     cdf: Vec<f64>,
+    /// `guide[b]` is the first index whose CDF value lies in bucket `b`
+    /// or a later one (see the module doc).
+    guide: Vec<u32>,
     rng: SmallRng,
 }
 
@@ -173,35 +232,75 @@ impl Zipf {
     /// Builds a sampler for `0..n`.
     ///
     /// # Panics
-    /// Panics if `n == 0`.
+    /// Panics if `n` is 0 or above `u32::MAX`, or if `theta` is negative
+    /// or not finite.
     pub fn new(n: u64, theta: f64, seed: u64) -> Self {
-        assert!(n > 0);
-        let mut weights = Vec::with_capacity(n as usize);
+        assert!(
+            n > 0 && n <= u32::MAX as u64,
+            "Zipf: n = {n} must be in 1..={}",
+            u32::MAX
+        );
+        assert!(
+            theta.is_finite() && theta >= 0.0,
+            "Zipf: theta = {theta} must be finite and non-negative"
+        );
+        let mut cdf = Vec::with_capacity(n as usize);
         let mut total = 0.0;
         for i in 1..=n {
-            let w = 1.0 / (i as f64).powf(theta);
-            total += w;
-            weights.push(total);
+            total += 1.0 / (i as f64).powf(theta);
+            cdf.push(total);
         }
-        let cdf = weights.iter().map(|w| w / total).collect();
+        for p in &mut cdf {
+            *p /= total;
+        }
+        let buckets = cdf.len();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut i = 0;
+        for b in 0..=buckets {
+            while i < cdf.len() && bucket(cdf[i], buckets) < b {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
         Zipf {
-            n,
             cdf,
+            guide,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
     /// Draws the next sample.
     pub fn sample(&mut self) -> u64 {
-        let u: f64 = self.rng.gen_f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("no NaN"))
-        {
-            Ok(i) => i as u64,
-            Err(i) => (i as u64).min(self.n - 1),
-        }
+        let u = self.rng.gen_f64();
+        self.index(u)
     }
+
+    /// The sample a uniform draw `u` maps to: the first index whose CDF
+    /// value reaches `u` (the last index if none does), found by a forward
+    /// scan from `u`'s guide entry.
+    fn index(&self, u: f64) -> u64 {
+        let n = self.cdf.len();
+        let mut i = self.guide[bucket(u, n)] as usize;
+        while i < n && self.cdf[i] < u {
+            i += 1;
+        }
+        if i < n && self.cdf[i] == u {
+            // A tie: several equal CDF values may match, so answer as the
+            // binary search always has.
+            return self
+                .cdf
+                .binary_search_by(|p| p.partial_cmp(&u).expect("no NaN"))
+                .expect("u is in the CDF") as u64;
+        }
+        i.min(n - 1) as u64
+    }
+}
+
+/// The guide bucket of `x ∈ [0, 1]` among `n`: `min(⌊x·n⌋, n)`, monotone
+/// in `x`.
+#[inline]
+fn bucket(x: f64, n: usize) -> usize {
+    ((x * n as f64) as usize).min(n)
 }
 
 /// Host-side golden model of one push-PageRank iteration over `graph`:
@@ -258,7 +357,12 @@ impl Uniform {
 
 #[cfg(test)]
 mod tests {
+    use std::hash::Hasher;
+
+    use levi_isa::fx::FxHasher;
+
     use super::*;
+    use crate::decompress::{DecompressInput, DecompressScale};
 
     #[test]
     fn uniform_graph_shape() {
@@ -318,6 +422,156 @@ mod tests {
             seen[u.sample() as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// The lookup `Zipf::index` replaced: a binary search over the CDF.
+    fn binary_search_index(cdf: &[f64], u: f64) -> u64 {
+        match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("no NaN")) {
+            Ok(i) => i as u64,
+            Err(i) => (i as u64).min(cdf.len() as u64 - 1),
+        }
+    }
+
+    #[test]
+    fn zipf_index_matches_binary_search() {
+        // (n, θ): PHI paper and test scale, decompress paper and test
+        // scale, θ = 0, and a steep θ whose CDF has runs of equal values.
+        let shapes = [
+            (64 * 1024, 0.75),
+            (4096, 0.75),
+            (16 * 1024, 0.99),
+            (2048, 0.99),
+            (100, 0.0),
+            (4096, 0.0),
+            (1000, 8.0),
+        ];
+        for (n, theta) in shapes {
+            let z = Zipf::new(n, theta, 1);
+            let check = |u: f64| {
+                assert_eq!(
+                    z.index(u),
+                    binary_search_index(&z.cdf, u),
+                    "n {n}, theta {theta}, u {u:e}"
+                );
+            };
+            check(0.0);
+            for &c in &z.cdf {
+                check(c);
+                check(c.next_up());
+                check(c.next_down());
+            }
+            let mut rng = SmallRng::seed_from_u64(n ^ theta.to_bits());
+            for _ in 0..20_000 {
+                check(rng.gen_f64());
+            }
+        }
+    }
+
+    /// The build `Graph::from_edges` replaced: sort and dedup the pairs.
+    fn sorted_csr(num_vertices: u32, mut edges: Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>) {
+        edges.sort_unstable();
+        edges.dedup();
+        let mut offsets = vec![0u32; num_vertices as usize + 1];
+        for &(s, _) in &edges {
+            offsets[s as usize + 1] += 1;
+        }
+        for i in 0..num_vertices as usize {
+            offsets[i + 1] += offsets[i];
+        }
+        (offsets, edges.iter().map(|&(_, d)| d).collect())
+    }
+
+    #[test]
+    fn from_edges_matches_sort_and_dedup() {
+        let mut rng = SmallRng::seed_from_u64(0xC5);
+        // (vertices, edges, distinct destinations)
+        let shapes = [
+            (1u32, 3, 1),
+            (2, 0, 2),
+            (2, 9, 2),
+            (7, 40, 1),
+            (64, 500, 5),
+            (1000, 6000, 1000),
+        ];
+        for (n, m, dests) in shapes {
+            // Sources from the lower half only (the upper half stays
+            // isolated) and few distinct destinations (duplicates within
+            // rows, equal values across rows), plus edges at both ends of
+            // the id range.
+            let mut edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.gen_range(0..n.div_ceil(2)), rng.gen_range(0..dests)))
+                .collect();
+            edges.extend([(0, n - 1), (n - 1, 0), (n - 1, n - 1), (0, n - 1), (0, 0)]);
+            let (offsets, neighbors) = sorted_csr(n, edges.clone());
+            let g = Graph::from_edges(n, edges);
+            assert_eq!(g.offsets, offsets, "offsets, n {n}, m {m}");
+            assert_eq!(g.neighbors, neighbors, "neighbors, n {n}, m {m}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "theta = NaN")]
+    fn zipf_rejects_nan_theta() {
+        Zipf::new(10, f64::NAN, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta = -0.5")]
+    fn zipf_rejects_negative_theta() {
+        Zipf::new(10, -0.5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 4294967296")]
+    fn zipf_rejects_n_beyond_u32() {
+        Zipf::new(u32::MAX as u64 + 1, 0.5, 1);
+    }
+
+    fn graph_digest(g: &Graph) -> u64 {
+        let mut h = FxHasher::default();
+        h.write_u32(g.num_vertices);
+        h.write_usize(g.offsets.len());
+        g.offsets.iter().for_each(|&o| h.write_u32(o));
+        h.write_usize(g.neighbors.len());
+        g.neighbors.iter().for_each(|&d| h.write_u32(d));
+        h.finish()
+    }
+
+    // The three pins below hold the paper-scale inputs, whose generator
+    // parameters (vertex counts, degrees, Zipf n and θ) no test-scale
+    // golden exercises. They were recorded with the binary-search Zipf
+    // lookup and the sort-and-dedup CSR build.
+
+    #[test]
+    fn phi_paper_graph_is_pinned() {
+        let g = crate::phi::phi_graph(&crate::phi::PhiScale::paper());
+        assert_eq!(g.num_edges(), 653_084);
+        assert_eq!(graph_digest(&g), 0x33a3_2282_260d_5db4);
+    }
+
+    #[test]
+    fn hats_paper_graph_is_pinned() {
+        let s = crate::hats::HatsScale::paper();
+        let g = Graph::community(s.vertices, s.avg_degree, s.community, s.intra_pct, s.seed);
+        assert_eq!(g.num_edges(), 255_539);
+        assert_eq!(graph_digest(&g), 0xaae3_423c_c8fc_6712);
+    }
+
+    #[test]
+    fn decompress_paper_input_is_pinned() {
+        let input = DecompressInput::new(&DecompressScale::paper());
+        let mut h = FxHasher::default();
+        for c in 0..3 {
+            h.write_usize(input.bases[c].len());
+            input.bases[c].iter().for_each(|&b| h.write_u16(b));
+            h.write_usize(input.deltas[c].len());
+            input.deltas[c].iter().for_each(|&d| h.write_u8(d));
+        }
+        assert_eq!(h.finish(), 0x28e1_64b7_5c26_496e, "compressed data");
+        let mut h = FxHasher::default();
+        h.write_usize(input.indices.len());
+        input.indices.iter().for_each(|&i| h.write_u32(i));
+        assert_eq!(h.finish(), 0x2e03_0f15_3214_fd97, "access stream");
     }
 
     #[test]
