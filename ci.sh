@@ -114,14 +114,19 @@ cargo run --release --quiet -p levi-bench -- run fig05 --quick \
 grep -q "fault=3:" "$tmp/mismatch.log"
 echo "== snapshot verify smoke =="
 # Periodic checkpointing + post-run replay verification must be purely
-# observational: fig05 prints byte-identical stdout with both armed, and
-# the verification replays must all pass.
-cargo run --release --quiet -p levi-bench -- run fig05 --quick \
-  > "$tmp/fig05-plain.txt" 2> /dev/null
-cargo run --release --quiet -p levi-bench -- run fig05 --quick \
-  --snapshot-verify --checkpoint-every 50000 \
-  > "$tmp/fig05-verified.txt" 2> /dev/null
-diff "$tmp/fig05-plain.txt" "$tmp/fig05-verified.txt"
+# observational: each figure prints byte-identical stdout with both armed,
+# and the verification replays must all pass. Between them the figures
+# fill every kind of snapshot section: fig05 (PHI's Morphs and tasks),
+# fig20_hats (streams and stream-backed Morphs), ablation_translation and
+# ablation_tenancy (TLBs and tenant line tags).
+for fig in fig05 fig20_hats ablation_translation ablation_tenancy; do
+  cargo run --release --quiet -p levi-bench -- run "$fig" --quick \
+    > "$tmp/$fig-plain.txt" 2> /dev/null
+  cargo run --release --quiet -p levi-bench -- run "$fig" --quick \
+    --snapshot-verify --checkpoint-every 50000 \
+    > "$tmp/$fig-verified.txt" 2> /dev/null
+  diff "$tmp/$fig-plain.txt" "$tmp/$fig-verified.txt"
+done
 echo "== alloc smoke =="
 # The data-oriented substrate's core claim: once warm, neither the
 # per-instruction hot path, nor an LLC eviction that runs Morph destructors

@@ -3,13 +3,16 @@
 //! The checkpoint/restore subsystem in `levi-sim` needs to persist whole
 //! programs, execution contexts, and the functional memory image without
 //! pulling in a serialization crate. This module provides the byte-level
-//! primitives ([`Writer`], [`Reader`]) and codecs for the types whose
+//! primitives ([`Writer`], [`Reader`]), the value codec ([`Codec`], and
+//! [`Restore`] for state overlaid in place) with the two macros that
+//! declare an encoding once per type ([`codec_struct!`](crate::codec_struct),
+//! [`codec_enum!`](crate::codec_enum)), and codecs for the types whose
 //! constructors are crate-private ([`Program`], [`Function`]) or whose
 //! representation is private ([`PagedMem`]).
 //!
 //! All integers are little-endian. Containers are length-prefixed
 //! (`u32` for counts, `u64` for byte lengths). Enums are encoded as a
-//! one-byte tag in declaration order. The format carries no per-value
+//! one-byte tag, as their `codec_enum!` list assigns it. The format carries no per-value
 //! type information — framing and versioning are the responsibility of
 //! the embedding container (`levi-sim`'s snapshot header).
 
@@ -231,410 +234,529 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// Value codec
+// ---------------------------------------------------------------------------
+
+/// A value with one binary encoding: [`Codec::put`] appends it and
+/// [`Codec::get`] reads it back.
+///
+/// Implemented here once for the integers, `bool`, `f64`, `Option`, `Vec`,
+/// `VecDeque`, fixed arrays, pairs and triples, and the id newtypes.
+/// Structs declare their encoding with [`codec_struct!`](crate::codec_struct)
+/// and tagged enums with [`codec_enum!`](crate::codec_enum).
+pub trait Codec: Sized {
+    /// A lower bound on the encoded size: the guard [`Reader::count`]
+    /// applies to a sequence of this type.
+    const MIN_BYTES: usize = 1;
+
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut Writer);
+
+    /// Reads a value written by [`Codec::put`].
+    ///
+    /// # Errors
+    /// [`CodecError::Truncated`] for short input, [`CodecError::Invalid`]
+    /// for a bad tag or a value that fails its type's checks.
+    fn get(r: &mut Reader) -> Result<Self, CodecError>;
+}
+
+/// State restored into a value built beforehand (from a configuration, in
+/// `levi-sim`), rather than decoded from nothing. Every [`Codec`] type is
+/// `Restore`: restoring it overwrites it with a decoded value.
+pub trait Restore {
+    /// Appends the encoding of `self`.
+    fn save(&self, w: &mut Writer);
+
+    /// Overlays state written by [`Restore::save`] onto `self`.
+    ///
+    /// # Errors
+    /// As [`Codec::get`]; also when the encoding does not fit the shape
+    /// `self` was built with.
+    fn restore(&mut self, r: &mut Reader) -> Result<(), CodecError>;
+}
+
+impl<T: Codec> Restore for T {
+    fn save(&self, w: &mut Writer) {
+        self.put(w);
+    }
+
+    fn restore(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        *self = T::get(r)?;
+        Ok(())
+    }
+}
+
+macro_rules! primitive_codec {
+    ($($t:ident),*) => {$(
+        impl Codec for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, w: &mut Writer) {
+                w.$t(*self);
+            }
+
+            fn get(r: &mut Reader) -> Result<Self, CodecError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+
+primitive_codec!(u8, u16, u32, u64, i32, i64, f64, bool);
+
+/// A `usize` travels as a `u64`.
+impl Codec for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64);
+    }
+
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        usize::try_from(r.u64()?).map_err(|_| CodecError::Invalid("usize"))
+    }
+}
+
+/// A presence flag, then the value if present.
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// Elements reserved up front by [`get_seq`]: a count is bounded by the
+/// bytes left, not by its elements' size in memory.
+const MAX_RESERVE: usize = 1 << 12;
+
+/// Appends a `u32` count and then each element with `put`.
+pub fn put_seq<'a, T: 'a>(
+    w: &mut Writer,
+    items: impl ExactSizeIterator<Item = &'a T>,
+    mut put: impl FnMut(&T, &mut Writer),
+) {
+    w.u32(items.len() as u32);
+    for x in items {
+        put(x, w);
+    }
+}
+
+/// Reads a sequence written by [`put_seq`]: a `u32` count, checked by
+/// [`Reader::count`] against `min_bytes` per element, then the elements.
+///
+/// # Errors
+/// Whatever `get` returns, and [`CodecError::Truncated`] for a count the
+/// input cannot hold.
+pub fn get_seq<T>(
+    r: &mut Reader,
+    min_bytes: usize,
+    mut get: impl FnMut(&mut Reader) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.count(min_bytes)?;
+    let mut v = Vec::with_capacity(n.min(MAX_RESERVE));
+    for _ in 0..n {
+        v.push(get(r)?);
+    }
+    Ok(v)
+}
+
+/// A `u32` count, then the elements.
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut Writer) {
+        put_seq(w, self.iter(), T::put);
+    }
+
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        get_seq(r, T::MIN_BYTES, T::get)
+    }
+}
+
+/// Encoded as a `Vec`, front first.
+impl<T: Codec> Codec for std::collections::VecDeque<T> {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut Writer) {
+        put_seq(w, self.iter(), T::put);
+    }
+
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        Ok(get_seq(r, T::MIN_BYTES, T::get)?.into())
+    }
+}
+
+/// The `N` elements, with no count.
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+
+    fn put(&self, w: &mut Writer) {
+        for x in self {
+            x.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        let v = (0..N).map(|_| T::get(r)).collect::<Result<Vec<T>, _>>()?;
+        Ok(v.try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N elements")))
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// Field adapter for a `Vec<u8>` stored as a byte string (a `u64` length,
+/// then the bytes; see [`Writer::bytes`]).
+pub struct Bytes;
+
+impl Bytes {
+    /// Appends `v` as a byte string.
+    pub fn put(&self, v: &[u8], w: &mut Writer) {
+        w.bytes(v);
+    }
+
+    /// Reads a byte string.
+    ///
+    /// # Errors
+    /// [`CodecError::Truncated`] for short input.
+    pub fn get(&self, r: &mut Reader) -> Result<Vec<u8>, CodecError> {
+        Ok(r.bytes()?.to_vec())
+    }
+}
+
+/// Field adapter for a sequence restored in place whose length the
+/// configuration fixes: a `u32` count, then the elements. A count other
+/// than the length is rejected as `Invalid(self.0)`.
+pub struct Fixed(pub &'static str);
+
+impl Fixed {
+    /// Appends the count and the elements.
+    pub fn save<T: Restore>(&self, v: &[T], w: &mut Writer) {
+        put_seq(w, v.iter(), T::save);
+    }
+
+    /// Restores each element in place.
+    ///
+    /// # Errors
+    /// `Invalid(self.0)` for a count other than `v.len()`, and whatever an
+    /// element's restore returns.
+    pub fn restore<T: Restore>(&self, v: &mut [T], r: &mut Reader) -> Result<(), CodecError> {
+        if r.u32()? as usize != v.len() {
+            return Err(CodecError::Invalid(self.0));
+        }
+        v.iter_mut().try_for_each(|x| x.restore(r))
+    }
+}
+
+/// Returns `v`, typed as the field `_field` selects. [`codec_struct!`]
+/// reads each field into a local through this, so the local's type is
+/// known before the struct literal and later adapters and checks can call
+/// methods on it.
+#[doc(hidden)]
+pub fn as_field<S, T>(_field: fn(&S) -> &T, v: T) -> T {
+    v
+}
+
+/// Implements [`Codec`] for a struct from one list of its fields, in
+/// encoding order (which need not be declaration order).
+///
+/// The write side destructures the struct and the read side builds it
+/// with a struct literal, so a field the list leaves out is a compile
+/// error. Fields are read in list order into locals named after them, so
+/// an `ensure` condition (checked after every field is read) and a field
+/// adapter can use the fields before it.
+///
+/// ```text
+/// codec_struct!(Pc { func, idx });                 // Codec for a struct
+/// codec_struct!(FuncId(u32), ActionId(u32));       // Codec for newtypes
+/// codec_struct!(Gshare { history, mask, table: Bytes }
+///     ensure table.len() as u64 == mask.wrapping_add(1) => "gshare table size";);
+/// codec_struct!(pub(crate) Actor(progs: &ProgTable) { kind, prog: progs, .. });
+/// codec_struct!(in_place Noc { link_free: Fixed("noc link count") }
+///     kept { cols, cfg, fault_start, fault_entries });
+/// ```
+///
+/// - `field: adapter` encodes the field through a value with inherent
+///   `put(&field, w)` and `get(r)` methods (`save`/`restore` in place).
+/// - `Name(cx: &Ctx) { .. }` generates inherent `put_in(&self, w, cx)` and
+///   `get_in(r, cx)` instead of a `Codec` impl, for fields whose encoding
+///   needs context (a table the adapter `cx` looks values up in).
+/// - `in_place Name { .. } kept { .. }` implements [`Restore`] for a value
+///   built from the configuration: `kept` names the fields left as built,
+///   and `field(other, ..): adapter` hands the adapter several fields at
+///   once as a tuple.
+#[macro_export]
+macro_rules! codec_struct {
+    (
+        in_place $ty:ident {
+            $( $f:ident $( ( $($g:ident),+ ) )? $( : $ad:expr )? ),* $(,)?
+        }
+        $( kept { $( $k:ident ),* $(,)? } )?
+        $( ensure $cond:expr => $what:literal; )*
+    ) => {
+        impl $crate::codec::Restore for $ty {
+            fn save(&self, w: &mut $crate::codec::Writer) {
+                #[allow(unused_variables)]
+                let $ty { $( $f, $( $($g,)+ )? )* $( $($k,)* )? } = self;
+                $( $crate::codec_struct!(@save w, $f $( ( $($g),+ ) )? $(, $ad)?); )*
+            }
+
+            fn restore(
+                &mut self,
+                r: &mut $crate::codec::Reader,
+            ) -> Result<(), $crate::codec::CodecError> {
+                #[allow(unused_variables)]
+                let $ty { $( $f, $( $($g,)+ )? )* $( $($k,)* )? } = self;
+                $( $crate::codec_struct!(@restore r, $f $( ( $($g),+ ) )? $(, $ad)?); )*
+                $(
+                    if !($cond) {
+                        return Err($crate::codec::CodecError::Invalid($what));
+                    }
+                )*
+                Ok(())
+            }
+        }
+    };
+    (
+        $vis:vis $ty:ident ( $cx:ident : $cxty:ty ) {
+            $( $f:ident $( : $ad:expr )? ),* $(,)?
+        }
+        $( ensure $cond:expr => $what:literal; )*
+    ) => {
+        impl $ty {
+            /// Appends the encoding of `self`, looking context up in the
+            /// last argument.
+            $vis fn put_in(&self, w: &mut $crate::codec::Writer, $cx: $cxty) {
+                $crate::codec_struct!(@put self, w, $ty { $( $f $(: $ad)? ),* });
+            }
+
+            /// Reads a value written by `put_in` with the same context.
+            $vis fn get_in(
+                r: &mut $crate::codec::Reader,
+                $cx: $cxty,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                $crate::codec_struct!(@get r, $ty { $( $f $(: $ad)? ),* } $( $cond => $what; )*)
+            }
+        }
+    };
+    (
+        $ty:ident { $( $f:ident $( : $ad:expr )? ),* $(,)? }
+        $( ensure $cond:expr => $what:literal; )*
+    ) => {
+        impl $crate::codec::Codec for $ty {
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                $crate::codec_struct!(@put self, w, $ty { $( $f $(: $ad)? ),* });
+            }
+
+            fn get(r: &mut $crate::codec::Reader) -> Result<Self, $crate::codec::CodecError> {
+                $crate::codec_struct!(@get r, $ty { $( $f $(: $ad)? ),* } $( $cond => $what; )*)
+            }
+        }
+    };
+    ( $( $ty:ident ( $inner:ty ) ),+ $(,)? ) => {$(
+        impl $crate::codec::Codec for $ty {
+            const MIN_BYTES: usize = <$inner as $crate::codec::Codec>::MIN_BYTES;
+
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                $crate::codec::Codec::put(&self.0, w);
+            }
+
+            fn get(r: &mut $crate::codec::Reader) -> Result<Self, $crate::codec::CodecError> {
+                Ok($ty($crate::codec::Codec::get(r)?))
+            }
+        }
+    )+};
+    (@put $this:ident, $w:ident, $ty:ident { $( $f:ident $( : $ad:expr )? ),* }) => {
+        let $ty { $($f),* } = $this;
+        $( $crate::codec_struct!(@put_field $w, $f $(, $ad)?); )*
+    };
+    (@get $r:ident, $ty:ident { $( $f:ident $( : $ad:expr )? ),* } $( $cond:expr => $what:literal; )*) => {{
+        $(
+            let $f = $crate::codec::as_field(
+                |s: &$ty| &s.$f,
+                $crate::codec_struct!(@get_field $r $(, $ad)?),
+            );
+        )*
+        $(
+            if !($cond) {
+                return Err($crate::codec::CodecError::Invalid($what));
+            }
+        )*
+        Ok($ty { $($f),* })
+    }};
+    (@put_field $w:ident, $f:ident) => { $crate::codec::Codec::put($f, $w) };
+    (@put_field $w:ident, $f:ident, $ad:expr) => { $ad.put($f, $w) };
+    (@get_field $r:ident) => { $crate::codec::Codec::get($r)? };
+    (@get_field $r:ident, $ad:expr) => { $ad.get($r)? };
+    (@save $w:ident, $f:ident) => { $crate::codec::Restore::save($f, $w) };
+    (@save $w:ident, $f:ident, $ad:expr) => { $ad.save($f, $w) };
+    (@save $w:ident, $f:ident ( $($g:ident),+ ), $ad:expr) => { $ad.save(($f, $($g),+), $w) };
+    (@restore $r:ident, $f:ident) => { $crate::codec::Restore::restore(&mut *$f, $r)? };
+    (@restore $r:ident, $f:ident, $ad:expr) => { $ad.restore(&mut *$f, $r)? };
+    (@restore $r:ident, $f:ident ( $($g:ident),+ ), $ad:expr) => {
+        $ad.restore((&mut *$f, $(&mut *$g),+), $r)?
+    };
+}
+
+/// Implements [`Codec`] for an enum as a one-byte tag and then the
+/// variant's fields, from one list of `tag => Variant` entries. A variant
+/// the list leaves out is a compile error (the write side's `match` is
+/// exhaustive); an unknown tag reads as `Invalid($what)`.
+///
+/// ```text
+/// codec_enum!(MemOrder "memory order" { 0 => Fenced, 1 => Relaxed });
+/// codec_enum!(ActorState "actor state" { 0 => Runnable, 1 => Parked(cond), 2 => Done });
+/// codec_enum!(ActorKind "actor kind" {
+///     0 => CoreThread { core },
+///     1 => EngineTask { engine, reserved_ctx, stream },
+/// });
+/// ```
+///
+/// A struct variant's field may name an adapter, as in
+/// [`codec_struct!`](crate::codec_struct): `Invoke { .., args: InvokeArgs, .. }`.
+#[macro_export]
+macro_rules! codec_enum {
+    (
+        $ty:ident $what:literal {
+            $(
+                $tag:literal => $var:ident
+                $( ( $($t:ident),+ ) )?
+                $( { $( $f:ident $( : $ad:expr )? ),+ } )?
+            ),+ $(,)?
+        }
+    ) => {
+        impl $crate::codec::Codec for $ty {
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $(
+                        $ty::$var $( ( $($t),+ ) )? $( { $($f),+ } )? => {
+                            w.u8($tag);
+                            $( $( $crate::codec::Codec::put($t, w); )+ )?
+                            $( $( $crate::codec_struct!(@put_field w, $f $(, $ad)?); )+ )?
+                        }
+                    )+
+                }
+            }
+
+            fn get(r: &mut $crate::codec::Reader) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match r.u8()? {
+                    $(
+                        $tag => {
+                            $( $( let $t = $crate::codec::Codec::get(r)?; )+ )?
+                            $( $( let $f = $crate::codec_struct!(@get_field r $(, $ad)?); )+ )?
+                            $ty::$var $( ( $($t),+ ) )? $( { $($f),+ } )?
+                        }
+                    )+
+                    _ => return Err($crate::codec::CodecError::Invalid($what)),
+                })
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // Instruction codec
 // ---------------------------------------------------------------------------
 
-fn write_reg(w: &mut Writer, r: Reg) {
-    w.u8(r.0);
-}
-
-fn read_reg(r: &mut Reader) -> Result<Reg, CodecError> {
-    let v = r.u8()?;
-    if (v as usize) < NUM_REGS {
-        Ok(Reg(v))
-    } else {
-        Err(CodecError::Invalid("register index"))
+/// A register index; reading rejects one outside the register file.
+impl Codec for Reg {
+    fn put(&self, w: &mut Writer) {
+        w.u8(self.0);
     }
-}
 
-fn alu_op_tag(op: AluOp) -> u8 {
-    match op {
-        AluOp::Add => 0,
-        AluOp::Sub => 1,
-        AluOp::Mul => 2,
-        AluOp::DivU => 3,
-        AluOp::RemU => 4,
-        AluOp::And => 5,
-        AluOp::Or => 6,
-        AluOp::Xor => 7,
-        AluOp::Shl => 8,
-        AluOp::Shr => 9,
-        AluOp::Sar => 10,
-        AluOp::SltS => 11,
-        AluOp::SltU => 12,
-        AluOp::Seq => 13,
-        AluOp::Sne => 14,
-        AluOp::MinU => 15,
-        AluOp::MaxU => 16,
-    }
-}
-
-fn alu_op_from(tag: u8) -> Result<AluOp, CodecError> {
-    Ok(match tag {
-        0 => AluOp::Add,
-        1 => AluOp::Sub,
-        2 => AluOp::Mul,
-        3 => AluOp::DivU,
-        4 => AluOp::RemU,
-        5 => AluOp::And,
-        6 => AluOp::Or,
-        7 => AluOp::Xor,
-        8 => AluOp::Shl,
-        9 => AluOp::Shr,
-        10 => AluOp::Sar,
-        11 => AluOp::SltS,
-        12 => AluOp::SltU,
-        13 => AluOp::Seq,
-        14 => AluOp::Sne,
-        15 => AluOp::MinU,
-        16 => AluOp::MaxU,
-        _ => return Err(CodecError::Invalid("alu op")),
-    })
-}
-
-fn br_cond_tag(c: BrCond) -> u8 {
-    match c {
-        BrCond::Eq => 0,
-        BrCond::Ne => 1,
-        BrCond::LtS => 2,
-        BrCond::LtU => 3,
-        BrCond::GeS => 4,
-        BrCond::GeU => 5,
-    }
-}
-
-fn br_cond_from(tag: u8) -> Result<BrCond, CodecError> {
-    Ok(match tag {
-        0 => BrCond::Eq,
-        1 => BrCond::Ne,
-        2 => BrCond::LtS,
-        3 => BrCond::LtU,
-        4 => BrCond::GeS,
-        5 => BrCond::GeU,
-        _ => return Err(CodecError::Invalid("branch condition")),
-    })
-}
-
-fn width_tag(w: MemWidth) -> u8 {
-    match w {
-        MemWidth::B1 => 0,
-        MemWidth::B2 => 1,
-        MemWidth::B4 => 2,
-        MemWidth::B8 => 3,
-    }
-}
-
-fn width_from(tag: u8) -> Result<MemWidth, CodecError> {
-    Ok(match tag {
-        0 => MemWidth::B1,
-        1 => MemWidth::B2,
-        2 => MemWidth::B4,
-        3 => MemWidth::B8,
-        _ => return Err(CodecError::Invalid("memory width")),
-    })
-}
-
-fn rmw_op_tag(op: RmwOp) -> u8 {
-    match op {
-        RmwOp::Add => 0,
-        RmwOp::And => 1,
-        RmwOp::Or => 2,
-        RmwOp::Xor => 3,
-        RmwOp::MinU => 4,
-        RmwOp::MaxU => 5,
-        RmwOp::Xchg => 6,
-    }
-}
-
-fn rmw_op_from(tag: u8) -> Result<RmwOp, CodecError> {
-    Ok(match tag {
-        0 => RmwOp::Add,
-        1 => RmwOp::And,
-        2 => RmwOp::Or,
-        3 => RmwOp::Xor,
-        4 => RmwOp::MinU,
-        5 => RmwOp::MaxU,
-        6 => RmwOp::Xchg,
-        _ => return Err(CodecError::Invalid("rmw op")),
-    })
-}
-
-fn order_tag(o: MemOrder) -> u8 {
-    match o {
-        MemOrder::Fenced => 0,
-        MemOrder::Relaxed => 1,
-    }
-}
-
-fn order_from(tag: u8) -> Result<MemOrder, CodecError> {
-    Ok(match tag {
-        0 => MemOrder::Fenced,
-        1 => MemOrder::Relaxed,
-        _ => return Err(CodecError::Invalid("memory order")),
-    })
-}
-
-fn loc_tag(l: Location) -> u8 {
-    match l {
-        Location::Local => 0,
-        Location::Remote => 1,
-        Location::Dynamic => 2,
-    }
-}
-
-fn loc_from(tag: u8) -> Result<Location, CodecError> {
-    Ok(match tag {
-        0 => Location::Local,
-        1 => Location::Remote,
-        2 => Location::Dynamic,
-        _ => return Err(CodecError::Invalid("location")),
-    })
-}
-
-/// Encodes one instruction.
-pub fn write_inst(w: &mut Writer, inst: &Inst) {
-    match inst {
-        Inst::Imm { rd, val } => {
-            w.u8(0);
-            write_reg(w, *rd);
-            w.u64(*val);
-        }
-        Inst::Mov { rd, rs } => {
-            w.u8(1);
-            write_reg(w, *rd);
-            write_reg(w, *rs);
-        }
-        Inst::Alu { op, rd, ra, rb } => {
-            w.u8(2);
-            w.u8(alu_op_tag(*op));
-            write_reg(w, *rd);
-            write_reg(w, *ra);
-            write_reg(w, *rb);
-        }
-        Inst::AluI { op, rd, ra, imm } => {
-            w.u8(3);
-            w.u8(alu_op_tag(*op));
-            write_reg(w, *rd);
-            write_reg(w, *ra);
-            w.u64(*imm);
-        }
-        Inst::Ld {
-            rd,
-            ra,
-            off,
-            width,
-            sext,
-        } => {
-            w.u8(4);
-            write_reg(w, *rd);
-            write_reg(w, *ra);
-            w.i32(*off);
-            w.u8(width_tag(*width));
-            w.bool(*sext);
-        }
-        Inst::St { rs, ra, off, width } => {
-            w.u8(5);
-            write_reg(w, *rs);
-            write_reg(w, *ra);
-            w.i32(*off);
-            w.u8(width_tag(*width));
-        }
-        Inst::Br {
-            cond,
-            ra,
-            rb,
-            target,
-        } => {
-            w.u8(6);
-            w.u8(br_cond_tag(*cond));
-            write_reg(w, *ra);
-            write_reg(w, *rb);
-            w.u32(target.0);
-        }
-        Inst::Jmp { target } => {
-            w.u8(7);
-            w.u32(target.0);
-        }
-        Inst::Call { func } => {
-            w.u8(8);
-            w.u32(func.0);
-        }
-        Inst::Ret => w.u8(9),
-        Inst::Halt => w.u8(10),
-        Inst::Nop => w.u8(11),
-        Inst::AtomicRmw {
-            op,
-            rd,
-            addr,
-            rv,
-            width,
-            ordering,
-        } => {
-            w.u8(12);
-            w.u8(rmw_op_tag(*op));
-            write_reg(w, *rd);
-            write_reg(w, *addr);
-            write_reg(w, *rv);
-            w.u8(width_tag(*width));
-            w.u8(order_tag(*ordering));
-        }
-        Inst::Fence => w.u8(13),
-        Inst::Invoke {
-            actor,
-            action,
-            args,
-            future,
-            loc,
-            exclusive,
-        } => {
-            w.u8(14);
-            write_reg(w, *actor);
-            w.u32(action.0);
-            w.u8(args.len() as u8);
-            for a in args {
-                write_reg(w, *a);
-            }
-            match future {
-                Some(r) => {
-                    w.bool(true);
-                    write_reg(w, *r);
-                }
-                None => w.bool(false),
-            }
-            w.u8(loc_tag(*loc));
-            w.bool(*exclusive);
-        }
-        Inst::FutureWait { rd, rf } => {
-            w.u8(15);
-            write_reg(w, *rd);
-            write_reg(w, *rf);
-        }
-        Inst::FutureSend { rf, rv } => {
-            w.u8(16);
-            write_reg(w, *rf);
-            write_reg(w, *rv);
-        }
-        Inst::Push { stream, rs } => {
-            w.u8(17);
-            write_reg(w, *stream);
-            write_reg(w, *rs);
-        }
-        Inst::Pop { stream } => {
-            w.u8(18);
-            write_reg(w, *stream);
-        }
-        Inst::Flush { addr, len } => {
-            w.u8(19);
-            write_reg(w, *addr);
-            write_reg(w, *len);
-        }
-        Inst::Trace { rs } => {
-            w.u8(20);
-            write_reg(w, *rs);
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        let v = r.u8()?;
+        if (v as usize) < NUM_REGS {
+            Ok(Reg(v))
+        } else {
+            Err(CodecError::Invalid("register index"))
         }
     }
 }
 
-/// Decodes one instruction.
-pub fn read_inst(r: &mut Reader) -> Result<Inst, CodecError> {
-    Ok(match r.u8()? {
-        0 => Inst::Imm {
-            rd: read_reg(r)?,
-            val: r.u64()?,
-        },
-        1 => Inst::Mov {
-            rd: read_reg(r)?,
-            rs: read_reg(r)?,
-        },
-        2 => Inst::Alu {
-            op: alu_op_from(r.u8()?)?,
-            rd: read_reg(r)?,
-            ra: read_reg(r)?,
-            rb: read_reg(r)?,
-        },
-        3 => Inst::AluI {
-            op: alu_op_from(r.u8()?)?,
-            rd: read_reg(r)?,
-            ra: read_reg(r)?,
-            imm: r.u64()?,
-        },
-        4 => Inst::Ld {
-            rd: read_reg(r)?,
-            ra: read_reg(r)?,
-            off: r.i32()?,
-            width: width_from(r.u8()?)?,
-            sext: r.bool()?,
-        },
-        5 => Inst::St {
-            rs: read_reg(r)?,
-            ra: read_reg(r)?,
-            off: r.i32()?,
-            width: width_from(r.u8()?)?,
-        },
-        6 => Inst::Br {
-            cond: br_cond_from(r.u8()?)?,
-            ra: read_reg(r)?,
-            rb: read_reg(r)?,
-            target: Label(r.u32()?),
-        },
-        7 => Inst::Jmp {
-            target: Label(r.u32()?),
-        },
-        8 => Inst::Call {
-            func: FuncId(r.u32()?),
-        },
-        9 => Inst::Ret,
-        10 => Inst::Halt,
-        11 => Inst::Nop,
-        12 => Inst::AtomicRmw {
-            op: rmw_op_from(r.u8()?)?,
-            rd: read_reg(r)?,
-            addr: read_reg(r)?,
-            rv: read_reg(r)?,
-            width: width_from(r.u8()?)?,
-            ordering: order_from(r.u8()?)?,
-        },
-        13 => Inst::Fence,
-        14 => {
-            let actor = read_reg(r)?;
-            let action = ActionId(r.u32()?);
-            let nargs = r.u8()? as usize;
-            let mut args = Vec::with_capacity(nargs);
-            for _ in 0..nargs {
-                args.push(read_reg(r)?);
-            }
-            let future = if r.bool()? { Some(read_reg(r)?) } else { None };
-            Inst::Invoke {
-                actor,
-                action,
-                args,
-                future,
-                loc: loc_from(r.u8()?)?,
-                exclusive: r.bool()?,
-            }
-        }
-        15 => Inst::FutureWait {
-            rd: read_reg(r)?,
-            rf: read_reg(r)?,
-        },
-        16 => Inst::FutureSend {
-            rf: read_reg(r)?,
-            rv: read_reg(r)?,
-        },
-        17 => Inst::Push {
-            stream: read_reg(r)?,
-            rs: read_reg(r)?,
-        },
-        18 => Inst::Pop {
-            stream: read_reg(r)?,
-        },
-        19 => Inst::Flush {
-            addr: read_reg(r)?,
-            len: read_reg(r)?,
-        },
-        20 => Inst::Trace { rs: read_reg(r)? },
-        _ => return Err(CodecError::Invalid("instruction tag")),
-    })
+crate::codec_struct!(Label(u32));
+crate::codec_enum!(AluOp "alu op" {
+    0 => Add, 1 => Sub, 2 => Mul, 3 => DivU, 4 => RemU, 5 => And, 6 => Or, 7 => Xor, 8 => Shl,
+    9 => Shr, 10 => Sar, 11 => SltS, 12 => SltU, 13 => Seq, 14 => Sne, 15 => MinU, 16 => MaxU,
+});
+crate::codec_enum!(BrCond "branch condition" {
+    0 => Eq, 1 => Ne, 2 => LtS, 3 => LtU, 4 => GeS, 5 => GeU,
+});
+crate::codec_enum!(MemWidth "memory width" { 0 => B1, 1 => B2, 2 => B4, 3 => B8 });
+crate::codec_enum!(RmwOp "rmw op" {
+    0 => Add, 1 => And, 2 => Or, 3 => Xor, 4 => MinU, 5 => MaxU, 6 => Xchg,
+});
+crate::codec_enum!(MemOrder "memory order" { 0 => Fenced, 1 => Relaxed });
+crate::codec_enum!(Location "location" { 0 => Local, 1 => Remote, 2 => Dynamic });
+crate::codec_enum!(Inst "instruction tag" {
+    0 => Imm { rd, val },
+    1 => Mov { rd, rs },
+    2 => Alu { op, rd, ra, rb },
+    3 => AluI { op, rd, ra, imm },
+    4 => Ld { rd, ra, off, width, sext },
+    5 => St { rs, ra, off, width },
+    6 => Br { cond, ra, rb, target },
+    7 => Jmp { target },
+    8 => Call { func },
+    9 => Ret,
+    10 => Halt,
+    11 => Nop,
+    12 => AtomicRmw { op, rd, addr, rv, width, ordering },
+    13 => Fence,
+    14 => Invoke { actor, action, args: InvokeArgs, future, loc, exclusive },
+    15 => FutureWait { rd, rf },
+    16 => FutureSend { rf, rv },
+    17 => Push { stream, rs },
+    18 => Pop { stream },
+    19 => Flush { addr, len },
+    20 => Trace { rs },
+});
+
+/// An invoke's argument registers: a one-byte count, then the registers
+/// (validation caps the count; see [`ProgramError::TooManyInvokeArgs`]).
+struct InvokeArgs;
+
+impl InvokeArgs {
+    fn put(&self, args: &[Reg], w: &mut Writer) {
+        w.u8(args.len() as u8);
+        args.iter().for_each(|a| a.put(w));
+    }
+
+    fn get(&self, r: &mut Reader) -> Result<Vec<Reg>, CodecError> {
+        let n = r.u8()?;
+        (0..n).map(|_| Reg::get(r)).collect()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +770,7 @@ pub fn write_program(w: &mut Writer, p: &Program) {
         w.str(f.name());
         w.u32(f.insts().len() as u32);
         for inst in f.insts() {
-            write_inst(w, inst);
+            inst.put(w);
         }
     }
 }
@@ -667,7 +789,7 @@ pub fn read_program(r: &mut Reader) -> Result<Program, CodecError> {
         let ninsts = r.count(1)?;
         let mut insts = Vec::with_capacity(ninsts);
         for _ in 0..ninsts {
-            insts.push(read_inst(r)?);
+            insts.push(Inst::get(r)?);
         }
         funcs.push(Function::new(name, insts));
     }
@@ -687,54 +809,15 @@ pub fn read_program(r: &mut Reader) -> Result<Program, CodecError> {
 // Execution-context codec
 // ---------------------------------------------------------------------------
 
-fn write_pc(w: &mut Writer, pc: Pc) {
-    w.u32(pc.func.0);
-    w.u32(pc.idx);
-}
-
-fn read_pc(r: &mut Reader) -> Result<Pc, CodecError> {
-    Ok(Pc {
-        func: FuncId(r.u32()?),
-        idx: r.u32()?,
-    })
-}
-
-/// Encodes an execution context (registers, PC, call stack, flags).
-pub fn write_exec_ctx(w: &mut Writer, ctx: &ExecCtx) {
-    for reg in &ctx.regs {
-        w.u64(*reg);
-    }
-    write_pc(w, ctx.pc);
-    w.u32(ctx.callstack.len() as u32);
-    for pc in &ctx.callstack {
-        write_pc(w, *pc);
-    }
-    w.bool(ctx.halted);
-    w.u64(ctx.retired);
-}
-
-/// Decodes an execution context written by [`write_exec_ctx`].
-pub fn read_exec_ctx(r: &mut Reader) -> Result<ExecCtx, CodecError> {
-    let mut regs = [0u64; NUM_REGS];
-    for reg in &mut regs {
-        *reg = r.u64()?;
-    }
-    let pc = read_pc(r)?;
-    let depth = r.count(8)?;
-    let mut callstack = Vec::with_capacity(depth);
-    for _ in 0..depth {
-        callstack.push(read_pc(r)?);
-    }
-    let halted = r.bool()?;
-    let retired = r.u64()?;
-    let mut ctx = ExecCtx::new(pc.func, &[]);
-    ctx.regs = regs;
-    ctx.pc = pc;
-    ctx.callstack = callstack;
-    ctx.halted = halted;
-    ctx.retired = retired;
-    Ok(ctx)
-}
+crate::codec_struct!(FuncId(u32), ActionId(u32));
+crate::codec_struct!(Pc { func, idx });
+crate::codec_struct!(ExecCtx {
+    regs,
+    pc,
+    callstack,
+    halted,
+    retired,
+});
 
 // ---------------------------------------------------------------------------
 // Memory codec
@@ -842,7 +925,7 @@ mod tests {
             w.str(name);
             w.u32(insts.len() as u32);
             for inst in insts {
-                write_inst(&mut w, inst);
+                inst.put(&mut w);
             }
         }
         w.into_bytes()
@@ -878,10 +961,10 @@ mod tests {
     fn bad_tags_rejected() {
         let mut r = Reader::new(&[0xff]);
         assert_eq!(
-            read_inst(&mut r),
+            Inst::get(&mut r),
             Err(CodecError::Invalid("instruction tag"))
         );
         let mut r = Reader::new(&[2, 99, 0, 0, 0]);
-        assert_eq!(read_inst(&mut r), Err(CodecError::Invalid("alu op")));
+        assert_eq!(Inst::get(&mut r), Err(CodecError::Invalid("alu op")));
     }
 }

@@ -53,30 +53,9 @@ impl Gshare {
     }
 }
 
-impl Gshare {
-    /// Serializes predictor state (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        w.u64(self.history);
-        w.u64(self.mask);
-        w.bytes(&self.table);
-    }
-
-    /// Restores predictor state written by [`Gshare::snap_write`].
-    pub(crate) fn snap_read(
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<Self, levi_isa::codec::CodecError> {
-        let history = r.u64()?;
-        let mask = r.u64()?;
-        let table = r.bytes()?.to_vec();
-        if table.len() as u64 != mask + 1 {
-            return Err(levi_isa::codec::CodecError::Invalid("gshare table size"));
-        }
-        Ok(Gshare {
-            table,
-            history,
-            mask,
-        })
-    }
+levi_isa::codec_struct! {
+    Gshare { history, mask, table: levi_isa::codec::Bytes }
+    ensure table.len() as u64 == mask.wrapping_add(1) => "gshare table size";
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@
 //! first-match victim scan observes — is bit-for-bit identical to the
 //! nested-Vec implementation, and snapshots stay byte-identical.
 
+use levi_isa::codec::{Codec, CodecError, Reader, Writer};
+
 use crate::config::{CacheConfig, Replacement, LINE_SHIFT};
 
 /// Coherence state of a line in a *private* cache (MESI reduced to the two
@@ -415,85 +417,72 @@ impl CacheBank {
     }
 }
 
-impl CacheBank {
-    /// Serializes bank contents (see [`crate::snapshot`]). Geometry
-    /// (set count, ways, replacement policy) comes from the config at
-    /// restore time and is validated, not serialized. The byte format is
-    /// identical to the pre-flat nested-Vec layout: per set, occupancy then
-    /// lines in way order.
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        w.u64(self.tick);
-        w.u32(self.len.len() as u32);
-        for set in 0..self.len.len() {
-            let n = self.len[set] as usize;
+levi_isa::codec_enum!(PrivState "coherence state" { 0 => Shared, 1 => Owned });
+levi_isa::codec_struct!(Line {
+    line,
+    dirty,
+    dtor,
+    state,
+    sharers,
+    owner,
+    tenant,
+});
+// Geometry (set count, ways, replacement policy) comes from the config at
+// restore time and is validated, not serialized.
+levi_isa::codec_struct! {
+    in_place CacheBank { tick, lines(len, rrip, lru, tags): Sets(*ways) }
+    kept { ways, set_mask, replacement }
+}
+
+/// The bank's slab as its sets: a `u32` set count, then per set its
+/// occupancy and its live lines in way order, each followed by its SRRIP
+/// counter and LRU stamp. This is the byte format of the pre-flat
+/// nested-`Vec` layout. The field is the bank's way count.
+struct Sets(usize);
+
+/// The slab arrays [`Sets`] walks: lines, per-set occupancy, SRRIP
+/// counters, LRU stamps and tags.
+type Slab<'a> = (&'a [Line], &'a [u16], &'a [u8], &'a [u64], &'a [u64]);
+type SlabMut<'a> = (
+    &'a mut [Line],
+    &'a mut [u16],
+    &'a mut [u8],
+    &'a mut [u64],
+    &'a mut [u64],
+);
+
+impl Sets {
+    fn save(&self, (lines, len, rrip, lru, _): Slab, w: &mut Writer) {
+        w.u32(len.len() as u32);
+        for (set, &n) in len.iter().enumerate() {
             w.u32(n as u32);
-            for slot in set * self.ways..set * self.ways + n {
-                let l = &self.lines[slot];
-                w.u64(l.line);
-                w.bool(l.dirty);
-                w.bool(l.dtor);
-                w.u8(match l.state {
-                    PrivState::Shared => 0,
-                    PrivState::Owned => 1,
-                });
-                w.u64(l.sharers);
-                match l.owner {
-                    Some(o) => {
-                        w.bool(true);
-                        w.u8(o);
-                    }
-                    None => w.bool(false),
-                }
-                w.u8(l.tenant);
-                w.u8(self.rrip[slot]);
-                w.u64(self.lru[slot]);
+            for slot in set * self.0..set * self.0 + n as usize {
+                lines[slot].put(w);
+                rrip[slot].put(w);
+                lru[slot].put(w);
             }
         }
     }
 
-    /// Restores bank contents written by [`CacheBank::snap_write`] into a
-    /// bank with matching geometry.
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        use levi_isa::codec::CodecError;
-        self.tick = r.u64()?;
-        let nsets = r.u32()? as usize;
-        if nsets != self.len.len() {
+    fn restore(
+        &self,
+        (lines, len, rrip, lru, tags): SlabMut,
+        r: &mut Reader,
+    ) -> Result<(), CodecError> {
+        if r.u32()? as usize != len.len() {
             return Err(CodecError::Invalid("cache set count"));
         }
-        for set in 0..nsets {
-            let base = set * self.ways;
+        for (set, len) in len.iter_mut().enumerate() {
             let n = r.count(12)?;
-            if n > self.ways {
+            if n > self.0 {
                 return Err(CodecError::Invalid("cache set occupancy"));
             }
-            self.len[set] = n as u16;
-            for slot in base..base + n {
-                let line = r.u64()?;
-                let dirty = r.bool()?;
-                let dtor = r.bool()?;
-                let state = match r.u8()? {
-                    0 => PrivState::Shared,
-                    1 => PrivState::Owned,
-                    _ => return Err(CodecError::Invalid("coherence state")),
-                };
-                let sharers = r.u64()?;
-                let owner = if r.bool()? { Some(r.u8()?) } else { None };
-                let tenant = r.u8()?;
-                self.rrip[slot] = r.u8()?;
-                self.lru[slot] = r.u64()?;
-                self.tags[slot] = line;
-                self.lines[slot] = Line {
-                    line,
-                    dirty,
-                    dtor,
-                    state,
-                    sharers,
-                    owner,
-                    tenant,
-                };
+            *len = n as u16;
+            for slot in set * self.0..set * self.0 + n {
+                lines[slot] = Line::get(r)?;
+                rrip[slot] = u8::get(r)?;
+                lru[slot] = u64::get(r)?;
+                tags[slot] = lines[slot].line;
             }
         }
         Ok(())

@@ -7,6 +7,8 @@
 //! computation of Fig. 14, and the FIFO cache absorbs the extra accesses
 //! when consecutive cache lines map into one DRAM line.
 
+use levi_isa::codec::{put_seq, Codec, CodecError, Fixed, Reader, Writer};
+
 use crate::config::{MemConfig, LINE_SHIFT, LINE_SIZE};
 use crate::fault::DramFault;
 use crate::stats::Stats;
@@ -328,84 +330,51 @@ impl Dram {
     }
 }
 
-impl Dram {
-    /// Serializes controller occupancy and FIFO-cache contents (see
-    /// [`crate::snapshot`]). Geometry and installed throttle faults are
-    /// config-derived and not serialized.
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        w.u32(self.busy_until.len() as u32);
-        for t in &self.busy_until {
-            w.u64(*t);
-        }
-        let cap = self.cfg.fifo_cache_lines as usize;
-        for mc in 0..self.fifo_len.len() {
-            let n = self.fifo_len[mc] as usize;
-            w.u32(n as u32);
-            for line in &self.fifo_buf[mc * cap..mc * cap + n] {
-                w.u64(*line);
-            }
-        }
+levi_isa::codec_struct!(TranslationEntry {
+    cache_base,
+    cache_bound,
+    dram_base,
+    padded_size,
+    packed_size,
+});
+levi_isa::codec_struct!(Translator { entries });
+// Geometry and installed throttle faults are config-derived and not
+// serialized.
+levi_isa::codec_struct! {
+    in_place Dram {
+        busy_until: Fixed("dram controller count"),
+        fifo_buf(fifo_len): Fifos(cfg.fifo_cache_lines as usize),
     }
-
-    /// Restores state written by [`Dram::snap_write`].
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        let n = r.count(8)?;
-        if n != self.busy_until.len() {
-            return Err(levi_isa::codec::CodecError::Invalid(
-                "dram controller count",
-            ));
-        }
-        for t in &mut self.busy_until {
-            *t = r.u64()?;
-        }
-        let cap = self.cfg.fifo_cache_lines as usize;
-        for mc in 0..self.fifo_len.len() {
-            let len = r.count(8)?;
-            if len > cap {
-                return Err(levi_isa::codec::CodecError::Invalid("dram fifo length"));
-            }
-            self.fifo_len[mc] = len as u32;
-            for k in 0..len {
-                self.fifo_buf[mc * cap + k] = r.u64()?;
-            }
-        }
-        Ok(())
-    }
+    kept { cfg, fault_start, fault_entries }
 }
 
-impl Translator {
-    /// Serializes registered translation regions (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            w.u64(e.cache_base);
-            w.u64(e.cache_bound);
-            w.u64(e.dram_base);
-            w.u64(e.padded_size);
-            w.u64(e.packed_size);
+/// The FIFO line caches: per controller, its occupancy and then its lines,
+/// oldest first (no controller count: `busy_until` carries it). The field
+/// is the per-controller capacity.
+struct Fifos(usize);
+
+impl Fifos {
+    fn save(&self, (buf, len): (&[u64], &[u32]), w: &mut Writer) {
+        for (mc, &n) in len.iter().enumerate() {
+            put_seq(w, buf[mc * self.0..][..n as usize].iter(), u64::put);
         }
     }
 
-    /// Restores regions written by [`Translator::snap_write`].
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        let n = r.count(40)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(TranslationEntry {
-                cache_base: r.u64()?,
-                cache_bound: r.u64()?,
-                dram_base: r.u64()?,
-                padded_size: r.u64()?,
-                packed_size: r.u64()?,
-            });
+    fn restore(
+        &self,
+        (buf, len): (&mut [u64], &mut [u32]),
+        r: &mut Reader,
+    ) -> Result<(), CodecError> {
+        for (mc, len) in len.iter_mut().enumerate() {
+            let n = r.count(8)?;
+            if n > self.0 {
+                return Err(CodecError::Invalid("dram fifo length"));
+            }
+            *len = n as u32;
+            for line in &mut buf[mc * self.0..][..n] {
+                *line = u64::get(r)?;
+            }
         }
-        self.entries = entries;
         Ok(())
     }
 }

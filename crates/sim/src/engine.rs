@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use levi_isa::codec::Fixed;
+
 use crate::cache::CacheBank;
 use crate::config::{CacheConfig, EngineConfig, Replacement};
 
@@ -279,86 +281,21 @@ impl EngineState {
     }
 }
 
-impl FuCursor {
-    /// Serializes cursor state (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        w.u64(self.cycle);
-        w.u32(self.used);
-        w.u32(self.limit);
-    }
-
-    /// Restores a cursor written by [`FuCursor::snap_write`].
-    pub(crate) fn snap_read(
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<Self, levi_isa::codec::CodecError> {
-        let cycle = r.u64()?;
-        let used = r.u32()?;
-        let limit = r.u32()?;
-        if limit == 0 {
-            return Err(levi_isa::codec::CodecError::Invalid("fu cursor limit"));
-        }
-        Ok(FuCursor { cycle, used, limit })
-    }
+levi_isa::codec_enum!(EngineLevel "engine level" { 0 => L2, 1 => Llc });
+levi_isa::codec_struct!(EngineId { tile, level });
+levi_isa::codec_struct! {
+    FuCursor { cycle, used, limit }
+    ensure limit != 0 => "fu cursor limit";
 }
-
-impl WindowFu {
-    /// Serializes window state (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        w.u64(self.start);
-        w.u32(self.limit);
-        w.u32(self.used.len() as u32);
-        for u in &self.used {
-            w.u16(*u);
-        }
-    }
-
-    /// Restores window state written by [`WindowFu::snap_write`] into an
-    /// existing window (the length is fixed at [`FU_WINDOW`]).
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        self.start = r.u64()?;
-        self.limit = r.u32()?;
-        if self.limit == 0 {
-            return Err(levi_isa::codec::CodecError::Invalid("fu window limit"));
-        }
-        let n = r.count(2)?;
-        if n != self.used.len() {
-            return Err(levi_isa::codec::CodecError::Invalid("fu window length"));
-        }
-        for u in &mut self.used {
-            *u = r.u16()?;
-        }
-        Ok(())
-    }
+levi_isa::codec_struct! {
+    in_place WindowFu { start, limit, used: Fixed("fu window length") }
+    ensure *limit != 0 => "fu window limit";
 }
-
-impl EngineState {
-    /// Serializes mutable engine state (see [`crate::snapshot`]): FU
-    /// windows, L1d contents, and free offload contexts. Identity and
-    /// static parameters come from the config at restore time.
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        self.int_fus.snap_write(w);
-        self.mem_fus.snap_write(w);
-        self.l1d.snap_write(w);
-        w.u32(self.offload_ctxs_free);
-    }
-
-    /// Restores state written by [`EngineState::snap_write`].
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        self.int_fus.snap_read(r)?;
-        self.mem_fus.snap_read(r)?;
-        self.l1d.snap_read(r)?;
-        self.offload_ctxs_free = r.u32()?;
-        if self.offload_ctxs_free > self.offload_ctxs_cap {
-            return Err(levi_isa::codec::CodecError::Invalid("engine free contexts"));
-        }
-        Ok(())
-    }
+// Identity and static parameters come from the config at restore time.
+levi_isa::codec_struct! {
+    in_place EngineState { int_fus, mem_fus, l1d, offload_ctxs_free }
+    kept { id, l1d_latency, pe_latency, offload_ctxs_cap, idealized }
+    ensure offload_ctxs_free <= offload_ctxs_cap => "engine free contexts";
 }
 
 #[cfg(test)]

@@ -204,33 +204,13 @@ impl fmt::Display for Histogram {
     }
 }
 
-impl Histogram {
-    /// Serializes histogram state (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        for b in &self.buckets {
-            w.u64(*b);
-        }
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    /// Restores histogram state written by [`Histogram::snap_write`].
-    pub(crate) fn snap_read(
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<Self, levi_isa::codec::CodecError> {
-        let mut h = Histogram::new();
-        for b in &mut h.buckets {
-            *b = r.u64()?;
-        }
-        h.count = r.u64()?;
-        h.sum = r.u64()?;
-        h.min = r.u64()?;
-        h.max = r.u64()?;
-        Ok(h)
-    }
-}
+levi_isa::codec_struct!(Histogram {
+    buckets,
+    count,
+    sum,
+    min,
+    max,
+});
 
 #[cfg(test)]
 mod tests {

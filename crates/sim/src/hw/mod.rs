@@ -279,66 +279,32 @@ impl Hw {
     }
 }
 
-impl Hw {
-    /// Serializes the hardware state with private fields: prefetchers,
-    /// MSHR pins, inline-action depth, and deferred destructors (see
-    /// [`crate::snapshot`]; the public members are serialized there).
-    pub(crate) fn snap_write_private(&self, w: &mut levi_isa::codec::Writer) {
-        w.u32(self.prefetchers.len() as u32);
-        for p in &self.prefetchers {
-            w.u64(p.last_line);
-            w.i64(p.stride);
-            w.u8(p.confidence);
-        }
-        w.u32(self.pins.len() as u32);
-        for l in &self.pins {
-            w.u64(*l);
-        }
-        w.u32(self.inline_depth);
-        w.u32(self.pending_dtors.len() as u32);
-        for d in &self.pending_dtors {
-            crate::snapshot::w_engine_id(w, d.eid);
-            w.u64(d.line);
-            w.bool(d.dirty);
-            w.u64(d.at);
-            crate::snapshot::w_morph_level(w, d.level);
-            w.u32(d.home);
-        }
+levi_isa::codec_struct!(StridePf {
+    last_line,
+    stride,
+    confidence,
+});
+levi_isa::codec_struct!(PendingDtor {
+    eid,
+    line,
+    dirty,
+    at,
+    level,
+    home,
+});
+// The `HWPR` section (see [`crate::snapshot`]): the private fields. Of the
+// `kept` ones, the public members have sections of their own, and the rest
+// are config-derived or empty between actions.
+levi_isa::codec_struct! {
+    in_place Hw {
+        prefetchers: levi_isa::codec::Fixed("prefetcher count"),
+        pins,
+        inline_depth,
+        pending_dtors,
     }
-
-    /// Restores state written by [`Hw::snap_write_private`].
-    pub(crate) fn snap_read_private(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        let n = r.count(17)?;
-        if n != self.prefetchers.len() {
-            return Err(levi_isa::codec::CodecError::Invalid("prefetcher count"));
-        }
-        for p in &mut self.prefetchers {
-            p.last_line = r.u64()?;
-            p.stride = r.i64()?;
-            p.confidence = r.u8()?;
-        }
-        let n = r.count(8)?;
-        self.pins = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.pins.push(r.u64()?);
-        }
-        self.inline_depth = r.u32()?;
-        let n = r.count(27)?;
-        self.pending_dtors = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.pending_dtors.push(PendingDtor {
-                eid: crate::snapshot::r_engine_id(r)?,
-                line: r.u64()?,
-                dirty: r.bool()?,
-                at: r.u64()?,
-                level: crate::snapshot::r_morph_level(r)?,
-                home: r.u32()?,
-            });
-        }
-        Ok(())
+    kept {
+        cfg, l1, l2, llc, engines, noc, dram, translator, ndc, stats, faults, xlat,
+        tenants, fatal, inline_regs, scratch_lines, scratch_dirty,
     }
 }
 

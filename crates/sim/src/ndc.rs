@@ -5,11 +5,13 @@
 use std::fmt;
 use std::sync::Arc;
 
+use levi_isa::codec::{get_seq, put_seq, Codec, CodecError, Reader, Writer};
 use levi_isa::fx::FxHashMap;
 use levi_isa::{ActionId, Addr, FuncId, Program};
 
 use crate::engine::EngineId;
 use crate::error::SimError;
+use crate::snapshot::ProgTable;
 
 /// A reference to executable action code: a program and a function in it.
 #[derive(Clone, Debug)]
@@ -351,6 +353,104 @@ impl NdcState {
             .iter()
             .find(|r| addr >= r.base && addr < r.bound)
             .map_or(0, |r| r.ignore_line_bits)
+    }
+}
+
+levi_isa::codec_struct!(StreamId(u32));
+levi_isa::codec_enum!(MorphLevel "morph level" { 0 => L2, 1 => Llc });
+levi_isa::codec_enum!(WaitCond "wait condition" {
+    0 => FutureFill(addr),
+    1 => StreamData(sid),
+    2 => StreamSpace(sid),
+    3 => EngineCtx(engine),
+});
+levi_isa::codec_enum!(StreamMode "stream mode" {
+    0 => RunAhead,
+    1 => MissTriggered { reinit_instrs },
+});
+levi_isa::codec_struct!(MorphRegion {
+    base,
+    bound,
+    level,
+    obj_size,
+    ctor,
+    dtor,
+    view,
+    stream,
+});
+levi_isa::codec_struct!(StreamState {
+    id,
+    buffer,
+    entry_size,
+    capacity,
+    tail,
+    head,
+    engine,
+    consumer,
+    mode,
+    closed,
+});
+levi_isa::codec_struct!(FutureFill { arrival });
+levi_isa::codec_struct!(BankMapRange {
+    base,
+    bound,
+    ignore_line_bits,
+});
+levi_isa::codec_struct!(pub(crate) ActionRef(progs: &ProgTable) { prog: progs, func });
+// The `NDCX` section (see [`crate::snapshot`]).
+levi_isa::codec_struct!(pub(crate) NdcState(progs: &ProgTable) {
+    actions: Actions(progs),
+    morphs,
+    streams,
+    futures: SortedFutures,
+    bank_maps,
+    stream_store_ranges,
+    mem_side_ranges,
+});
+
+/// The action table as its registered `(id, action)` entries in id order.
+struct Actions<'a>(&'a ProgTable);
+
+impl Actions<'_> {
+    fn put(&self, table: &ActionTable, w: &mut Writer) {
+        put_seq(w, table.snap_entries().iter(), |(id, action), w| {
+            id.put(w);
+            action.put_in(w, self.0);
+        });
+    }
+
+    fn get(&self, r: &mut Reader) -> Result<ActionTable, CodecError> {
+        let mut table = ActionTable::default();
+        let entries = get_seq(r, 12, |r| {
+            Ok((ActionId::get(r)?, ActionRef::get_in(r, self.0)?))
+        })?;
+        for (id, action) in entries {
+            table.register(id, action.prog, action.func);
+        }
+        Ok(table)
+    }
+}
+
+/// The filled futures as `(address, fill)` pairs sorted by address (map
+/// order is not deterministic).
+struct SortedFutures;
+
+impl SortedFutures {
+    fn put(&self, futures: &FxHashMap<Addr, FutureFill>, w: &mut Writer) {
+        let mut sorted: Vec<(Addr, FutureFill)> = futures.iter().map(|(&a, &f)| (a, f)).collect();
+        sorted.sort_unstable_by_key(|&(a, _)| a);
+        sorted.put(w);
+    }
+
+    fn get(&self, r: &mut Reader) -> Result<FxHashMap<Addr, FutureFill>, CodecError> {
+        let sorted = Vec::<(Addr, FutureFill)>::get(r)?;
+        let mut futures = levi_isa::fx::map_with_capacity(sorted.len());
+        for (addr, fill) in sorted {
+            if futures.insert(addr, fill).is_some() {
+                return Err(CodecError::Invalid("duplicate future"));
+            }
+        }
+        Ok(futures)
     }
 }
 

@@ -208,30 +208,10 @@ impl Noc {
     }
 }
 
-impl Noc {
-    /// Serializes link occupancy (see [`crate::snapshot`]). Geometry and
-    /// installed faults are config-derived and not serialized.
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        w.u32(self.link_free.len() as u32);
-        for t in &self.link_free {
-            w.u64(*t);
-        }
-    }
-
-    /// Restores link occupancy written by [`Noc::snap_write`].
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        let n = r.count(8)?;
-        if n != self.link_free.len() {
-            return Err(levi_isa::codec::CodecError::Invalid("noc link count"));
-        }
-        for t in &mut self.link_free {
-            *t = r.u64()?;
-        }
-        Ok(())
-    }
+// Geometry and installed faults are config-derived and not serialized.
+levi_isa::codec_struct! {
+    in_place Noc { link_free: levi_isa::codec::Fixed("noc link count") }
+    kept { cols, cfg, fault_start, fault_entries }
 }
 
 #[cfg(test)]

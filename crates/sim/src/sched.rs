@@ -112,6 +112,35 @@ pub(crate) struct Actor {
     pub(crate) parked_at: u64,
 }
 
+levi_isa::codec_enum!(ActorKind "actor kind" {
+    0 => CoreThread { core },
+    1 => EngineTask { engine, reserved_ctx, stream },
+});
+levi_isa::codec_enum!(ActorState "actor state" {
+    0 => Runnable,
+    1 => Parked(cond),
+    2 => Done,
+});
+// The `ACTR` section's entries (see [`crate::snapshot`]).
+levi_isa::codec_struct!(pub(crate) Actor(progs: &crate::snapshot::ProgTable) {
+    kind,
+    prog: progs,
+    ctx,
+    clock,
+    reg_ready,
+    pending_mem,
+    issue,
+    predictor,
+    invoke_acks,
+    invoke_count,
+    invoke_retries,
+    pending_span,
+    span,
+    state,
+    sched_seq,
+    parked_at,
+});
+
 impl Actor {
     /// A new slot for [`Actor::reset`] to fill; none of these values is
     /// ever seen.

@@ -4,10 +4,32 @@
 //! serialization of the complete simulation state at cycle *N* is a
 //! perfect resume point: restoring it and running to completion produces
 //! byte-identical results to the uninterrupted run. This module defines
-//! the container format and the machine-level codec; per-module state
-//! with private fields is serialized by `snap_write`/`snap_read` methods
-//! on the owning types (cache banks, NoC links, DRAM queues, engines,
-//! predictors, histograms, tracers, span tables, time series).
+//! the container format and the machine-level codec (its sections, the
+//! program table, and the sorted run queue and waiter map).
+//!
+//! # Field lists
+//!
+//! Every other encoding is declared once, next to its type, with the
+//! [`levi_isa::codec`] value codec: `codec_struct!` lists a struct's
+//! fields in encoding order and generates both directions from that list,
+//! and `codec_enum!` lists an enum's tags. The write side destructures the
+//! struct and the read side builds it with a struct literal, so a field
+//! missing from its list does not compile. To add a field:
+//!
+//! - give its type a [`Codec`] (the integers, `bool`, `f64`, `Option`,
+//!   `Vec`, `VecDeque`, arrays, pairs and the id types have one);
+//! - add it to the type's list at the position it should take in the
+//!   bytes, or to `kept` if a type restored in place (cache banks, FU
+//!   windows, engines, NoC, DRAM, TLBs, `Stats`, `Hw`'s private state)
+//!   rebuilds it from the config;
+//! - put any check on its decoded value in an `ensure` line under the
+//!   list, and an encoding that needs context or several fields in a
+//!   named adapter (`prog: progs`, `lines(len, rrip, lru, tags): Sets(..)`).
+//!
+//! A new encoded field changes the bytes: re-pin the checkpoint digests in
+//! `tests/snapshot.rs` (and, for `Stats`, the `tests/faults.rs` digest pins
+//! and the benchmark's `model.stats_digest`), and bump [`VERSION`] when
+//! older snapshots should be refused by version, not by a decode error.
 //!
 //! # Container format
 //!
@@ -36,18 +58,14 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use levi_isa::codec::{self, CodecError, Reader, Writer};
+use levi_isa::codec::{self, get_seq, put_seq, Codec, CodecError, Reader, Restore, Writer};
 use levi_isa::Program;
 
 use crate::config::MachineConfig;
-use crate::engine::{EngineId, EngineLevel};
 use crate::error::SimError;
-use crate::machine::Machine;
-use crate::ndc::{
-    BankMapRange, FutureFill, MorphLevel, MorphRegion, StreamId, StreamMode, StreamState, WaitCond,
-};
-use crate::sched::{Actor, ActorKind, ActorState};
-use crate::span::SpanId;
+use crate::machine::{ActorId, Machine};
+use crate::ndc::{NdcState, WaitCond};
+use crate::sched::Actor;
 
 /// Snapshot container magic.
 pub const MAGIC: [u8; 8] = *b"LEVISNAP";
@@ -321,106 +339,6 @@ pub(crate) fn open(bytes: &[u8], expected_digest: u64) -> Result<&[u8], Snapshot
     Ok(&bytes[28..end])
 }
 
-// ---------------------------------------------------------------------------
-// Shared small codecs (used by sibling modules' snap methods too)
-// ---------------------------------------------------------------------------
-
-pub(crate) fn w_opt_u64(w: &mut Writer, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            w.bool(true);
-            w.u64(x);
-        }
-        None => w.bool(false),
-    }
-}
-
-pub(crate) fn r_opt_u64(r: &mut Reader) -> Result<Option<u64>, CodecError> {
-    Ok(if r.bool()? { Some(r.u64()?) } else { None })
-}
-
-pub(crate) fn w_engine_id(w: &mut Writer, id: EngineId) {
-    w.u32(id.tile);
-    w.u8(match id.level {
-        EngineLevel::L2 => 0,
-        EngineLevel::Llc => 1,
-    });
-}
-
-pub(crate) fn r_engine_id(r: &mut Reader) -> Result<EngineId, CodecError> {
-    let tile = r.u32()?;
-    let level = match r.u8()? {
-        0 => EngineLevel::L2,
-        1 => EngineLevel::Llc,
-        _ => return Err(CodecError::Invalid("engine level")),
-    };
-    Ok(EngineId { tile, level })
-}
-
-pub(crate) fn w_morph_level(w: &mut Writer, l: MorphLevel) {
-    w.u8(match l {
-        MorphLevel::L2 => 0,
-        MorphLevel::Llc => 1,
-    });
-}
-
-pub(crate) fn r_morph_level(r: &mut Reader) -> Result<MorphLevel, CodecError> {
-    match r.u8()? {
-        0 => Ok(MorphLevel::L2),
-        1 => Ok(MorphLevel::Llc),
-        _ => Err(CodecError::Invalid("morph level")),
-    }
-}
-
-fn w_wait_cond(w: &mut Writer, c: WaitCond) {
-    match c {
-        WaitCond::FutureFill(a) => {
-            w.u8(0);
-            w.u64(a);
-        }
-        WaitCond::StreamData(s) => {
-            w.u8(1);
-            w.u32(s.0);
-        }
-        WaitCond::StreamSpace(s) => {
-            w.u8(2);
-            w.u32(s.0);
-        }
-        WaitCond::EngineCtx(e) => {
-            w.u8(3);
-            w_engine_id(w, e);
-        }
-    }
-}
-
-fn r_wait_cond(r: &mut Reader) -> Result<WaitCond, CodecError> {
-    Ok(match r.u8()? {
-        0 => WaitCond::FutureFill(r.u64()?),
-        1 => WaitCond::StreamData(StreamId(r.u32()?)),
-        2 => WaitCond::StreamSpace(StreamId(r.u32()?)),
-        3 => WaitCond::EngineCtx(r_engine_id(r)?),
-        _ => return Err(CodecError::Invalid("wait condition")),
-    })
-}
-
-pub(crate) fn w_opt_span(w: &mut Writer, s: Option<SpanId>) {
-    match s {
-        Some(SpanId(v)) => {
-            w.bool(true);
-            w.u32(v);
-        }
-        None => w.bool(false),
-    }
-}
-
-pub(crate) fn r_opt_span(r: &mut Reader) -> Result<Option<SpanId>, CodecError> {
-    Ok(if r.bool()? {
-        Some(SpanId(r.u32()?))
-    } else {
-        None
-    })
-}
-
 /// Section framing: a 4-byte ASCII tag written before each top-level
 /// payload section, checked on decode so corruption fails with a useful
 /// message instead of a cascade of field errors.
@@ -440,395 +358,123 @@ fn r_section(r: &mut Reader, tag: &[u8; 4], what: &'static str) -> Result<(), Sn
 // Machine payload codec
 // ---------------------------------------------------------------------------
 
-/// Builds the deduplicated program table: each distinct `Arc<Program>`
-/// reachable from actors or the action table appears exactly once, in
-/// first-reference order (actors by index, then actions by id).
-fn program_table(m: &Machine) -> (Vec<Arc<Program>>, HashMap<usize, u32>) {
-    let mut progs: Vec<Arc<Program>> = Vec::new();
-    let mut index: HashMap<usize, u32> = HashMap::new();
-    let mut add = |p: &Arc<Program>, progs: &mut Vec<Arc<Program>>| {
-        let key = Arc::as_ptr(p) as usize;
-        index.entry(key).or_insert_with(|| {
-            progs.push(Arc::clone(p));
-            (progs.len() - 1) as u32
-        });
-    };
-    for a in &m.actors {
-        add(&a.prog, &mut progs);
-    }
-    for (_, aref) in m.hw.ndc.actions.snap_entries() {
-        add(&aref.prog, &mut progs);
-    }
-    (progs, index)
+/// The deduplicated program table (the `PROG` section). Actors and actions
+/// name their program by its index here: the field adapter of
+/// `Actor::prog` and `ActionRef::prog`.
+pub(crate) struct ProgTable {
+    progs: Vec<Arc<Program>>,
+    /// Table index by `Arc` pointer (encode side only).
+    index: HashMap<usize, u32>,
 }
 
-fn w_actor(w: &mut Writer, a: &Actor, prog_idx: &HashMap<usize, u32>) {
-    match &a.kind {
-        ActorKind::CoreThread { core } => {
-            w.u8(0);
-            w.u32(*core);
+impl ProgTable {
+    /// Each distinct `Arc<Program>` reachable from actors or the action
+    /// table, exactly once, in first-reference order (actors by index, then
+    /// actions by id).
+    fn of(m: &Machine) -> Self {
+        let mut t = ProgTable {
+            progs: Vec::new(),
+            index: HashMap::new(),
+        };
+        let actions = m.hw.ndc.actions.snap_entries();
+        let actors = m.actors.iter().map(|a| &a.prog);
+        for p in actors.chain(actions.iter().map(|(_, a)| &a.prog)) {
+            let progs = &mut t.progs;
+            t.index.entry(Arc::as_ptr(p) as usize).or_insert_with(|| {
+                progs.push(Arc::clone(p));
+                (progs.len() - 1) as u32
+            });
         }
-        ActorKind::EngineTask {
-            engine,
-            reserved_ctx,
-            stream,
-        } => {
-            w.u8(1);
-            w_engine_id(w, *engine);
-            w.bool(*reserved_ctx);
-            match stream {
-                Some(s) => {
-                    w.bool(true);
-                    w.u32(s.0);
-                }
-                None => w.bool(false),
-            }
-        }
+        t
     }
-    w.u32(prog_idx[&(Arc::as_ptr(&a.prog) as usize)]);
-    codec::write_exec_ctx(w, &a.ctx);
-    w.u64(a.clock);
-    for t in &a.reg_ready {
-        w.u64(*t);
-    }
-    w.u32(a.pending_mem.len() as u32);
-    for t in &a.pending_mem {
-        w.u64(*t);
-    }
-    a.issue.snap_write(w);
-    match &a.predictor {
-        Some(p) => {
-            w.bool(true);
-            p.snap_write(w);
-        }
-        None => w.bool(false),
-    }
-    w.u32(a.invoke_acks.len() as u32);
-    for t in &a.invoke_acks {
-        w.u64(*t);
-    }
-    w.u32(a.invoke_count);
-    w.u32(a.invoke_retries);
-    w_opt_span(w, a.pending_span);
-    w_opt_span(w, a.span);
-    match a.state {
-        ActorState::Runnable => w.u8(0),
-        ActorState::Parked(c) => {
-            w.u8(1);
-            w_wait_cond(w, c);
-        }
-        ActorState::Done => w.u8(2),
-    }
-    w.u64(a.sched_seq);
-    w.u64(a.parked_at);
-}
 
-fn r_actor(r: &mut Reader, progs: &[Arc<Program>]) -> Result<Actor, SnapshotError> {
-    let kind = match r.u8()? {
-        0 => ActorKind::CoreThread { core: r.u32()? },
-        1 => {
-            let engine = r_engine_id(r)?;
-            let reserved_ctx = r.bool()?;
-            let stream = if r.bool()? {
-                Some(StreamId(r.u32()?))
-            } else {
-                None
-            };
-            ActorKind::EngineTask {
-                engine,
-                reserved_ctx,
-                stream,
-            }
-        }
-        _ => return Err(SnapshotError::Corrupted("actor kind")),
-    };
-    let pi = r.u32()? as usize;
-    let prog = progs
-        .get(pi)
-        .cloned()
-        .ok_or(SnapshotError::Corrupted("actor program index"))?;
-    let ctx = codec::read_exec_ctx(r)?;
-    let clock = r.u64()?;
-    let mut reg_ready = [0u64; levi_isa::NUM_REGS];
-    for t in &mut reg_ready {
-        *t = r.u64()?;
+    /// Writes `p`'s table index.
+    pub(crate) fn put(&self, p: &Arc<Program>, w: &mut Writer) {
+        self.index[&(Arc::as_ptr(p) as usize)].put(w);
     }
-    let n = r.count(8)?;
-    let mut pending_mem = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending_mem.push(r.u64()?);
-    }
-    let issue = crate::engine::FuCursor::snap_read(r)?;
-    let predictor = if r.bool()? {
-        Some(crate::branch::Gshare::snap_read(r)?)
-    } else {
-        None
-    };
-    let n = r.count(8)?;
-    let mut invoke_acks = std::collections::VecDeque::with_capacity(n);
-    for _ in 0..n {
-        invoke_acks.push_back(r.u64()?);
-    }
-    let invoke_count = r.u32()?;
-    let invoke_retries = r.u32()?;
-    let pending_span = r_opt_span(r)?;
-    let span = r_opt_span(r)?;
-    let state = match r.u8()? {
-        0 => ActorState::Runnable,
-        1 => ActorState::Parked(r_wait_cond(r)?),
-        2 => ActorState::Done,
-        _ => return Err(SnapshotError::Corrupted("actor state")),
-    };
-    let sched_seq = r.u64()?;
-    let parked_at = r.u64()?;
-    Ok(Actor {
-        kind,
-        prog,
-        ctx,
-        clock,
-        reg_ready,
-        pending_mem,
-        issue,
-        predictor,
-        invoke_acks,
-        invoke_count,
-        invoke_retries,
-        pending_span,
-        span,
-        state,
-        sched_seq,
-        parked_at,
-    })
-}
 
-fn w_stream(w: &mut Writer, s: &StreamState) {
-    w.u32(s.id.0);
-    w.u64(s.buffer);
-    w.u64(s.entry_size);
-    w.u64(s.capacity);
-    w.u64(s.tail);
-    w.u64(s.head);
-    w_engine_id(w, s.engine);
-    w.u32(s.consumer);
-    match s.mode {
-        StreamMode::RunAhead => w.u8(0),
-        StreamMode::MissTriggered { reinit_instrs } => {
-            w.u8(1);
-            w.u32(reinit_instrs);
-        }
+    /// Reads a table index and returns its program.
+    pub(crate) fn get(&self, r: &mut Reader) -> Result<Arc<Program>, CodecError> {
+        let i = u32::get(r)? as usize;
+        self.progs
+            .get(i)
+            .cloned()
+            .ok_or(CodecError::Invalid("program index"))
     }
-    w.bool(s.closed);
-}
-
-fn r_stream(r: &mut Reader) -> Result<StreamState, CodecError> {
-    Ok(StreamState {
-        id: StreamId(r.u32()?),
-        buffer: r.u64()?,
-        entry_size: r.u64()?,
-        capacity: r.u64()?,
-        tail: r.u64()?,
-        head: r.u64()?,
-        engine: r_engine_id(r)?,
-        consumer: r.u32()?,
-        mode: match r.u8()? {
-            0 => StreamMode::RunAhead,
-            1 => StreamMode::MissTriggered {
-                reinit_instrs: r.u32()?,
-            },
-            _ => return Err(CodecError::Invalid("stream mode")),
-        },
-        closed: r.bool()?,
-    })
-}
-
-fn w_morph(w: &mut Writer, m: &MorphRegion) {
-    w.u64(m.base);
-    w.u64(m.bound);
-    w_morph_level(w, m.level);
-    w.u64(m.obj_size);
-    match m.ctor {
-        Some(a) => {
-            w.bool(true);
-            w.u32(a.0);
-        }
-        None => w.bool(false),
-    }
-    match m.dtor {
-        Some(a) => {
-            w.bool(true);
-            w.u32(a.0);
-        }
-        None => w.bool(false),
-    }
-    w.u64(m.view);
-    match m.stream {
-        Some(s) => {
-            w.bool(true);
-            w.u32(s.0);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn r_morph(r: &mut Reader) -> Result<MorphRegion, CodecError> {
-    Ok(MorphRegion {
-        base: r.u64()?,
-        bound: r.u64()?,
-        level: r_morph_level(r)?,
-        obj_size: r.u64()?,
-        ctor: if r.bool()? {
-            Some(levi_isa::ActionId(r.u32()?))
-        } else {
-            None
-        },
-        dtor: if r.bool()? {
-            Some(levi_isa::ActionId(r.u32()?))
-        } else {
-            None
-        },
-        view: r.u64()?,
-        stream: if r.bool()? {
-            Some(StreamId(r.u32()?))
-        } else {
-            None
-        },
-    })
 }
 
 /// Serializes the full machine state into the snapshot payload.
 pub(crate) fn encode_machine(m: &Machine) -> Vec<u8> {
-    let mut w = Writer::new();
-    let (progs, prog_idx) = program_table(m);
+    let mut out = Writer::new();
+    let w = &mut out;
+    let progs = ProgTable::of(m);
 
-    w_section(&mut w, b"PROG");
-    w.u32(progs.len() as u32);
-    for p in &progs {
-        codec::write_program(&mut w, p);
-    }
+    w_section(w, b"PROG");
+    put_seq(w, progs.progs.iter(), |p, w| codec::write_program(w, p));
 
-    w_section(&mut w, b"MEMX");
-    codec::write_mem(&mut w, &m.mem);
+    w_section(w, b"MEMX");
+    codec::write_mem(w, &m.mem);
 
-    w_section(&mut w, b"SCHD");
-    w.u64(m.now);
-    w.u64(m.seq);
-    w.u32(m.live_core_threads);
-    w.u32(m.traces.len() as u32);
-    for t in &m.traces {
-        w.u64(*t);
-    }
-    w.u32(m.free_slots.len() as u32);
-    for s in &m.free_slots {
-        w.u32(*s);
-    }
+    w_section(w, b"SCHD");
+    m.now.put(w);
+    m.seq.put(w);
+    m.live_core_threads.put(w);
+    m.traces.put(w);
+    m.free_slots.put(w);
     // Run queue in sorted order: the heap's internal layout is not
     // deterministic across construction histories, but its pop order is
     // (entries are totally ordered by the unique sequence number), so the
     // sorted entry list is the canonical representation.
-    let mut entries: Vec<(u64, u64, u32)> = m.runq.iter().map(|Reverse(e)| *e).collect();
-    entries.sort_unstable();
-    w.u32(entries.len() as u32);
-    for (t, seq, aid) in entries {
-        w.u64(t);
-        w.u64(seq);
-        w.u32(aid);
-    }
+    let mut runq: Vec<(u64, u64, ActorId)> = m.runq.iter().map(|Reverse(e)| *e).collect();
+    runq.sort_unstable();
+    runq.put(w);
     // Waiter lists keyed by the derived total order on WaitCond.
     let mut conds: Vec<&WaitCond> = m.waiters.keys().collect();
     conds.sort_unstable();
-    w.u32(conds.len() as u32);
-    for c in conds {
-        w_wait_cond(&mut w, *c);
-        let list = &m.waiters[c];
-        w.u32(list.len() as u32);
-        for aid in list {
-            w.u32(*aid);
-        }
-    }
+    put_seq(w, conds.into_iter(), |c, w| {
+        c.put(w);
+        m.waiters[c].put(w);
+    });
 
-    w_section(&mut w, b"ACTR");
-    w.u32(m.actors.len() as u32);
-    for a in &m.actors {
-        w_actor(&mut w, a, &prog_idx);
-    }
+    w_section(w, b"ACTR");
+    put_seq(w, m.actors.iter(), |a, w| a.put_in(w, &progs));
 
-    w_section(&mut w, b"CACH");
+    w_section(w, b"CACH");
     for bank in m.hw.l1.iter().chain(&m.hw.l2).chain(&m.hw.llc) {
-        bank.snap_write(&mut w);
+        bank.save(w);
     }
 
-    w_section(&mut w, b"ENGS");
-    for e in &m.hw.engines {
-        e.snap_write(&mut w);
-    }
+    w_section(w, b"ENGS");
+    m.hw.engines.iter().for_each(|e| e.save(w));
 
-    w_section(&mut w, b"NOCX");
-    m.hw.noc.snap_write(&mut w);
+    w_section(w, b"NOCX");
+    m.hw.noc.save(w);
 
-    w_section(&mut w, b"DRAM");
-    m.hw.dram.snap_write(&mut w);
+    w_section(w, b"DRAM");
+    m.hw.dram.save(w);
 
-    w_section(&mut w, b"XLAT");
-    m.hw.translator.snap_write(&mut w);
+    w_section(w, b"XLAT");
+    m.hw.translator.put(w);
 
     // TLBX: the address-translation TLBs (crate::xlat). Distinct from
     // XLAT above, which is the DRAM compaction translator.
-    w_section(&mut w, b"TLBX");
-    match &m.hw.xlat {
-        Some(x) => {
-            w.bool(true);
-            x.snap_write(&mut w);
-        }
-        None => w.bool(false),
+    w_section(w, b"TLBX");
+    m.hw.xlat.is_some().put(w);
+    if let Some(x) = &m.hw.xlat {
+        x.save(w);
     }
 
-    w_section(&mut w, b"NDCX");
-    {
-        let ndc = &m.hw.ndc;
-        let actions = ndc.actions.snap_entries();
-        w.u32(actions.len() as u32);
-        for (id, aref) in actions {
-            w.u32(id.0);
-            w.u32(prog_idx[&(Arc::as_ptr(&aref.prog) as usize)]);
-            w.u32(aref.func.0);
-        }
-        w.u32(ndc.morphs.len() as u32);
-        for mo in &ndc.morphs {
-            w_morph(&mut w, mo);
-        }
-        w.u32(ndc.streams.len() as u32);
-        for s in &ndc.streams {
-            w_stream(&mut w, s);
-        }
-        let mut futures: Vec<(&u64, &FutureFill)> = ndc.futures.iter().collect();
-        futures.sort_unstable_by_key(|(a, _)| **a);
-        w.u32(futures.len() as u32);
-        for (addr, fill) in futures {
-            w.u64(*addr);
-            w.u64(fill.arrival);
-        }
-        w.u32(ndc.bank_maps.len() as u32);
-        for b in &ndc.bank_maps {
-            w.u64(b.base);
-            w.u64(b.bound);
-            w.u32(b.ignore_line_bits);
-        }
-        for ranges in [&ndc.stream_store_ranges, &ndc.mem_side_ranges] {
-            w.u32(ranges.len() as u32);
-            for (a, b) in ranges {
-                w.u64(*a);
-                w.u64(*b);
-            }
-        }
-    }
+    w_section(w, b"NDCX");
+    m.hw.ndc.put_in(w, &progs);
 
-    w_section(&mut w, b"STAT");
-    m.hw.stats.snap_write(&mut w);
+    w_section(w, b"STAT");
+    m.hw.stats.save(w);
 
-    w_section(&mut w, b"HWPR");
-    m.hw.snap_write_private(&mut w);
+    // HWPR: the private hardware state (`Hw`'s own field list).
+    w_section(w, b"HWPR");
+    m.hw.save(w);
 
-    w.into_bytes()
+    out.into_bytes()
 }
 
 /// Overlays a snapshot payload onto a freshly built machine (same config).
@@ -836,151 +482,79 @@ pub(crate) fn decode_machine_into(m: &mut Machine, payload: &[u8]) -> Result<(),
     let r = &mut Reader::new(payload);
 
     r_section(r, b"PROG", "program table section")?;
-    let nprogs = r.count(1)?;
-    let mut progs: Vec<Arc<Program>> = Vec::with_capacity(nprogs);
-    for _ in 0..nprogs {
-        progs.push(Arc::new(codec::read_program(r)?));
-    }
+    let progs = ProgTable {
+        progs: get_seq(r, 1, |r| codec::read_program(r).map(Arc::new))?,
+        index: HashMap::new(),
+    };
 
     r_section(r, b"MEMX", "memory section")?;
     m.mem = codec::read_mem(r)?;
 
     r_section(r, b"SCHD", "scheduler section")?;
-    m.now = r.u64()?;
-    m.seq = r.u64()?;
-    m.live_core_threads = r.u32()?;
-    let n = r.count(8)?;
-    m.traces = Vec::with_capacity(n);
-    for _ in 0..n {
-        m.traces.push(r.u64()?);
-    }
-    let n = r.count(4)?;
-    m.free_slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        m.free_slots.push(r.u32()?);
-    }
-    let n = r.count(20)?;
-    m.runq = std::collections::BinaryHeap::with_capacity(n);
-    for _ in 0..n {
-        let t = r.u64()?;
-        let seq = r.u64()?;
-        let aid = r.u32()?;
-        m.runq.push(Reverse((t, seq, aid)));
-    }
-    let n = r.count(2)?;
-    m.waiters = levi_isa::fx::map_with_capacity(n);
-    for _ in 0..n {
-        let cond = r_wait_cond(r)?;
-        let len = r.count(4)?;
-        let mut list = Vec::with_capacity(len);
-        for _ in 0..len {
-            list.push(r.u32()?);
-        }
+    m.now = Codec::get(r)?;
+    m.seq = Codec::get(r)?;
+    m.live_core_threads = Codec::get(r)?;
+    m.traces = Codec::get(r)?;
+    m.free_slots = Codec::get(r)?;
+    let runq: Vec<(u64, u64, ActorId)> = Codec::get(r)?;
+    m.runq = runq.into_iter().map(Reverse).collect();
+    let waiters: Vec<(WaitCond, Vec<ActorId>)> = Codec::get(r)?;
+    m.waiters = levi_isa::fx::map_with_capacity(waiters.len());
+    for (cond, list) in waiters {
         if m.waiters.insert(cond, list).is_some() {
             return Err(SnapshotError::Corrupted("duplicate wait condition"));
         }
     }
 
     r_section(r, b"ACTR", "actor section")?;
-    let n = r.count(4)?;
-    m.actors = Vec::with_capacity(n);
-    for _ in 0..n {
-        m.actors.push(r_actor(r, &progs)?);
+    m.actors = get_seq(r, 4, |r| Actor::get_in(r, &progs))?;
+    // Every actor id the scheduler holds must name a decoded actor: the
+    // run loop indexes the actor table with them.
+    let known = |id: &ActorId| (*id as usize) < m.actors.len();
+    if !m.runq.iter().all(|Reverse((_, _, id))| known(id)) {
+        return Err(SnapshotError::Corrupted("run-queue actor id"));
+    }
+    if !m.waiters.values().flatten().all(known) {
+        return Err(SnapshotError::Corrupted("waiter actor id"));
+    }
+    if !m.free_slots.iter().all(known) {
+        return Err(SnapshotError::Corrupted("free-slot actor id"));
     }
 
     r_section(r, b"CACH", "cache section")?;
     for bank in m.hw.l1.iter_mut().chain(&mut m.hw.l2).chain(&mut m.hw.llc) {
-        bank.snap_read(r)?;
+        bank.restore(r)?;
     }
 
     r_section(r, b"ENGS", "engine section")?;
     for e in &mut m.hw.engines {
-        e.snap_read(r)?;
+        e.restore(r)?;
     }
 
     r_section(r, b"NOCX", "noc section")?;
-    m.hw.noc.snap_read(r)?;
+    m.hw.noc.restore(r)?;
 
     r_section(r, b"DRAM", "dram section")?;
-    m.hw.dram.snap_read(r)?;
+    m.hw.dram.restore(r)?;
 
     r_section(r, b"XLAT", "translator section")?;
-    m.hw.translator.snap_read(r)?;
+    m.hw.translator = Codec::get(r)?;
 
     r_section(r, b"TLBX", "tlb section")?;
     match (r.bool()?, &mut m.hw.xlat) {
-        (true, Some(x)) => x.snap_read(r)?,
+        (true, Some(x)) => x.restore(r)?,
         (false, None) => {}
         _ => return Err(SnapshotError::Corrupted("tlb presence mismatch")),
     }
 
     r_section(r, b"NDCX", "ndc section")?;
-    {
-        let n = r.count(12)?;
-        let mut actions = crate::ndc::ActionTable::default();
-        for _ in 0..n {
-            let id = levi_isa::ActionId(r.u32()?);
-            let pi = r.u32()? as usize;
-            let func = levi_isa::FuncId(r.u32()?);
-            let prog = progs
-                .get(pi)
-                .cloned()
-                .ok_or(SnapshotError::Corrupted("action program index"))?;
-            actions.register(id, prog, func);
-        }
-        m.hw.ndc.actions = actions;
-        let n = r.count(8)?;
-        m.hw.ndc.morphs = Vec::with_capacity(n);
-        for _ in 0..n {
-            m.hw.ndc.morphs.push(r_morph(r)?);
-        }
-        let n = r.count(8)?;
-        m.hw.ndc.streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            m.hw.ndc.streams.push(r_stream(r)?);
-        }
-        let n = r.count(16)?;
-        m.hw.ndc.futures = levi_isa::fx::map_with_capacity(n);
-        for _ in 0..n {
-            let addr = r.u64()?;
-            let arrival = r.u64()?;
-            if m.hw
-                .ndc
-                .futures
-                .insert(addr, FutureFill { arrival })
-                .is_some()
-            {
-                return Err(SnapshotError::Corrupted("duplicate future"));
-            }
-        }
-        let n = r.count(20)?;
-        m.hw.ndc.bank_maps = Vec::with_capacity(n);
-        for _ in 0..n {
-            m.hw.ndc.bank_maps.push(BankMapRange {
-                base: r.u64()?,
-                bound: r.u64()?,
-                ignore_line_bits: r.u32()?,
-            });
-        }
-        for which in 0..2 {
-            let n = r.count(16)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push((r.u64()?, r.u64()?));
-            }
-            if which == 0 {
-                m.hw.ndc.stream_store_ranges = v;
-            } else {
-                m.hw.ndc.mem_side_ranges = v;
-            }
-        }
-    }
+    m.hw.ndc = NdcState::get_in(r, &progs)?;
 
     r_section(r, b"STAT", "stats section")?;
-    m.hw.stats.snap_read(r)?;
+    m.hw.stats.restore(r)?;
 
     r_section(r, b"HWPR", "hw-private section")?;
-    m.hw.snap_read_private(r)?;
+    m.hw.restore(r)?;
 
     if !r.is_exhausted() {
         return Err(SnapshotError::Corrupted("trailing bytes after payload"));
@@ -1091,7 +665,7 @@ mod tests {
             w.str("main");
             w.u32(insts.len() as u32);
             for inst in &insts {
-                codec::write_inst(&mut w, inst);
+                inst.put(&mut w);
             }
             let mut bad = payload[..at].to_vec();
             bad.extend(w.into_bytes());

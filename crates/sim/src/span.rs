@@ -32,6 +32,8 @@
 
 use std::fmt;
 
+use levi_isa::codec::{Codec, CodecError, Reader, Writer};
+
 use crate::engine::EngineId;
 
 /// Default number of spans retained when span tracing is enabled.
@@ -361,75 +363,39 @@ impl SpanTable {
     }
 }
 
-impl SpanTable {
-    /// Serializes the span table (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        use crate::snapshot::{w_engine_id, w_opt_u64};
-        w.bool(self.enabled);
-        w.u64(self.capacity as u64);
-        w.u64(self.dropped);
-        w.u32(self.spans.len() as u32);
-        for s in &self.spans {
-            w.u32(s.id.0);
-            w.u32(s.src_tile);
-            match s.target {
-                Some(e) => {
-                    w.bool(true);
-                    w_engine_id(w, e);
-                }
-                None => w.bool(false),
-            }
-            w.u64(s.first_attempt);
-            w_opt_u64(w, s.issued);
-            w_opt_u64(w, s.arrival);
-            w_opt_u64(w, s.dispatch);
-            w_opt_u64(w, s.retired);
-            w_opt_u64(w, s.ack);
-            w.u32(s.nacks);
-            w.u32(s.retries);
-            w.bool(s.fallback);
-        }
+levi_isa::codec_struct!(SpanId(u32));
+levi_isa::codec_struct!(InvokeSpan {
+    id,
+    src_tile,
+    target,
+    first_attempt,
+    issued,
+    arrival,
+    dispatch,
+    retired,
+    ack,
+    nacks,
+    retries,
+    fallback,
+});
+levi_isa::codec_struct!(SpanTable {
+    enabled,
+    capacity: AtLeastOne,
+    dropped,
+    spans,
+});
+
+/// A capacity that reads back as at least 1, as [`SpanTable::new`] builds
+/// it (a `Default` table's 0 restores as 1).
+struct AtLeastOne;
+
+impl AtLeastOne {
+    fn put(&self, v: &usize, w: &mut Writer) {
+        v.put(w);
     }
 
-    /// Restores a table written by [`SpanTable::snap_write`].
-    pub(crate) fn snap_read(
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<Self, levi_isa::codec::CodecError> {
-        use crate::snapshot::{r_engine_id, r_opt_u64};
-        let enabled = r.bool()?;
-        let capacity = r.u64()? as usize;
-        let dropped = r.u64()?;
-        let n = r.count(18)?;
-        let mut spans = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = SpanId(r.u32()?);
-            let src_tile = r.u32()?;
-            let target = if r.bool()? {
-                Some(r_engine_id(r)?)
-            } else {
-                None
-            };
-            spans.push(InvokeSpan {
-                id,
-                src_tile,
-                target,
-                first_attempt: r.u64()?,
-                issued: r_opt_u64(r)?,
-                arrival: r_opt_u64(r)?,
-                dispatch: r_opt_u64(r)?,
-                retired: r_opt_u64(r)?,
-                ack: r_opt_u64(r)?,
-                nacks: r.u32()?,
-                retries: r.u32()?,
-                fallback: r.bool()?,
-            });
-        }
-        Ok(SpanTable {
-            enabled,
-            capacity: capacity.max(1),
-            spans,
-            dropped,
-        })
+    fn get(&self, r: &mut Reader) -> Result<usize, CodecError> {
+        Ok(usize::get(r)?.max(1))
     }
 }
 

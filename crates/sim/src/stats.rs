@@ -16,7 +16,7 @@
 //! digest: the `(cycles, Stats::digest)` pins in `tests/faults.rs` and the
 //! benchmark's `model.stats_digest`. Re-pin them in the same change.
 
-use levi_isa::codec::{CodecError, Reader, Writer};
+use levi_isa::codec::{Reader, Restore, Writer};
 
 use crate::hist::Histogram;
 use crate::span::SpanTable;
@@ -77,8 +77,8 @@ pub(crate) const DRAM_PHASE_NAMES: [&str; MAX_PHASES] = indexed!("dram_phase", "
 /// `<level>_hits`, `_misses`, `_writebacks`), `events` and `xlat`, then
 /// the recorder-derived counters and `dram_phase<i>`, then `tenants` (as
 /// `tenant<i><suffix>`, one series after another); its histograms are
-/// `latencies` then `xlat_latencies`. The snapshot order is spelled out in
-/// `snap_write` below. Fields under `other` are coded by hand.
+/// `latencies` then `xlat_latencies`. The snapshot order is the field list
+/// of the `codec_struct!` below, which names each `other` field by hand.
 ///
 /// [`Telemetry::counters`]: crate::telemetry::Telemetry::counters
 macro_rules! stats_table {
@@ -136,7 +136,7 @@ macro_rules! stats_table {
             ///
             /// # Panics
             /// Panics if a series is longer than [`MAX_TENANTS`], which
-            /// config validation and `snap_read` rule out.
+            /// config validation and the snapshot codec rule out.
             pub(crate) fn tenant_counters(&self) -> Vec<(&'static str, u64)> {
                 let mut v = Vec::new();
                 $(
@@ -152,66 +152,30 @@ macro_rules! stats_table {
             pub(crate) fn histograms(&self) -> [(&'static str, &Histogram); Self::HISTOGRAMS] {
                 [$( (stringify!($lat), &self.$lat), )* $( (stringify!($xh), &self.$xh), )*]
             }
+        }
 
-            /// Serializes every deterministic counter, histogram, and recorder
-            /// (see [`crate::snapshot`]). `host_phases` is wall-clock data and is
-            /// deliberately excluded: it is nondeterministic, never part of
-            /// byte-identical outputs, and resets on restore.
-            pub(crate) fn snap_write(&self, w: &mut Writer) {
-                $( w.u64(self.$run); )*
-                $( w.u64(self.$ev); )*
-                $( w_level(w, &self.$lvl); )*
-                for p in &self.dram_by_phase {
-                    w.u64(*p);
-                }
-                w.u64(self.current_phase as u64);
-                $( self.$lat.snap_write(w); )*
-                self.trace.snap_write(w);
-                self.spans.snap_write(w);
-                self.timeline.snap_write(w);
-                $( w.u64(self.$xl); )*
-                $( self.$xh.snap_write(w); )*
-                $(
-                    w.u32(self.$tn.len() as u32);
-                    for &c in &self.$tn {
-                        w.u64(c);
-                    }
-                )*
+        // Every deterministic counter, histogram, and recorder (see
+        // [`crate::snapshot`]). `host_phases` is wall-clock data and is
+        // deliberately kept out: it is nondeterministic, never part of
+        // byte-identical outputs, and is left as it is on restore.
+        levi_isa::codec_struct! {
+            in_place Stats {
+                $( $run, )*
+                $( $ev, )*
+                $( $lvl, )*
+                dram_by_phase,
+                current_phase,
+                $( $lat, )*
+                trace,
+                spans,
+                timeline,
+                $( $xl, )*
+                $( $xh, )*
+                $( $tn, )*
             }
-
-            /// Restores statistics written by [`Stats::snap_write`] into `self`,
-            /// leaving `host_phases` untouched.
-            pub(crate) fn snap_read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
-                $( self.$run = r.u64()?; )*
-                $( self.$ev = r.u64()?; )*
-                $( self.$lvl = r_level(r)?; )*
-                for p in &mut self.dram_by_phase {
-                    *p = r.u64()?;
-                }
-                let phase = r.u64()? as usize;
-                if phase >= MAX_PHASES {
-                    return Err(CodecError::Invalid("phase index"));
-                }
-                self.current_phase = phase;
-                $( self.$lat = Histogram::snap_read(r)?; )*
-                self.trace = Tracer::snap_read(r)?;
-                self.spans = SpanTable::snap_read(r)?;
-                self.timeline = TimeSeries::snap_read(r)?;
-                $( self.$xl = r.u64()?; )*
-                $( self.$xh = Histogram::snap_read(r)?; )*
-                $(
-                    let n = r.count(8)?;
-                    if n > MAX_TENANTS as usize {
-                        return Err(CodecError::Invalid("tenant count"));
-                    }
-                    self.$tn.clear();
-                    self.$tn.reserve(n);
-                    for _ in 0..n {
-                        self.$tn.push(r.u64()?);
-                    }
-                )*
-                Ok(())
-            }
+            kept { host_phases }
+            ensure *current_phase < MAX_PHASES => "phase index";
+            $( ensure $tn.len() <= MAX_TENANTS as usize => "tenant count"; )*
         }
     };
 }
@@ -523,88 +487,40 @@ impl Stats {
     }
 }
 
-fn w_level(w: &mut Writer, l: &LevelStats) {
-    w.u64(l.hits);
-    w.u64(l.misses);
-    w.u64(l.writebacks);
-}
-
-fn r_level(r: &mut Reader) -> Result<LevelStats, CodecError> {
-    Ok(LevelStats {
-        hits: r.u64()?,
-        misses: r.u64()?,
-        writebacks: r.u64()?,
-    })
-}
-
-impl TimeSeries {
-    /// Serializes sampler state (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut Writer) {
-        w.u64(self.interval);
-        w.u64(self.next);
-        w.u64(self.base.cycle);
-        w.u64(self.base.core_instrs);
-        w.u64(self.base.engine_instrs);
-        w_level(w, &self.base.l1);
-        w_level(w, &self.base.l2);
-        w_level(w, &self.base.llc);
-        w.u64(self.base.noc_flit_hops);
-        w.u64(self.base.dram_accesses);
-        w.u32(self.samples.len() as u32);
-        for s in &self.samples {
-            w.u64(s.cycle);
-            w.f64(s.ipc);
-            w.u64(s.core_instrs);
-            w.u64(s.engine_instrs);
-            w.f64(s.l1_miss_ratio);
-            w.f64(s.l2_miss_ratio);
-            w.f64(s.llc_miss_ratio);
-            w.u64(s.noc_flit_hops);
-            w.u64(s.dram_accesses);
-            w.u32(s.engine_ctxs);
-            w.u64(s.stream_depth);
-        }
-    }
-
-    /// Restores a sampler written by [`TimeSeries::snap_write`].
-    pub(crate) fn snap_read(r: &mut Reader) -> Result<Self, CodecError> {
-        let interval = r.u64()?;
-        let next = r.u64()?;
-        let base = Baseline {
-            cycle: r.u64()?,
-            core_instrs: r.u64()?,
-            engine_instrs: r.u64()?,
-            l1: r_level(r)?,
-            l2: r_level(r)?,
-            llc: r_level(r)?,
-            noc_flit_hops: r.u64()?,
-            dram_accesses: r.u64()?,
-        };
-        let n = r.count(40)?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(Sample {
-                cycle: r.u64()?,
-                ipc: r.f64()?,
-                core_instrs: r.u64()?,
-                engine_instrs: r.u64()?,
-                l1_miss_ratio: r.f64()?,
-                l2_miss_ratio: r.f64()?,
-                llc_miss_ratio: r.f64()?,
-                noc_flit_hops: r.u64()?,
-                dram_accesses: r.u64()?,
-                engine_ctxs: r.u32()?,
-                stream_depth: r.u64()?,
-            });
-        }
-        Ok(TimeSeries {
-            interval,
-            next,
-            samples,
-            base,
-        })
-    }
-}
+levi_isa::codec_struct!(LevelStats {
+    hits,
+    misses,
+    writebacks,
+});
+levi_isa::codec_struct!(Baseline {
+    cycle,
+    core_instrs,
+    engine_instrs,
+    l1,
+    l2,
+    llc,
+    noc_flit_hops,
+    dram_accesses,
+});
+levi_isa::codec_struct!(Sample {
+    cycle,
+    ipc,
+    core_instrs,
+    engine_instrs,
+    l1_miss_ratio,
+    l2_miss_ratio,
+    llc_miss_ratio,
+    noc_flit_hops,
+    dram_accesses,
+    engine_ctxs,
+    stream_depth,
+});
+levi_isa::codec_struct!(TimeSeries {
+    interval,
+    next,
+    base,
+    samples,
+});
 
 impl Stats {
     /// Serializes the statistics (everything the machine snapshot
@@ -612,7 +528,7 @@ impl Stats {
     /// journals and other external records.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        self.snap_write(&mut w);
+        self.save(&mut w);
         w.into_bytes()
     }
 
@@ -624,7 +540,7 @@ impl Stats {
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
         let mut r = Reader::new(bytes);
         let mut s = Stats::new();
-        s.snap_read(&mut r)?;
+        s.restore(&mut r)?;
         if !r.is_exhausted() {
             return Err(crate::snapshot::SnapshotError::Corrupted(
                 "trailing bytes after stats",

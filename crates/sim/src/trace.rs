@@ -29,7 +29,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
-use levi_isa::codec::{CodecError, Reader, Writer};
+use levi_isa::codec::{Codec, CodecError, Reader, Writer};
 
 use crate::engine::{EngineId, EngineLevel};
 use crate::span::SpanId;
@@ -481,87 +481,76 @@ impl Tracer {
         out.push_str("]}");
         out
     }
+}
 
-    /// Serializes the event ring (see [`crate::snapshot`]). An untraced
-    /// tracer writes only the `enabled/capacity/dropped/count` prefix.
-    pub(crate) fn snap_write(&self, w: &mut Writer) {
-        use crate::snapshot::{w_engine_id, w_opt_span};
-        w.bool(self.enabled);
-        w.u64(TRACE_CAPACITY as u64);
-        w.u64(self.dropped);
-        w.u32(self.events.len() as u32);
-        for e in &self.events {
-            w.u64(e.cycle);
-            w.u64(e.dur);
-            w.u8(e.kind as u8);
-            match e.track {
-                Track::Core(t) => {
-                    w.u8(0);
-                    w.u32(t);
-                }
-                Track::Engine(id) => {
-                    w.u8(1);
-                    w_engine_id(w, id);
-                }
-                Track::Noc(t) => {
-                    w.u8(2);
-                    w.u32(t);
-                }
-                Track::Dram(mc) => {
-                    w.u8(3);
-                    w.u32(mc);
-                }
-            }
-            w_opt_span(w, e.span);
-            for (_, v) in e.args() {
-                w.u64(v);
-            }
-        }
+impl Codec for TraceKind {
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self as u8);
     }
 
-    /// Restores a tracer written by [`Tracer::snap_write`].
-    pub(crate) fn snap_read(r: &mut Reader) -> Result<Self, CodecError> {
-        use crate::snapshot::{r_engine_id, r_opt_span};
-        let enabled = r.bool()?;
-        if r.u64()? != TRACE_CAPACITY as u64 {
+    fn get(r: &mut Reader) -> Result<Self, CodecError> {
+        let tag = r.u8()? as usize;
+        TraceKind::ALL
+            .get(tag)
+            .copied()
+            .ok_or(CodecError::Invalid("trace kind"))
+    }
+}
+
+levi_isa::codec_enum!(Track "trace track" {
+    0 => Core(tile),
+    1 => Engine(engine),
+    2 => Noc(tile),
+    3 => Dram(mc),
+});
+levi_isa::codec_struct!(TraceEvent {
+    cycle,
+    dur,
+    kind,
+    track,
+    span,
+    args: ArgList(kind.arg_names().len()),
+});
+// An untraced tracer writes only the `enabled/capacity/dropped/count`
+// prefix.
+levi_isa::codec_struct!(Tracer {
+    enabled: EnabledAndCapacity,
+    dropped,
+    events,
+});
+
+/// An event's argument values: only the first `n`, the ones its kind names.
+struct ArgList(usize);
+
+impl ArgList {
+    fn put(&self, args: &[u64; MAX_ARGS], w: &mut Writer) {
+        args[..self.0].iter().for_each(|a| a.put(w));
+    }
+
+    fn get(&self, r: &mut Reader) -> Result<[u64; MAX_ARGS], CodecError> {
+        let mut args = [0; MAX_ARGS];
+        for a in &mut args[..self.0] {
+            *a = u64::get(r)?;
+        }
+        Ok(args)
+    }
+}
+
+/// The enabled flag, then [`TRACE_CAPACITY`], which a restore checks.
+struct EnabledAndCapacity;
+
+impl EnabledAndCapacity {
+    fn put(&self, enabled: &bool, w: &mut Writer) {
+        enabled.put(w);
+        (TRACE_CAPACITY as u64).put(w);
+    }
+
+    fn get(&self, r: &mut Reader) -> Result<bool, CodecError> {
+        let enabled = bool::get(r)?;
+        if u64::get(r)? != TRACE_CAPACITY as u64 {
             return Err(CodecError::Invalid("trace capacity"));
         }
-        let dropped = r.u64()?;
-        // cycle, dur, kind, track tag + tile, span tag.
-        let n = r.count(23)?;
-        let mut events = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let cycle = r.u64()?;
-            let dur = r.u64()?;
-            let kind = *TraceKind::ALL
-                .get(r.u8()? as usize)
-                .ok_or(CodecError::Invalid("trace kind"))?;
-            let track = match r.u8()? {
-                0 => Track::Core(r.u32()?),
-                1 => Track::Engine(r_engine_id(r)?),
-                2 => Track::Noc(r.u32()?),
-                3 => Track::Dram(r.u32()?),
-                _ => return Err(CodecError::Invalid("trace track")),
-            };
-            let span = r_opt_span(r)?;
-            let mut args = [0u64; MAX_ARGS];
-            for a in args.iter_mut().take(kind.arg_names().len()) {
-                *a = r.u64()?;
-            }
-            events.push_back(TraceEvent {
-                cycle,
-                dur,
-                kind,
-                track,
-                span,
-                args,
-            });
-        }
-        Ok(Tracer {
-            enabled,
-            events,
-            dropped,
-        })
+        Ok(enabled)
     }
 }
 
@@ -716,9 +705,9 @@ mod tests {
             t.record(|| TraceEvent::lasting(i as u64, 3, kind, LLC2, &args).with_span(span));
         }
         let mut w = Writer::new();
-        t.snap_write(&mut w);
+        t.put(&mut w);
         let bytes = w.into_bytes();
-        let back = Tracer::snap_read(&mut Reader::new(&bytes)).unwrap();
+        let back = Tracer::get(&mut Reader::new(&bytes)).unwrap();
         assert!(back.enabled());
         assert_eq!(
             back.events().copied().collect::<Vec<_>>(),
@@ -730,7 +719,7 @@ mod tests {
         let kind_at = 1 + 8 + 8 + 4 + 8 + 8;
         bad[kind_at] = TraceKind::ALL.len() as u8;
         assert!(matches!(
-            Tracer::snap_read(&mut Reader::new(&bad)),
+            Tracer::get(&mut Reader::new(&bad)),
             Err(CodecError::Invalid("trace kind"))
         ));
     }

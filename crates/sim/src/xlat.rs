@@ -25,7 +25,7 @@
 //! the config carries `None`, the hot paths pay exactly one predictable
 //! branch and every byte of simulator output is unchanged.
 
-use levi_isa::codec::{CodecError, Reader, Writer};
+use levi_isa::codec::{Codec, CodecError, Fixed, Reader, Writer};
 use levi_isa::Addr;
 
 use crate::engine::EngineId;
@@ -242,28 +242,6 @@ impl Tlb {
     pub fn occupancy(&self) -> u32 {
         self.stamps.iter().filter(|&&s| s != 0).count() as u32
     }
-
-    fn snap_write(&self, w: &mut Writer) {
-        w.u64(self.tick);
-        w.u32(self.vpns.len() as u32);
-        for i in 0..self.vpns.len() {
-            w.u64(self.vpns[i]);
-            w.u64(self.stamps[i]);
-        }
-    }
-
-    fn snap_read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
-        self.tick = r.u64()?;
-        let n = r.count(16)?;
-        if n != self.vpns.len() {
-            return Err(CodecError::Invalid("tlb entry count"));
-        }
-        for i in 0..n {
-            self.vpns[i] = r.u64()?;
-            self.stamps[i] = r.u64()?;
-        }
-        Ok(())
-    }
 }
 
 /// Mutable translation state: one [`Tlb`] per tile.
@@ -287,23 +265,41 @@ impl XlatState {
     pub fn tlb(&self, tile: u32) -> &Tlb {
         &self.tlbs[tile as usize]
     }
+}
 
-    /// Serializes every TLB (see [`crate::snapshot`]; the `TLBX` section).
-    pub(crate) fn snap_write(&self, w: &mut Writer) {
-        w.u32(self.tlbs.len() as u32);
-        for t in &self.tlbs {
-            t.snap_write(w);
+levi_isa::codec_struct! {
+    in_place Tlb { tick, vpns(stamps): Entries }
+    kept { sets, ways }
+}
+// The `TLBX` section (see [`crate::snapshot`]).
+levi_isa::codec_struct! {
+    in_place XlatState { tlbs: Fixed("tlb tile count") }
+    kept { cfg }
+}
+
+/// A TLB's entries: a `u32` count, then each way's vpn and LRU stamp.
+struct Entries;
+
+impl Entries {
+    fn save(&self, (vpns, stamps): (&[u64], &[u64]), w: &mut Writer) {
+        w.u32(vpns.len() as u32);
+        for (vpn, stamp) in vpns.iter().zip(stamps) {
+            vpn.put(w);
+            stamp.put(w);
         }
     }
 
-    /// Restores state written by [`XlatState::snap_write`].
-    pub(crate) fn snap_read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
-        let n = r.count(12)?;
-        if n != self.tlbs.len() {
-            return Err(CodecError::Invalid("tlb tile count"));
+    fn restore(
+        &self,
+        (vpns, stamps): (&mut [u64], &mut [u64]),
+        r: &mut Reader,
+    ) -> Result<(), CodecError> {
+        if r.count(16)? != vpns.len() {
+            return Err(CodecError::Invalid("tlb entry count"));
         }
-        for t in &mut self.tlbs {
-            t.snap_read(r)?;
+        for (vpn, stamp) in vpns.iter_mut().zip(stamps) {
+            *vpn = u64::get(r)?;
+            *stamp = u64::get(r)?;
         }
         Ok(())
     }
@@ -361,6 +357,7 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use crate::hw::{AccessKind, Walk};
+    use levi_isa::codec::Restore;
     use levi_isa::PagedMem;
 
     fn done(w: Walk) -> u64 {
@@ -469,17 +466,17 @@ mod tests {
             }
         }
         let mut w = Writer::new();
-        x.snap_write(&mut w);
+        x.save(&mut w);
         let bytes = w.into_bytes();
         let mut y = XlatState::new(cfg, 4);
         let mut r = Reader::new(&bytes);
-        y.snap_read(&mut r).expect("round trip");
+        y.restore(&mut r).expect("round trip");
         let mut w2 = Writer::new();
-        y.snap_write(&mut w2);
+        y.save(&mut w2);
         assert_eq!(bytes, w2.into_bytes(), "byte-identical re-encode");
         // A truncated payload surfaces as a typed codec error.
         let mut z = XlatState::new(cfg, 4);
         let mut r = Reader::new(&bytes[..bytes.len() / 2]);
-        assert!(z.snap_read(&mut r).is_err());
+        assert!(z.restore(&mut r).is_err());
     }
 }

@@ -512,3 +512,113 @@ fn watchdog_and_deadlock_still_reported_with_hook_enabled() {
         "checkpoints taken before abort"
     );
 }
+
+/// The last periodic checkpoint of a completed run of [`setup`].
+fn last_checkpoint(cfg: MachineConfig) -> Vec<u8> {
+    let mut m = setup(cfg.checkpoint_every(700));
+    m.run().unwrap();
+    m.take_last_checkpoint().expect("checkpoint taken").1
+}
+
+/// Pins the checkpoint format byte for byte. Every other test here
+/// compares a re-checkpoint with its own bytes, which a format change that
+/// reads and writes the same way would pass; these digests move with any
+/// change to the encoding.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let traced = {
+        let mut cfg = xlat_cfg(TenantPolicy::EngineSlotQuota)
+            .faulted(faulted_plan())
+            .traced();
+        cfg.sample_interval = 250;
+        cfg
+    };
+    let bytes = last_checkpoint(traced.clone());
+    let m = Machine::restore(traced.clone(), &bytes).unwrap();
+    let s = m.stats();
+    assert!(s.trace.enabled() && s.trace.events().next().is_some());
+    assert!(!s.spans.spans().is_empty() && !s.timeline.samples().is_empty());
+    assert!(m.hw.xlat.as_ref().is_some_and(|x| x.tlb(0).occupancy() > 0));
+
+    let got = [
+        levi_sim::fnv1a(&last_checkpoint(small_cfg())),
+        levi_sim::fnv1a(&last_checkpoint(xlat_cfg(TenantPolicy::LlcWayPartition))),
+        levi_sim::fnv1a(&bytes),
+    ];
+    assert_eq!(
+        got,
+        [
+            0xad54_6b0d_f143_6b45,
+            0xe4cd_0b49_ae95_2bd9,
+            0xdbde_8ee8_394c_a447
+        ],
+        "checkpoint bytes moved: {got:#018x?}"
+    );
+}
+
+/// Replaces `len` payload bytes at `at` with `with`, then rewrites the
+/// header's payload length and the CRC so the decoder reaches the edit.
+fn splice(bytes: &[u8], at: usize, len: usize, with: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..at].to_vec();
+    out.extend_from_slice(with);
+    out.extend_from_slice(&bytes[at + len..bytes.len() - 4]);
+    let plen = (out.len() - 28) as u64;
+    out[20..28].copy_from_slice(&plen.to_le_bytes());
+    let crc = levi_sim::snapshot::crc32(&out[8..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+#[test]
+fn restore_rejects_dangling_actor_ids() {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.function("main");
+    f.halt();
+    let main = f.finish();
+    let prog = Arc::new(pb.finish().unwrap());
+    let mut m = Machine::try_new(small_cfg()).unwrap();
+    m.spawn_thread(0, prog, main, &[]).unwrap();
+    let bytes = m.checkpoint();
+    assert!(
+        Machine::restore(small_cfg(), &bytes).is_ok(),
+        "pristine restores"
+    );
+
+    // SCHD: now, seq, live core threads, then the traces, free-slot,
+    // run-queue and waiter lists; here only the run queue has an entry.
+    let schd = bytes.windows(4).position(|w| w == b"SCHD").unwrap() + 4;
+    let (free, runq) = (schd + 24, schd + 28);
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    assert_eq!((word(free - 4), word(free), word(runq)), (0, 0, 1));
+    let (aid, waiters) = (runq + 4 + 16, runq + 4 + 20);
+    assert_eq!((word(aid), word(waiters)), (0, 0));
+    let dangling = 0xFFFF_FF00u32.to_le_bytes();
+
+    let mut bad = bytes.clone();
+    bad[aid..aid + 4].copy_from_slice(&dangling);
+    reseal(&mut bad);
+    assert_eq!(
+        restore_err(small_cfg(), &bad),
+        SnapshotError::Corrupted("run-queue actor id")
+    );
+
+    let one_free_slot = [&1u32.to_le_bytes()[..], &dangling].concat();
+    assert_eq!(
+        restore_err(small_cfg(), &splice(&bytes, free, 4, &one_free_slot)),
+        SnapshotError::Corrupted("free-slot actor id")
+    );
+
+    // One waiter list: a future-fill condition naming the dangling id.
+    let one_waiter = [
+        &1u32.to_le_bytes()[..],
+        &[0],
+        &0x1000u64.to_le_bytes(),
+        &1u32.to_le_bytes(),
+        &dangling,
+    ]
+    .concat();
+    assert_eq!(
+        restore_err(small_cfg(), &splice(&bytes, waiters, 4, &one_waiter)),
+        SnapshotError::Corrupted("waiter actor id")
+    );
+}
